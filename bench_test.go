@@ -179,7 +179,7 @@ func BenchmarkThm4ValidateN20(b *testing.B) {
 }
 
 // EXP-THM4 streaming validator: the same fixed schedule through
-// ValidateStream's bit-set engine.
+// ValidateStream's CSR engine on the closed-form hypercube edge slots.
 func BenchmarkThm4StreamValidateN20(b *testing.B) {
 	s, err := core.NewAuto(2, 20)
 	if err != nil {

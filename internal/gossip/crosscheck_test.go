@@ -9,12 +9,12 @@ import (
 	"sparsehypercube/internal/linecomm"
 )
 
-// Stream-vs-serial crosschecks for the gossip validator, mirroring PR 1's
+// Stream-vs-serial crosschecks for the gossip validator, mirroring the
 // broadcast crosschecks: for k in {1, 2, 3}, ValidateStream must produce
 // byte-identical Results to the serial Validate on intact, mutated and
 // randomly corrupted gather-scatter schedules, on both structural engines
-// (the bitvec fast path the sparse hypercube's DimensionedNetwork
-// contract enables, and the map fallback).
+// (the CSR engine over the closed-form edge slots the sparse hypercube's
+// DimensionedNetwork contract enables, and the map fallback).
 
 // plainNet strips the DimensionedNetwork upgrade so the same instance
 // routes to the map engine.
@@ -47,7 +47,7 @@ func crosscheckCases(t *testing.T) []*core.SparseHypercube {
 func mustMatchSerialGossip(t *testing.T, s *core.SparseHypercube, k int, sched *linecomm.Schedule) {
 	t.Helper()
 	want := Validate(s, k, sched)
-	for name, net := range map[string]linecomm.Network{"bitvec": s, "map": plainNet{s}} {
+	for name, net := range map[string]linecomm.Network{"dim": s, "map": plainNet{s}} {
 		got := linecomm.ValidateGossipStream(net, k, sched.Stream())
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s engine diverges from serial:\nserial: %+v\nstream: %+v", name, want, got)

@@ -1,55 +1,95 @@
 package linecomm
 
 import (
+	"math/bits"
+
 	"sparsehypercube/internal/bitvec"
 )
 
-// This file is the CSR engine of the streaming validators: the general-
-// graph counterpart of the bitvecState/gossipBitvecState fast paths.
-// Where the dimensioned engine derives an edge slot from the hypercube
-// address structure (vertex*n + flipped bit), the CSR engine asks the
-// network for one (SlottedNetwork.EdgeSlot, backed by the graph's CSR
-// arrays) and indexes every per-round disjointness set by that dense
-// id: flat bitvec storage for receivers and callers, small per-slot
-// counters for edges and receivers so generalised capacities
-// (Options.EdgeCapacity/ReceiverCapacity > 1) ride the same flat
-// storage instead of falling back to hash maps. Touched slots are
-// recorded and cleared between rounds, so the whole engine allocates
-// once per validation run and nothing per round.
+// This file is the flat engine of the streaming validators: csrState for
+// broadcast and gossipCsrState for gossip. Every per-round disjointness
+// set is indexed by an edge-slot id the network supplies
+// (SlottedNetwork.EdgeSlot — for materialised graphs, backed by the CSR
+// arrays) or, on hypercube-family networks without a numbering of their
+// own, by the closed form lower*n + flipped dimension (dimSlots). Bit
+// sets hold receivers, callers and capacity-1 edges; small per-slot
+// counters hold generalised capacities (Options.EdgeCapacity/
+// ReceiverCapacity > 1). Touched slots are recorded and cleared between
+// rounds, so the engine allocates once per validation run and nothing
+// per round.
 //
 // mapState stays as the reference engine — it is what the differential
 // suite crosschecks csrState against, and the fallback for networks
 // that carry no slot numbering or exceed the size caps.
 
-// maxCSRSlots caps the vertex and edge-slot universes of the CSR
-// engine. Counters are 4 bytes per slot (the bit-set engine's universes
-// are 1 bit), so the cap is maxStreamBits/32: the same 256 MiB
-// worst-case footprint per array, admitting graphs up to 2^26 vertices
-// and 2^26 edges — the million-vertex regime with room to spare.
+// maxCSRSlots caps the universes held as per-slot counters (generalised
+// capacities). Counters are 4 bytes per slot where bit sets are 1 bit,
+// so the cap is maxStreamBits/32: the same 256 MiB worst-case footprint
+// per array, admitting graphs up to 2^26 vertices and 2^26 edges. Bit-set
+// universes keep the maxStreamBits cap.
 const maxCSRSlots = maxStreamBits / 32
 
-// slottedFor reports whether net can drive the CSR engine: it must
-// carry a slot numbering and fit the size caps.
-func slottedFor(net Network, order uint64) (SlottedNetwork, bool) {
+// slottedFor reports whether net can drive the CSR engine under opts'
+// capacities. net must carry a slot numbering — its own, or the closed
+// form of a DimensionedNetwork — and each universe must fit the cap of
+// the storage opts selects for it: maxStreamBits for bit sets,
+// maxCSRSlots for counters.
+func slottedFor(net Network, order uint64, opts Options) (SlottedNetwork, bool) {
 	sn, ok := net.(SlottedNetwork)
 	if !ok {
-		return nil, false
+		dn, ok := net.(DimensionedNetwork)
+		// Reject inconsistent widths (Order beyond 1<<N would alias edge
+		// slots) and universes past the bit-set cap before order*n can
+		// overflow.
+		if !ok || dn.N() < 1 || order > uint64(1)<<uint(dn.N()) ||
+			order > maxStreamBits/uint64(dn.N()) {
+			return nil, false
+		}
+		sn = dimSlots{dn, dn.N()}
 	}
-	if order > maxCSRSlots || sn.NumEdgeSlots() > maxCSRSlots {
+	universeCap := func(capacity int) uint64 {
+		if capacity == 1 {
+			return maxStreamBits
+		}
+		return maxCSRSlots
+	}
+	if order > universeCap(opts.ReceiverCapacity) ||
+		uint64(sn.NumEdgeSlots()) > universeCap(opts.EdgeCapacity) {
 		return nil, false
 	}
 	return sn, true
 }
 
-// csrState is the slot-indexed round state for arbitrary graphs: the
-// disjointness engine of ValidateStream on any SlottedNetwork,
-// generalised capacities included. Under the default capacity-1 model
+// dimSlots numbers the edges of a DimensionedNetwork in closed form:
+// edge {u, v} with u < v takes slot u*n + d, d the 0-based bit they
+// differ in — the hypercube arc label tail*dimension + direction. On
+// spanning subgraphs of Q_n (the sparse hypercube) the numbering has
+// holes, which csrState tolerates: it never scans the slot universe.
+type dimSlots struct {
+	DimensionedNetwork
+	n int // N(), read once
+}
+
+// NumEdgeSlots implements SlottedNetwork.
+func (d dimSlots) NumEdgeSlots() int { return int(d.Order()) * d.n }
+
+// EdgeSlot implements SlottedNetwork.
+func (d dimSlots) EdgeSlot(u, v uint64) (int, bool) {
+	if !d.HasEdge(u, v) {
+		return 0, false
+	}
+	return int(min(u, v))*d.n + bits.TrailingZeros64(u^v), true
+}
+
+// csrState is the slot-indexed round state: the disjointness engine of
+// ValidateStream on any SlottedNetwork (dimSlots included), generalised
+// capacities included. Under the default capacity-1 model
 // edge and receiver uses are used/dup bit-set pairs (two bits per slot,
 // cache-resident even for million-edge graphs; the dup shadow
 // reproduces mapState's report-once-at-capacity+1 contract), and under
 // generalised capacities they are per-slot counters with the same
-// contract. Callers are a bit set with the report-once recovery scan
-// the bitvec engine uses.
+// contract. Callers are a bit set; the rare duplicate recovers the first
+// claimer's index by scanning the registered claims.
 type csrState struct {
 	net   SlottedNetwork
 	opts  Options
@@ -126,12 +166,8 @@ func (c *csrState) callerClaim(v uint64, ci int) (int, bool) {
 	return 0, true // unreachable: a set caller bit implies a claim
 }
 
-// slottedNet and edgeUseSlot opt csrState into the validator's
-// slot-indexed fast path: the fill phase resolves each hop's slot via
-// EdgeSlot (which doubles as the edge check) and the merge phase feeds
-// it to edgeUseSlot, so no hop is searched twice.
-func (c *csrState) slottedNet() SlottedNetwork { return c.net }
-
+// edgeUseSlot is edgeUse for a slot the fill phase already resolved:
+// EdgeSlot doubles as the edge check there, so no hop is searched twice.
 func (c *csrState) edgeUseSlot(slot int) bool {
 	if c.edgeUsed != nil {
 		if !c.edgeUsed.TestAndSet(slot) {
@@ -215,11 +251,10 @@ func (c *csrState) endRound() uint64 {
 
 func (c *csrState) informedCount() uint64 { return c.count }
 
-// gossipCsrState is the slot-indexed telephone-model round state: the
-// general-graph analogue of gossipBitvecState. Gossip reports every
-// edge reuse (not just the first), so a plain bit per slot suffices;
-// endpoint occupancy is a bit per vertex with the same first-claim
-// recovery scan.
+// gossipCsrState is the slot-indexed telephone-model round state. Gossip
+// reports every edge reuse (not just the first), so a plain bit per slot
+// suffices; endpoint occupancy is a bit per vertex with the same
+// first-claim recovery scan.
 type gossipCsrState struct {
 	net      SlottedNetwork
 	edgeUsed *bitvec.Set // NumEdgeSlots bits
@@ -251,6 +286,8 @@ func (g *gossipCsrState) busyClaim(v uint64, ci int) (int, bool) {
 	}
 	// Duplicate: recover the first occupying call by scanning the calls
 	// that registered endpoints, in order (rare — only on a violation).
+	// The first claimed call whose endpoint matches v is the occupier: any
+	// non-claiming match would itself have been preceded by the claimer.
 	for _, idx := range g.claimed {
 		if c := g.round[idx]; c.From() == v || c.To() == v {
 			return idx, true

@@ -450,3 +450,49 @@ func TestCSRStateAllocations(t *testing.T) {
 		})
 	}
 }
+
+// fakeDim is an edgeless DimensionedNetwork of any claimed size: it
+// lets the cap tests probe slottedFor at orders whose engine state
+// would be too large to allocate in a test.
+type fakeDim struct {
+	order uint64
+	n     int
+}
+
+func (f fakeDim) Order() uint64          { return f.order }
+func (fakeDim) HasEdge(u, v uint64) bool { return false }
+func (f fakeDim) N() int                 { return f.n }
+
+// TestSlottedForCaps pins the size caps by storage kind: bit-set
+// universes (capacity 1, and all of gossip) stop at maxStreamBits, only
+// per-slot counters (generalised capacities) at maxCSRSlots. An n = 22
+// cube has order*n = 92M edge slots — past the counter cap — and must
+// still reach the CSR engine under Definition 1. A lying width must be
+// rejected before its closed-form slots can alias.
+func TestSlottedForCaps(t *testing.T) {
+	def := DefaultOptions()
+	edge2 := Options{EdgeCapacity: 2, ReceiverCapacity: 1}
+	both2 := Options{EdgeCapacity: 2, ReceiverCapacity: 2}
+	for _, tc := range []struct {
+		name string
+		net  fakeDim
+		opts Options
+		want bool
+	}{
+		{"n22-capacity1", fakeDim{1 << 22, 22}, def, true},
+		{"n26-capacity1", fakeDim{1 << 26, 26}, def, true},
+		{"n27-capacity1-over-bit-cap", fakeDim{1 << 27, 27}, def, false},
+		{"n22-edge-capacity2", fakeDim{1 << 22, 22}, edge2, false},
+		{"n20-capacity2-counters", fakeDim{1 << 20, 20}, both2, true},
+		{"order-beyond-width", fakeDim{1 << 22, 21}, def, false},
+		{"zero-width", fakeDim{1, 0}, def, false},
+	} {
+		sn, ok := slottedFor(tc.net, tc.net.order, tc.opts)
+		if ok != tc.want {
+			t.Fatalf("%s: slottedFor accepted=%v, want %v", tc.name, ok, tc.want)
+		}
+		if ok && uint64(sn.NumEdgeSlots()) != tc.net.order*uint64(tc.net.n) {
+			t.Fatalf("%s: %d edge slots, want order*n = %d", tc.name, sn.NumEdgeSlots(), tc.net.order*uint64(tc.net.n))
+		}
+	}
+}

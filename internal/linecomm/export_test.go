@@ -1,0 +1,5 @@
+package linecomm
+
+// SlottedFor exposes slottedFor to the external test package, which can
+// import core (core imports linecomm, so the internal tests cannot).
+var SlottedFor = slottedFor

@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"sparsehypercube/internal/bitvec"
 )
 
 // This file is the streaming half of the gossip validator:
@@ -16,9 +14,9 @@ import (
 // (core.ScheduleGossipRounds, a schedio decoder, a network feed) emits
 // them, so the doubled gather-scatter schedule is never materialised. Per
 // round it runs the structural checks of checkGossipCall plus the
-// cross-call disjointness checks on flat bitvec-backed sets (hypercube
-// family), slot-indexed bit sets (any SlottedNetwork — see csr.go), or
-// per-round maps (everything else), retaining only the (from, to)
+// cross-call disjointness checks on slot-indexed bit sets (any network
+// with an edge-slot numbering, hypercube family included — see csr.go)
+// or per-round maps (everything else), retaining only the (from, to)
 // exchange pairs — two words per call instead of the full paths.
 //
 // Knowledge tracking is the part that does not fit in memory at n >= 20:
@@ -92,15 +90,10 @@ func ValidateMultiSourceStream(net Network, k int, sources []uint64, rounds iter
 		})
 	}
 
-	var st gossipRoundState
-	if dn, ok := net.(DimensionedNetwork); ok &&
-		dn.N() >= 1 && order <= maxStreamBits/uint64(dn.N()) &&
-		order <= uint64(1)<<uint(dn.N()) {
-		st = newGossipBitvecState(order, dn.N())
-	} else if sn, ok := slottedFor(net, order); ok {
+	// The gossip state holds bit sets only: Definition 1 storage caps.
+	var st gossipRoundState = newGossipMapState()
+	if sn, ok := slottedFor(net, order, DefaultOptions()); ok {
 		st = newGossipCSRState(sn, order)
-	} else {
-		st = newGossipMapState()
 	}
 
 	var pairs []uint64 // flat (from, to) exchange log for the simulation
@@ -197,7 +190,7 @@ func countGossipTokens(res *GossipResult, order uint64, sources []uint64) (int, 
 // no caller-knowledge rule.
 type gossipRoundState interface {
 	// beginRound resets per-round tracking; r is retained until endRound
-	// (the bit-set engine scans it to recover first-claim call indices).
+	// (the CSR engine scans it to recover first-claim call indices).
 	beginRound(r Round)
 	// busyClaim registers call ci as occupying endpoint v. When v is
 	// already busy this round it reports the occupying call's index.
@@ -241,74 +234,6 @@ func (g *gossipMapState) edgeUse(u, v uint64) bool {
 }
 
 func (g *gossipMapState) endRound() {}
-
-// gossipBitvecState is the hypercube-family fast path (DimensionedNetwork
-// contract: every edge flips exactly one address bit): edge slots indexed
-// vertex*n + dim and endpoint occupancy by vertex, all flat bit tests.
-// Touched slots are recorded and cleared between rounds, so the sets are
-// allocated once per validation run.
-type gossipBitvecState struct {
-	n        int
-	edgeUsed *bitvec.Set // order*n bits
-	busyUsed *bitvec.Set // order bits
-
-	round        Round
-	claimed      []int // calls that registered at least one endpoint, ascending
-	touchedEdges []int
-	touchedBusy  []int
-}
-
-func newGossipBitvecState(order uint64, n int) *gossipBitvecState {
-	return &gossipBitvecState{
-		n:        n,
-		edgeUsed: bitvec.New(int(order) * n),
-		busyUsed: bitvec.New(int(order)),
-	}
-}
-
-func (g *gossipBitvecState) beginRound(r Round) { g.round = r }
-
-func (g *gossipBitvecState) busyClaim(v uint64, ci int) (int, bool) {
-	if !g.busyUsed.TestAndSet(int(v)) {
-		g.touchedBusy = append(g.touchedBusy, int(v))
-		if len(g.claimed) == 0 || g.claimed[len(g.claimed)-1] != ci {
-			g.claimed = append(g.claimed, ci)
-		}
-		return 0, false
-	}
-	// Duplicate: recover the first occupying call by scanning the calls
-	// that registered endpoints, in order (rare — only on a violation).
-	// The first claimed call whose endpoint matches v is the occupier: any
-	// non-claiming match would itself have been preceded by the claimer.
-	for _, idx := range g.claimed {
-		if c := g.round[idx]; c.From() == v || c.To() == v {
-			return idx, true
-		}
-	}
-	return 0, true // unreachable: a set busy bit implies a registered claim
-}
-
-func (g *gossipBitvecState) edgeUse(u, v uint64) bool {
-	slot := int(u)*g.n + bits.TrailingZeros64(u^v)
-	if !g.edgeUsed.TestAndSet(slot) {
-		g.touchedEdges = append(g.touchedEdges, slot)
-		return false
-	}
-	return true
-}
-
-func (g *gossipBitvecState) endRound() {
-	for _, s := range g.touchedEdges {
-		g.edgeUsed.Clear(s)
-	}
-	for _, s := range g.touchedBusy {
-		g.busyUsed.Clear(s)
-	}
-	g.touchedEdges = g.touchedEdges[:0]
-	g.touchedBusy = g.touchedBusy[:0]
-	g.claimed = g.claimed[:0]
-	g.round = nil
-}
 
 // simulateGossipTokens replays the exchange log over the token matrix,
 // sharded along the token axis, and returns the per-vertex known-token

@@ -170,18 +170,20 @@ type Network interface {
 	HasEdge(u, v uint64) bool
 }
 
-// SlottedNetwork is a Network whose edges carry a dense slot numbering:
-// a bijection between edges and [0, NumEdgeSlots). Materialised CSR
-// graphs provide it for free (graph.Graph's eoff arrays), and it is what
-// upgrades an arbitrary network from the per-round map engine to the
-// flat csrState engine — every disjointness constraint indexed by slot
-// id instead of hashed edge keys. The contract binds EdgeSlot to
-// HasEdge: EdgeSlot(u, v) must report ok exactly when HasEdge(u, v),
-// and distinct edges must map to distinct slots.
+// SlottedNetwork is a Network whose edges carry a slot numbering: an
+// injection from edges into [0, NumEdgeSlots). Holes are allowed — the
+// csrState engine sizes its sets by NumEdgeSlots but never scans the
+// slot universe. Materialised CSR graphs provide a dense numbering for
+// free (graph.Graph's eoff arrays), and it is what upgrades an arbitrary
+// network from the per-round map engine to the flat csrState engine —
+// every disjointness constraint indexed by slot id instead of hashed
+// edge keys. The contract binds EdgeSlot to HasEdge: EdgeSlot(u, v) must
+// report ok exactly when HasEdge(u, v), and distinct edges must map to
+// distinct slots.
 type SlottedNetwork interface {
 	Network
-	// NumEdgeSlots returns the size of the slot universe (the number of
-	// edges).
+	// NumEdgeSlots returns the size of the slot universe (at least the
+	// number of edges).
 	NumEdgeSlots() int
 	// EdgeSlot maps the edge {u, v}, in either endpoint order, to its
 	// slot; ok is false for non-edges.

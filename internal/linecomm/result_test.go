@@ -72,7 +72,7 @@ func TestCallAccessorsGuardEmptyPath(t *testing.T) {
 }
 
 // TestValidateEmptyPathCall pins that a zero-value call in a round is an
-// ordinary PathInvalid finding, on both validator engines, not a panic.
+// ordinary PathInvalid finding, on every validator engine, not a panic.
 func TestValidateEmptyPathCall(t *testing.T) {
 	for name, net := range engines(3) {
 		t.Run(name, func(t *testing.T) {

@@ -3,11 +3,9 @@ package linecomm
 import (
 	"fmt"
 	"iter"
-	"math/bits"
 	"runtime"
 	"sync"
 
-	"sparsehypercube/internal/bitvec"
 	"sparsehypercube/internal/graph"
 )
 
@@ -24,21 +22,20 @@ import (
 //     records, in call order, so the produced Result is byte-for-byte
 //     identical to the sequential Validate.
 //
-// The merge phase picks one of three disjointness engines (newRoundState):
-// on hypercube-family networks (DimensionedNetwork) with Definition 1
-// capacities, flat bitvec-backed sets with edge slots indexed by
-// vertex*n + dim; on any network carrying a dense edge numbering
-// (SlottedNetwork — materialised CSR graphs qualify automatically), the
-// slot-indexed csrState in csr.go, generalised capacities included; and
-// for everything else the same per-round maps the sequential validator
+// The merge phase picks one of two disjointness engines (newRoundState):
+// on any network with an edge-slot numbering, the flat slot-indexed
+// csrState in csr.go, generalised capacities included. Materialised
+// graphs (SlottedNetwork) bring their own numbering; hypercube-family
+// networks (DimensionedNetwork) get the closed form lower*n + dim. For
+// everything else the same per-round maps the sequential validator
 // uses (mapState, the differential suite's reference engine), still
 // streamed and still sharded in phase 1.
 
 // DimensionedNetwork is a Network whose vertices are n-bit addresses and
 // whose edges each connect vertices differing in exactly one bit:
 // hypercubes and their spanning subgraphs (the sparse hypercube, Q_n
-// itself). The property lets the validator index edge slots as
-// vertex*n + dimension instead of hashing edge keys.
+// itself). The property lets the validator number edge slots as
+// lower*n + dimension (dimSlots) instead of hashing edge keys.
 type DimensionedNetwork interface {
 	Network
 	// N returns the address width in bits; Order() <= 1 << N().
@@ -46,8 +43,9 @@ type DimensionedNetwork interface {
 }
 
 const (
-	// maxStreamBits caps the size of the bit-set engine's edge-slot
-	// universe (order * n bits); larger instances use the map engine.
+	// maxStreamBits caps every bit-set universe of the flat engines
+	// (order bits, and NumEdgeSlots bits — order * n on dimensioned
+	// networks); larger instances use the map engine.
 	maxStreamBits = 1 << 31
 	// streamShardChunk is the minimum number of calls worth handing to a
 	// structural-check goroutine.
@@ -91,20 +89,11 @@ func ValidateStreamOpts(net Network, k int, source uint64, rounds iter.Seq[Round
 }
 
 // newRoundState picks the disjointness engine for one validation run:
-// flat bit sets on dimensioned networks under Definition 1 capacities,
-// the slot-indexed CSR engine on any network that carries a dense edge
+// the slot-indexed CSR engine on any network with an edge-slot
 // numbering (generalised capacities included), the per-round reference
 // maps otherwise.
 func newRoundState(net Network, order, source uint64, opts Options) roundState {
-	if dn, ok := net.(DimensionedNetwork); ok &&
-		opts.EdgeCapacity == 1 && opts.ReceiverCapacity == 1 &&
-		dn.N() >= 1 && order <= maxStreamBits/uint64(dn.N()) &&
-		// Reject inconsistent implementations (Order beyond the address
-		// width would alias edge slots): fall back to the map engine.
-		order <= uint64(1)<<uint(dn.N()) {
-		return newBitvecState(order, dn.N(), source)
-	}
-	if sn, ok := slottedFor(net, order); ok {
+	if sn, ok := slottedFor(net, order, opts); ok {
 		return newCSRState(sn, order, source, opts)
 	}
 	return newMapState(source, opts)
@@ -118,7 +107,7 @@ func newRoundState(net Network, order, source uint64, opts Options) roundState {
 type roundState interface {
 	isInformed(v uint64) bool
 	// beginRound resets per-round tracking; r is retained until endRound
-	// (the bit-set engine scans it to recover duplicate-caller indices).
+	// (the CSR engine scans it to recover duplicate-caller indices).
 	beginRound(r Round)
 	// callerClaim registers call ci as placed by v. When v already placed
 	// a call this round it reports that call's index instead.
@@ -141,19 +130,6 @@ type roundState interface {
 	seedInformed(vs []uint64)
 }
 
-// slotIndexedState is the optional roundState extension the CSR engine
-// implements: the state exposes its slot numbering so the (sharded)
-// fill phase can resolve each hop's edge slot once — EdgeSlot doubles
-// as the edge-existence check, by the SlottedNetwork contract — and the
-// serial merge phase consumes the resolved slots without re-searching
-// the adjacency structure.
-type slotIndexedState interface {
-	roundState
-	slottedNet() SlottedNetwork
-	// edgeUseSlot is edgeUse for a pre-resolved slot id.
-	edgeUseSlot(slot int) bool
-}
-
 // streamValidator drives the fill/merge cycle and owns the reusable
 // buffers, so steady-state validation of a valid schedule allocates
 // (amortised) nothing per call.
@@ -170,13 +146,13 @@ type streamValidator struct {
 	shardViols [][]Violation
 	violBuf    []Violation
 
-	// Slot-indexed fast path (slotIndexedState engines only): hopOff[i]
-	// indexes call i of the current block into slots, where the fill
-	// workers record each hop's resolved edge slot.
+	// Slot-indexed fast path (csrState only): the fill phase resolves
+	// each hop's edge slot once — EdgeSlot doubles as the edge check, by
+	// the SlottedNetwork contract — and the merge phase consumes it.
+	// hopOff[i] indexes call i of the current block into slots.
 	slotInit bool
-	slotSt   slotIndexedState
-	sn       SlottedNetwork
-	gg       *graph.Graph // devirtualised slot source when sn is a GraphNetwork
+	cs       *csrState
+	gg       *graph.Graph // devirtualised slot source when cs.net is a GraphNetwork
 	hopOff   []int32
 	slots    []int32
 }
@@ -189,9 +165,9 @@ func (v *streamValidator) validateRound(ri int, round Round) {
 			// sits on the per-round path of many-round schedules.
 			v.fillShards = runtime.GOMAXPROCS(0)
 		}
-		if ss, ok := v.st.(slotIndexedState); ok {
-			v.slotSt, v.sn = ss, ss.slottedNet()
-			if gn, ok := v.sn.(GraphNetwork); ok {
+		if cs, ok := v.st.(*csrState); ok {
+			v.cs = cs
+			if gn, ok := cs.net.(GraphNetwork); ok {
 				v.gg = gn.G
 			}
 		}
@@ -215,7 +191,7 @@ func (v *streamValidator) fillBlock(ri, base int, blk Round) ([]uint8, []Violati
 	}
 	stages := v.stages[:len(blk)]
 
-	if v.sn != nil {
+	if v.cs != nil {
 		// Prefix-sum the hop counts so fill workers write resolved slots
 		// into disjoint regions of one flat buffer.
 		if cap(v.hopOff) < len(blk)+1 {
@@ -274,7 +250,7 @@ func (v *streamValidator) fillBlock(ri, base int, blk Round) ([]uint8, []Violati
 func (v *streamValidator) checkCalls(ri, base int, blk Round, lo, hi int, stages []uint8, out []Violation) []Violation {
 	for i := lo; i < hi; i++ {
 		var hopSlots []int32
-		if v.sn != nil {
+		if v.cs != nil {
 			hopSlots = v.slots[v.hopOff[i]:v.hopOff[i+1]]
 		}
 		stages[i], out = v.checkCall(ri, base+i, blk[i], hopSlots, out)
@@ -284,7 +260,7 @@ func (v *streamValidator) checkCalls(ri, base int, blk Round, lo, hi int, stages
 
 // checkCall mirrors the sequential validator's per-call structural
 // section, including its violation order and early-exit points. On
-// slot-indexed engines hopSlots receives each hop's resolved edge slot
+// the CSR engine hopSlots receives each hop's resolved edge slot
 // (valid whenever the returned stage is stageFull).
 func (v *streamValidator) checkCall(ri, ci int, call Call, hopSlots []int32, out []Violation) (uint8, []Violation) {
 	if len(call.Path) < 2 {
@@ -303,7 +279,7 @@ func (v *streamValidator) checkCall(ri, ci int, call Call, hopSlots []int32, out
 		return stageSkip, out
 	}
 	out, bad = appendRepeatViolations(out, ri, ci, call.Path)
-	if v.sn != nil {
+	if v.cs != nil {
 		// EdgeSlot is the edge-existence check on slotted networks; the
 		// resolved slot is kept for the merge phase. Path vertices are
 		// already known in range, so the devirtualised graph call is safe.
@@ -313,7 +289,7 @@ func (v *streamValidator) checkCall(ri, ci int, call Call, hopSlots []int32, out
 			if v.gg != nil {
 				s, ok = v.gg.EdgeSlot(int(call.Path[i-1]), int(call.Path[i]))
 			} else {
-				s, ok = v.sn.EdgeSlot(call.Path[i-1], call.Path[i])
+				s, ok = v.cs.net.EdgeSlot(call.Path[i-1], call.Path[i])
 			}
 			if !ok {
 				out = append(out, Violation{ri, ci, PathInvalid,
@@ -399,10 +375,10 @@ func (v *streamValidator) mergeBlock(ri, base int, blk Round, stages []uint8, vi
 		if stages[i] != stageFull {
 			continue
 		}
-		if v.slotSt != nil {
+		if v.cs != nil {
 			hs := v.slots[v.hopOff[i]:v.hopOff[i+1]]
 			for h := 1; h < len(call.Path); h++ {
-				if v.slotSt.edgeUseSlot(int(hs[h-1])) {
+				if v.cs.edgeUseSlot(int(hs[h-1])) {
 					e := mkEdge(call.Path[h-1], call.Path[h])
 					v.res.Violations = append(v.res.Violations, Violation{ri, ci, EdgeConflict,
 						fmt.Sprintf("edge {%d,%d} used %d times, capacity %d",
@@ -435,7 +411,7 @@ func (v *streamValidator) mergeBlock(ri, base int, blk Round, stages []uint8, vi
 
 // mapState is the general-purpose round state: the same per-round hash
 // maps the sequential validator uses, for networks that carry no edge
-// numbering (or exceed the flat engines' size caps). It doubles as the
+// numbering (or exceed the CSR engine's size caps). It doubles as the
 // reference engine the differential suite crosschecks csrState against.
 // The maps are allocated once and cleared — not remade — between
 // rounds, so a steady-state round costs no allocations.
@@ -502,122 +478,3 @@ func (m *mapState) endRound() uint64 {
 }
 
 func (m *mapState) informedCount() uint64 { return uint64(len(m.informed)) }
-
-// bitvecState is the Definition 1 fast path for dimensioned networks:
-// every disjointness constraint becomes a bit test in a flat set. Edge
-// slots are indexed vertex*n + dim (dim the 0-based flipped bit at the
-// lower endpoint), receivers and callers by vertex. The *Dup shadows
-// reproduce the sequential validator's report-once-per-slot behaviour.
-// Touched slots are recorded and cleared between rounds, so the sets are
-// allocated once per validation run.
-type bitvecState struct {
-	n     int
-	count uint64
-
-	informed   *bitvec.Set // order bits
-	edgeUsed   *bitvec.Set // order*n bits
-	edgeDup    *bitvec.Set
-	recvUsed   *bitvec.Set // order bits
-	recvDup    *bitvec.Set
-	callerUsed *bitvec.Set // order bits
-
-	round          Round
-	claimed        []int // call indices that registered a caller, in order
-	touchedEdges   []int
-	touchedRecvs   []int
-	touchedCallers []int
-	newly          []uint64
-}
-
-func newBitvecState(order uint64, n int, source uint64) *bitvecState {
-	st := &bitvecState{
-		n:          n,
-		count:      1,
-		informed:   bitvec.New(int(order)),
-		edgeUsed:   bitvec.New(int(order) * n),
-		edgeDup:    bitvec.New(int(order) * n),
-		recvUsed:   bitvec.New(int(order)),
-		recvDup:    bitvec.New(int(order)),
-		callerUsed: bitvec.New(int(order)),
-	}
-	st.informed.Set(int(source))
-	return st
-}
-
-func (b *bitvecState) isInformed(v uint64) bool { return b.informed.Get(int(v)) }
-
-func (b *bitvecState) seedInformed(vs []uint64) {
-	for _, v := range vs {
-		if !b.informed.TestAndSet(int(v)) {
-			b.count++
-		}
-	}
-}
-
-func (b *bitvecState) beginRound(r Round) { b.round = r }
-
-func (b *bitvecState) callerClaim(v uint64, ci int) (int, bool) {
-	if !b.callerUsed.TestAndSet(int(v)) {
-		b.touchedCallers = append(b.touchedCallers, int(v))
-		b.claimed = append(b.claimed, ci)
-		return 0, false
-	}
-	// Duplicate: recover the first claiming call's index by scanning the
-	// registered claims (rare — only on an actual violation).
-	for _, idx := range b.claimed {
-		if b.round[idx].Path[0] == v {
-			return idx, true
-		}
-	}
-	return 0, true // unreachable: a set caller bit implies a claim
-}
-
-func (b *bitvecState) edgeUse(u, v uint64) bool {
-	if u > v {
-		u, v = v, u
-	}
-	slot := int(u)*b.n + bits.TrailingZeros64(u^v)
-	if !b.edgeUsed.TestAndSet(slot) {
-		b.touchedEdges = append(b.touchedEdges, slot)
-		return false
-	}
-	return !b.edgeDup.TestAndSet(slot)
-}
-
-func (b *bitvecState) recvUse(v uint64) bool {
-	if !b.recvUsed.TestAndSet(int(v)) {
-		b.touchedRecvs = append(b.touchedRecvs, int(v))
-		return false
-	}
-	return !b.recvDup.TestAndSet(int(v))
-}
-
-func (b *bitvecState) inform(v uint64) { b.newly = append(b.newly, v) }
-
-func (b *bitvecState) endRound() uint64 {
-	for _, v := range b.newly {
-		if !b.informed.TestAndSet(int(v)) {
-			b.count++
-		}
-	}
-	for _, s := range b.touchedEdges {
-		b.edgeUsed.Clear(s)
-		b.edgeDup.Clear(s)
-	}
-	for _, s := range b.touchedRecvs {
-		b.recvUsed.Clear(s)
-		b.recvDup.Clear(s)
-	}
-	for _, s := range b.touchedCallers {
-		b.callerUsed.Clear(s)
-	}
-	b.newly = b.newly[:0]
-	b.touchedEdges = b.touchedEdges[:0]
-	b.touchedRecvs = b.touchedRecvs[:0]
-	b.touchedCallers = b.touchedCallers[:0]
-	b.claimed = b.claimed[:0]
-	b.round = nil
-	return b.count
-}
-
-func (b *bitvecState) informedCount() uint64 { return b.count }

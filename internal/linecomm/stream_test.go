@@ -9,16 +9,6 @@ import (
 	"sparsehypercube/internal/topo"
 )
 
-// dimNet upgrades a hypercube GraphNetwork to a DimensionedNetwork so
-// tests can exercise the validator's bit-set engine (Q_n satisfies the
-// one-bit-per-edge contract).
-type dimNet struct {
-	GraphNetwork
-	n int
-}
-
-func (d dimNet) N() int { return d.n }
-
 // plainNet strips a GraphNetwork down to the bare Network interface so
 // the validator cannot see its slot numbering and falls back to the map
 // engine. Tests use it to keep mapState covered now that a bare
@@ -30,12 +20,22 @@ type plainNet struct {
 func (p plainNet) Order() uint64            { return p.g.Order() }
 func (p plainNet) HasEdge(u, v uint64) bool { return p.g.HasEdge(u, v) }
 
-// engines returns the same Q_n network three times, one per
-// disjointness engine: wrapped so only the map engine applies, bare so
-// the CSR engine applies, and dimensioned for the bit-set engine.
+// dimNet upgrades a plainNet over Q_n to a DimensionedNetwork: with the
+// graph's own numbering hidden, the CSR engine runs on the closed-form
+// slots lower*n + dim (Q_n satisfies the one-bit-per-edge contract).
+type dimNet struct {
+	plainNet
+	n int
+}
+
+func (d dimNet) N() int { return d.n }
+
+// engines returns the same Q_n network three times: wrapped so only the
+// map engine applies, bare so the CSR engine runs on the graph's own
+// slot numbering, and dimensioned so it runs on the closed form.
 func engines(n int) map[string]Network {
 	g := GraphNetwork{G: topo.Hypercube(n)}
-	return map[string]Network{"map": plainNet{g}, "csr": g, "bitvec": dimNet{g, n}}
+	return map[string]Network{"map": plainNet{g}, "csr": g, "dim": dimNet{plainNet{g}, n}}
 }
 
 // mustMatchSerial asserts that the streaming validator reproduces the
@@ -88,7 +88,7 @@ func TestValidateStreamMatchesSerialOnMutations(t *testing.T) {
 
 // TestValidateStreamMatchesSerialRandomCorruption goes beyond the curated
 // mutation catalogue: random low-level path edits, call swaps and
-// truncations, all crosschecked for exact Result equality on both engines.
+// truncations, all crosschecked for exact Result equality on every engine.
 func TestValidateStreamMatchesSerialRandomCorruption(t *testing.T) {
 	const n = 5
 	base := binomialSchedule(n)
@@ -131,7 +131,7 @@ func TestValidateStreamMatchesSerialRandomCorruption(t *testing.T) {
 // TestValidateStreamMultiBlock shrinks streamBlock so rounds span many
 // fill/merge cycles, then re-runs the mutation catalogue and checks the
 // cross-block state (violation interleaving, duplicate-caller recovery,
-// capacity tracking) still matches serial byte for byte on both engines.
+// capacity tracking) still matches serial byte for byte on every engine.
 func TestValidateStreamMultiBlock(t *testing.T) {
 	prev := streamBlock
 	streamBlock = 4
@@ -174,13 +174,15 @@ func last(p []uint64) (uint64, bool) {
 
 // TestValidateStreamInconsistentWidthFallsBack wraps Q_n with a lying
 // address width (Order > 1<<N). The engine selection must reject the
-// contract violation and fall back (to the CSR engine, since the
-// underlying GraphNetwork still carries a valid slot numbering), so the
-// Result still matches serial instead of aliasing edge slots.
+// contract violation and fall back to the map engine — the wrapper
+// carries no slot numbering of its own — so the Result still matches
+// serial instead of aliasing closed-form edge slots.
 func TestValidateStreamInconsistentWidthFallsBack(t *testing.T) {
 	const n = 6
-	g := GraphNetwork{G: topo.Hypercube(n)}
-	liar := dimNet{g, n - 2}
+	liar := dimNet{plainNet{GraphNetwork{G: topo.Hypercube(n)}}, n - 2}
+	if _, ok := newRoundState(liar, liar.Order(), 0, DefaultOptions()).(*mapState); !ok {
+		t.Fatal("lying width did not fall back to the map engine")
+	}
 	mustMatchSerial(t, liar, 1, binomialSchedule(n))
 }
 
@@ -197,9 +199,10 @@ func TestValidateStreamSourceOutOfRange(t *testing.T) {
 func TestValidateStreamOptsGeneralisedCapacities(t *testing.T) {
 	// Two calls over the same edge and onto the same receiver: illegal
 	// under Definition 1, legal with capacity 2. The capacity-2 model
-	// skips the bit-set engine (capacity-1 only) and lands on the CSR
-	// engine's per-slot counters — or on the map engine for the wrapped
-	// net; crosscheck every engine against serial ValidateOpts.
+	// runs on the CSR engine's per-slot counters — over the graph's own
+	// slots for the bare net, the closed-form slots for the dimensioned
+	// one — or on the map engine for the wrapped net; crosscheck every
+	// engine against serial ValidateOpts.
 	s := &Schedule{Source: 0, Rounds: []Round{
 		{{Path: []uint64{0, 1}}},
 		{{Path: []uint64{0, 1, 3}}, {Path: []uint64{1, 3}}},
