@@ -6,6 +6,8 @@
 package sparsehypercube_test
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"sparsehypercube"
@@ -192,6 +194,46 @@ func BenchmarkThm4StreamValidateN20(b *testing.B) {
 		if !linecomm.ValidateStream(s, 2, sched.Source, sched.Stream()).MinimumTime {
 			b.Fatal("invalid")
 		}
+	}
+}
+
+// EXP-THM4 replayed: one indexed n = 18 plan file (WriteIndexedTo)
+// verified through ReadPlanAt, split into byte-balanced round ranges
+// across at least two workers, and in one serial pass. The parallel
+// sub-benchmark pins two or more workers, so the range-split path runs
+// even on a one-core host.
+func BenchmarkPlanVerifyIndexedN18(b *testing.B) {
+	cube, err := sparsehypercube.New(2, 18)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := cube.Plan(sparsehypercube.BroadcastScheme{Source: 5}).WriteIndexedTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{
+		{"parallel", max(2, runtime.GOMAXPROCS(0))},
+		{"serial", 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			plan, err := sparsehypercube.ReadPlanAt(bytes.NewReader(data), int64(len(data)),
+				sparsehypercube.WithVerifyWorkers(bc.workers))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rep := plan.Verify(); !rep.Valid || !rep.MinimumTime {
+					b.Fatalf("invalid: %+v", rep)
+				}
+			}
+		})
 	}
 }
 

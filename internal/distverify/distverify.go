@@ -20,6 +20,7 @@ package distverify
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,6 +29,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -77,10 +79,12 @@ func WithBackoff(d time.Duration) Option {
 	return func(co *Coordinator) { co.backoff = d }
 }
 
-// WithRangesPerWorker sets how many round ranges the plan is split
-// into per worker endpoint (default 4). Finer grain smooths over slow
-// workers — a stolen range costs less to redo — at more per-request
-// overhead.
+// WithRangesPerWorker sets how many round ranges, at most, the plan is
+// split into per worker endpoint (default 4). Ranges are cut at round
+// boundaries to about equal byte length, so a plan whose last round
+// outweighs several shares gets fewer, single-round ranges there. Finer
+// grain smooths over slow workers — a stolen range costs less to redo —
+// at more per-request overhead.
 func WithRangesPerWorker(n int) Option {
 	return func(co *Coordinator) { co.perWorker = max(1, n) }
 }
@@ -171,10 +175,10 @@ func (c *Coordinator) VerifyAt(ctx context.Context, r io.ReaderAt, size int64) (
 	}
 
 	j := &job{c: c, plan: plan, at: at, cube: cube, source: source}
-	nRanges := min(rounds, len(c.endpoints)*c.perWorker)
-	j.bounds = make([]int, nRanges+1)
-	for i := range nRanges + 1 {
-		j.bounds[i] = i * rounds / nRanges
+	// Byte-balanced, like the local parallel path: a round-count split
+	// would hand one worker the doubling tail as a single task.
+	if j.bounds, err = at.SplitRounds(len(c.endpoints) * c.perWorker); err != nil {
+		return sparsehypercube.Report{}, err
 	}
 
 	if !j.structuralPass() {
@@ -351,7 +355,14 @@ func (j *job) dispatch(ctx context.Context) (sparsehypercube.Report, bool) {
 	// backoff timer firing after dispatch returns must never hang.
 	queue := make(chan task, n*(j.c.retries+1))
 	outcomes := make(chan outcome, n*(j.c.retries+2))
-	for i := range n {
+	// Largest range first, so the heavy tail starts at once and the
+	// other workers share the rest.
+	byBytes := make([]int, n)
+	for i := range byBytes {
+		byBytes[i] = i
+	}
+	slices.SortStableFunc(byBytes, func(a, b int) int { return cmp.Compare(j.crcs[b].Bytes, j.crcs[a].Bytes) })
+	for _, i := range byBytes {
 		queue <- task{idx: i}
 	}
 	for _, ep := range j.c.endpoints {

@@ -2,6 +2,7 @@ package linecomm
 
 import (
 	"math/bits"
+	"slices"
 
 	"sparsehypercube/internal/bitvec"
 )
@@ -15,8 +16,9 @@ import (
 // sets hold receivers, callers and capacity-1 edges; small per-slot
 // counters hold generalised capacities (Options.EdgeCapacity/
 // ReceiverCapacity > 1). Touched slots are recorded and cleared between
-// rounds, so the engine allocates once per validation run and nothing
-// per round.
+// rounds — up to one recorded slot per word of the set, past which the
+// round resets the whole set instead (see touchList) — so the engine
+// allocates once per validation run and nothing per round.
 //
 // mapState stays as the reference engine — it is what the differential
 // suite crosschecks csrState against, and the fallback for networks
@@ -108,19 +110,75 @@ type csrState struct {
 
 	round          Round
 	claimed        []int // call indices that registered a caller, in order
-	touchedEdges   []int32
-	touchedRecvs   []int32
-	touchedCallers []int32
+	touchedEdges   touchList
+	touchedRecvs   touchList
+	touchedCallers touchList
 	newly          []uint64
+}
+
+// touchList records the slots one round sets in a bit set (or a
+// counter array) so endRound can clear just those. Once the list holds
+// one slot per word of the set, clearing the whole set costs no more
+// than replaying the list, so the list stops growing and the round
+// resets the set wholesale: a dense round allocates at most a word
+// count of slots, and a sparse one keeps the per-slot clear.
+type touchList struct {
+	slots []int32
+	limit int  // the set's word count
+	full  bool // a touch went unrecorded: reset the whole set
+}
+
+func newTouchList(universe int) touchList { return touchList{limit: (universe + 63) / 64} }
+
+func (t *touchList) add(slot int32) {
+	switch {
+	case len(t.slots) == t.limit:
+		t.full = true
+		return
+	case len(t.slots) == cap(t.slots):
+		// Double, but never past the limit.
+		t.slots = slices.Grow(t.slots, min(max(len(t.slots), 64), t.limit-len(t.slots)))
+	}
+	t.slots = append(t.slots, slot)
+}
+
+// clearSets clears the round's touches from each set and empties the
+// list.
+func (t *touchList) clearSets(sets ...*bitvec.Set) {
+	for _, set := range sets {
+		if t.full {
+			set.Reset()
+			continue
+		}
+		for _, s := range t.slots {
+			set.Clear(int(s))
+		}
+	}
+	t.slots, t.full = t.slots[:0], false
+}
+
+// clearCounts is clearSets for per-slot counters.
+func (t *touchList) clearCounts(cnt []int32) {
+	if t.full {
+		clear(cnt)
+	} else {
+		for _, s := range t.slots {
+			cnt[s] = 0
+		}
+	}
+	t.slots, t.full = t.slots[:0], false
 }
 
 func newCSRState(sn SlottedNetwork, order, source uint64, opts Options) *csrState {
 	st := &csrState{
-		net:        sn,
-		opts:       opts,
-		count:      1,
-		informed:   bitvec.New(int(order)),
-		callerUsed: bitvec.New(int(order)),
+		net:            sn,
+		opts:           opts,
+		count:          1,
+		informed:       bitvec.New(int(order)),
+		callerUsed:     bitvec.New(int(order)),
+		touchedEdges:   newTouchList(sn.NumEdgeSlots()),
+		touchedRecvs:   newTouchList(int(order)),
+		touchedCallers: newTouchList(int(order)),
 	}
 	if opts.EdgeCapacity == 1 {
 		st.edgeUsed = bitvec.New(sn.NumEdgeSlots())
@@ -148,11 +206,18 @@ func (c *csrState) seedInformed(vs []uint64) {
 	}
 }
 
-func (c *csrState) beginRound(r Round) { c.round = r }
+// beginRound sizes the per-call lists for the whole round up front:
+// rounds double in a broadcast, and growing the lists call by call
+// would allocate several times their final size.
+func (c *csrState) beginRound(r Round) {
+	c.round = r
+	c.claimed = slices.Grow(c.claimed, len(r))
+	c.newly = slices.Grow(c.newly, len(r))
+}
 
 func (c *csrState) callerClaim(v uint64, ci int) (int, bool) {
 	if !c.callerUsed.TestAndSet(int(v)) {
-		c.touchedCallers = append(c.touchedCallers, int32(v))
+		c.touchedCallers.add(int32(v))
 		c.claimed = append(c.claimed, ci)
 		return 0, false
 	}
@@ -171,14 +236,14 @@ func (c *csrState) callerClaim(v uint64, ci int) (int, bool) {
 func (c *csrState) edgeUseSlot(slot int) bool {
 	if c.edgeUsed != nil {
 		if !c.edgeUsed.TestAndSet(slot) {
-			c.touchedEdges = append(c.touchedEdges, int32(slot))
+			c.touchedEdges.add(int32(slot))
 			return false
 		}
 		return !c.edgeDup.TestAndSet(slot)
 	}
 	c.edgeCnt[slot]++
 	if c.edgeCnt[slot] == 1 {
-		c.touchedEdges = append(c.touchedEdges, int32(slot))
+		c.touchedEdges.add(int32(slot))
 	}
 	return int(c.edgeCnt[slot]) == c.opts.EdgeCapacity+1
 }
@@ -197,14 +262,14 @@ func (c *csrState) edgeUse(u, v uint64) bool {
 func (c *csrState) recvUse(v uint64) bool {
 	if c.recvUsed != nil {
 		if !c.recvUsed.TestAndSet(int(v)) {
-			c.touchedRecvs = append(c.touchedRecvs, int32(v))
+			c.touchedRecvs.add(int32(v))
 			return false
 		}
 		return !c.recvDup.TestAndSet(int(v))
 	}
 	c.recvCnt[v]++
 	if c.recvCnt[v] == 1 {
-		c.touchedRecvs = append(c.touchedRecvs, int32(v))
+		c.touchedRecvs.add(int32(v))
 	}
 	return int(c.recvCnt[v]) == c.opts.ReceiverCapacity+1
 }
@@ -218,32 +283,17 @@ func (c *csrState) endRound() uint64 {
 		}
 	}
 	if c.edgeUsed != nil {
-		for _, s := range c.touchedEdges {
-			c.edgeUsed.Clear(int(s))
-			c.edgeDup.Clear(int(s))
-		}
+		c.touchedEdges.clearSets(c.edgeUsed, c.edgeDup)
 	} else {
-		for _, s := range c.touchedEdges {
-			c.edgeCnt[s] = 0
-		}
+		c.touchedEdges.clearCounts(c.edgeCnt)
 	}
 	if c.recvUsed != nil {
-		for _, s := range c.touchedRecvs {
-			c.recvUsed.Clear(int(s))
-			c.recvDup.Clear(int(s))
-		}
+		c.touchedRecvs.clearSets(c.recvUsed, c.recvDup)
 	} else {
-		for _, s := range c.touchedRecvs {
-			c.recvCnt[s] = 0
-		}
+		c.touchedRecvs.clearCounts(c.recvCnt)
 	}
-	for _, s := range c.touchedCallers {
-		c.callerUsed.Clear(int(s))
-	}
+	c.touchedCallers.clearSets(c.callerUsed)
 	c.newly = c.newly[:0]
-	c.touchedEdges = c.touchedEdges[:0]
-	c.touchedRecvs = c.touchedRecvs[:0]
-	c.touchedCallers = c.touchedCallers[:0]
 	c.claimed = c.claimed[:0]
 	c.round = nil
 	return c.count
@@ -262,15 +312,17 @@ type gossipCsrState struct {
 
 	round        Round
 	claimed      []int // calls that registered at least one endpoint, ascending
-	touchedEdges []int
-	touchedBusy  []int
+	touchedEdges touchList
+	touchedBusy  touchList
 }
 
 func newGossipCSRState(sn SlottedNetwork, order uint64) *gossipCsrState {
 	return &gossipCsrState{
-		net:      sn,
-		edgeUsed: bitvec.New(sn.NumEdgeSlots()),
-		busyUsed: bitvec.New(int(order)),
+		net:          sn,
+		edgeUsed:     bitvec.New(sn.NumEdgeSlots()),
+		busyUsed:     bitvec.New(int(order)),
+		touchedEdges: newTouchList(sn.NumEdgeSlots()),
+		touchedBusy:  newTouchList(int(order)),
 	}
 }
 
@@ -278,7 +330,7 @@ func (g *gossipCsrState) beginRound(r Round) { g.round = r }
 
 func (g *gossipCsrState) busyClaim(v uint64, ci int) (int, bool) {
 	if !g.busyUsed.TestAndSet(int(v)) {
-		g.touchedBusy = append(g.touchedBusy, int(v))
+		g.touchedBusy.add(int32(v))
 		if len(g.claimed) == 0 || g.claimed[len(g.claimed)-1] != ci {
 			g.claimed = append(g.claimed, ci)
 		}
@@ -302,21 +354,15 @@ func (g *gossipCsrState) edgeUse(u, v uint64) bool {
 		return false
 	}
 	if !g.edgeUsed.TestAndSet(slot) {
-		g.touchedEdges = append(g.touchedEdges, slot)
+		g.touchedEdges.add(int32(slot))
 		return false
 	}
 	return true
 }
 
 func (g *gossipCsrState) endRound() {
-	for _, s := range g.touchedEdges {
-		g.edgeUsed.Clear(s)
-	}
-	for _, s := range g.touchedBusy {
-		g.busyUsed.Clear(s)
-	}
-	g.touchedEdges = g.touchedEdges[:0]
-	g.touchedBusy = g.touchedBusy[:0]
+	g.touchedEdges.clearSets(g.edgeUsed)
+	g.touchedBusy.clearSets(g.busyUsed)
 	g.claimed = g.claimed[:0]
 	g.round = nil
 }

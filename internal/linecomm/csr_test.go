@@ -496,3 +496,70 @@ func TestSlottedForCaps(t *testing.T) {
 		}
 	}
 }
+
+// denseThenSparse is binomialSchedule(n) followed by rounds that reuse
+// the slots of its last round, which is dense: more touched edges,
+// receivers and callers than its bit sets have words, so endRound
+// resets those sets wholesale. A lone re-inform over the dense round's
+// first call, the dense round again, and one reversed call follow — any
+// bit the wholesale reset left behind (or any slot the per-slot path
+// missed after it) shows up as a stale conflict.
+func denseThenSparse(n int) *Schedule {
+	s := binomialSchedule(n)
+	dense := s.Rounds[len(s.Rounds)-1]
+	first, second := dense[0], dense[1]
+	s.Rounds = append(s.Rounds,
+		Round{{Path: []uint64{first.From(), first.To()}}},
+		cloneSchedule(&Schedule{Rounds: []Round{dense}}).Rounds[0],
+		Round{{Path: []uint64{second.To(), second.From()}}},
+	)
+	return s
+}
+
+// TestCSRDenseRoundReset: after a dense round the engine resets whole
+// sets instead of clearing slot by slot; the sparse rounds that follow
+// must see no stale conflicts, under capacity 1 (bit sets) and
+// generalised capacities (counters), on the graph's own slot numbering
+// and on the closed form — every engine agreeing with the serial
+// validator — and the mutation catalogue over the same schedule must be
+// judged identically by every engine.
+func TestCSRDenseRoundReset(t *testing.T) {
+	const n = 7
+	base := denseThenSparse(n)
+	g := GraphNetwork{G: topo.Hypercube(n)}
+	if dense := len(base.Rounds[n-1]); dense <= (g.NumEdgeSlots()+63)/64 || dense <= (1<<n+63)/64 {
+		t.Fatalf("round %d has %d calls: not dense enough to overflow the touched lists", n-1, dense)
+	}
+	for _, opts := range []Options{
+		{EdgeCapacity: 1, ReceiverCapacity: 1, AllowInformedReceiver: true},
+		{EdgeCapacity: 2, ReceiverCapacity: 2, AllowInformedReceiver: true},
+	} {
+		check := func(name string, s *Schedule) *Result {
+			t.Helper()
+			want := ValidateOpts(g, 1, s, opts)
+			for engine, net := range engines(n) {
+				if got := ValidateStreamOpts(net, 1, s.Source, s.Stream(), opts); !reflect.DeepEqual(want, got) {
+					t.Fatalf("%+v %s %s: diverges from serial:\nserial: %+v\nstream: %+v", opts, name, engine, want, got)
+				}
+			}
+			return want
+		}
+		if res := check("intact", base); !res.Valid() || !res.Complete {
+			t.Fatalf("%+v: dense-then-sparse schedule rejected: %v", opts, res.Err())
+		}
+		rng := rand.New(rand.NewSource(7))
+		for _, m := range mutationsForQn(n) {
+			s := cloneSchedule(base)
+			if !m.mut(rng, s) {
+				continue
+			}
+			res := check(m.name, s)
+			// Capacity 1 catches every mutation but the re-inform, which
+			// AllowInformedReceiver permits; capacity 2 admits the
+			// shared receiver and edge as well, so only agreement counts.
+			if opts.EdgeCapacity == 1 && m.name != "re-inform" && res.Valid() {
+				t.Fatalf("%+v: mutation %q went undetected", opts, m.name)
+			}
+		}
+	}
+}

@@ -235,6 +235,22 @@ func (g *gossipMapState) edgeUse(u, v uint64) bool {
 
 func (g *gossipMapState) endRound() {}
 
+// gossipShardMaxWords caps a token shard at one 64-byte cache line per
+// matrix row. Wider shards push the matrix out of cache, and one-word
+// shards replay the whole exchange log eight times as often; both
+// measure slower in BenchmarkGossipStreamPipelineN20.
+const gossipShardMaxWords = 8
+
+// gossipShardWords returns the width, in 64-bit words, of one token
+// shard: what the budget allows each of workers matrices of order rows,
+// capped at gossipShardMaxWords, and at most totalWords/workers (rounded
+// down, so totalWords splits into at least one shard per worker), but
+// never below one word.
+func gossipShardWords(order, totalWords, workers, budgetBytes int) int {
+	budgetWords := budgetBytes / (workers * order * 8)
+	return max(1, min(budgetWords, gossipShardMaxWords, totalWords/workers))
+}
+
 // simulateGossipTokens replays the exchange log over the token matrix,
 // sharded along the token axis, and returns the per-vertex known-token
 // counts. sources nil means token t starts at vertex t (all-source
@@ -256,12 +272,11 @@ func simulateGossipTokens(order uint64, sources []uint64, pairs []uint64) []int3
 
 	workers := runtime.GOMAXPROCS(0)
 	// Every shard matrix has order rows: cap workers so even one-word
-	// shards fit the budget, then size shards to fill it.
+	// shards fit the budget.
 	if maxW := gossipSimBudgetBytes / (n * 8); workers > maxW {
 		workers = max(maxW, 1)
 	}
-	shardWords := gossipSimBudgetBytes / (workers * n * 8)
-	shardWords = min(max(shardWords, 1), totalWords)
+	shardWords := gossipShardWords(n, totalWords, workers, gossipSimBudgetBytes)
 	numShards := (totalWords + shardWords - 1) / shardWords
 	if workers > numShards {
 		workers = numShards

@@ -55,6 +55,42 @@ func TestGossipStreamShardWidths(t *testing.T) {
 	}
 }
 
+// TestGossipShardWords pins the shard-width arithmetic: never wider
+// than the budget allows or than one cache line per row, never below a
+// word, and narrow enough at the default budget that every worker gets
+// at least one shard whenever there are that many words.
+func TestGossipShardWords(t *testing.T) {
+	const budget = 512 << 20
+	for _, order := range []int{1, 100, 1 << 10, 1 << 14, 1 << 20} {
+		for _, totalWords := range []int{1, 2, 3, 7, 8, 9, 64, 256, 1 << 14} {
+			for _, workers := range []int{1, 2, 3, 4, 8, 16} {
+				w := gossipShardWords(order, totalWords, workers, budget)
+				if w < 1 || w > gossipShardMaxWords {
+					t.Fatalf("order %d words %d workers %d: width %d outside [1,%d]",
+						order, totalWords, workers, w, gossipShardMaxWords)
+				}
+				if budgetWords := budget / (workers * order * 8); budgetWords >= 1 && w > budgetWords {
+					t.Fatalf("order %d words %d workers %d: width %d exceeds the budget's %d",
+						order, totalWords, workers, w, budgetWords)
+				}
+				if shards := (totalWords + w - 1) / w; shards < min(workers, totalWords) {
+					t.Fatalf("order %d words %d workers %d: width %d gives %d shards, want >= %d",
+						order, totalWords, workers, w, shards, min(workers, totalWords))
+				}
+			}
+		}
+	}
+	// All-source gossip at n = 14 on two workers: 256 token words split
+	// into cache-line shards, 32 of them, instead of one 32 MiB matrix.
+	if w := gossipShardWords(1<<14, 256, 2, budget); w != 8 {
+		t.Fatalf("n=14 on 2 workers: width %d, want 8", w)
+	}
+	// A budget too small for even one word per row still yields a word.
+	if w := gossipShardWords(1<<14, 256, 2, 1); w != 1 {
+		t.Fatalf("starved budget: width %d, want 1", w)
+	}
+}
+
 // TestMultiSourceStreamSemantics: with a restricted source set,
 // completion means every vertex learns exactly the listed tokens; the
 // same schedule that completes gossip completes any subset, and a

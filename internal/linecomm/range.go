@@ -26,6 +26,7 @@ package linecomm
 import (
 	"fmt"
 	"iter"
+	"slices"
 )
 
 // CollectInformedStream scans a round stream and returns the receivers
@@ -38,6 +39,7 @@ func CollectInformedStream(net Network, rounds iter.Seq[Round]) []uint64 {
 	order := net.Order()
 	var out []uint64
 	for round := range rounds {
+		out = slices.Grow(out, len(round))
 		for _, c := range round {
 			if callInforms(net, order, c) {
 				out = append(out, c.Path[len(c.Path)-1])
@@ -45,31 +47,6 @@ func CollectInformedStream(net Network, rounds iter.Seq[Round]) []uint64 {
 		}
 	}
 	return out
-}
-
-// TeeInformed wraps a round stream so the receivers informed by its
-// structurally well-formed calls are appended to *out as the stream is
-// consumed — CollectInformedStream folded into another consumer's pass
-// over the same rounds. The parallel verifier uses it to run range 0's
-// full validation (whose seed is always empty) during the structural
-// pass, while still producing the informed delta that seeds range 1.
-// out receives exactly what CollectInformedStream would return for the
-// rounds consumed so far; it is complete only once the wrapped stream
-// has fully drained.
-func TeeInformed(net Network, rounds iter.Seq[Round], out *[]uint64) iter.Seq[Round] {
-	order := net.Order()
-	return func(yield func(Round) bool) {
-		for round := range rounds {
-			for _, c := range round {
-				if callInforms(net, order, c) {
-					*out = append(*out, c.Path[len(c.Path)-1])
-				}
-			}
-			if !yield(round) {
-				return
-			}
-		}
-	}
 }
 
 // callInforms reports whether a call reaches its receiver under the

@@ -172,43 +172,3 @@ func TestMergeRangeResultsEdgeCases(t *testing.T) {
 		t.Fatalf("empty-range merge diverges:\nserial: %+v\nmerged: %+v", serial, got)
 	}
 }
-
-// TestTeeInformedMatchesCollect: consuming a stream through TeeInformed
-// must yield the untouched rounds and accumulate exactly the
-// CollectInformedStream delta — including under mutations that make
-// calls structurally dead.
-func TestTeeInformedMatchesCollect(t *testing.T) {
-	const n = 5
-	net := GraphNetwork{G: topo.Hypercube(n)}
-	base := binomialSchedule(n)
-	schedules := []*Schedule{base}
-	rng := rand.New(rand.NewSource(11))
-	for _, m := range mutationsForQn(n) {
-		s := cloneSchedule(base)
-		if m.mut(rng, s) {
-			schedules = append(schedules, s)
-		}
-	}
-	for si, s := range schedules {
-		want := CollectInformedStream(net, s.Stream())
-		var got []uint64
-		rounds := 0
-		for r := range TeeInformed(net, s.Stream(), &got) {
-			rounds += len(r) // consume; rounds must pass through untouched
-		}
-		if rounds != s.TotalCalls() {
-			t.Fatalf("schedule %d: tee dropped calls: saw %d, want %d", si, rounds, s.TotalCalls())
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("schedule %d: tee delta diverges:\nwant %v\ngot  %v", si, want, got)
-		}
-		// Early termination stops the tee mid-stream without panicking.
-		var partial []uint64
-		for range TeeInformed(net, s.Stream(), &partial) {
-			break
-		}
-		if len(partial) > len(want) {
-			t.Fatalf("schedule %d: partial tee overshot: %d > %d", si, len(partial), len(want))
-		}
-	}
-}

@@ -169,7 +169,7 @@ func (p *PlanAt) Round(i int) (linecomm.Round, error) {
 	lo, hi := p.offs[i], p.offs[i+1]
 	d := &Decoder{h: p.h}
 	d.src.r = io.NewSectionReader(p.r, lo, hi-lo)
-	var sc roundScratch
+	var sc RoundScratch
 	round, done, err := d.readRound(&sc)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"iter"
+	"sort"
 
 	"sparsehypercube/internal/linecomm"
 )
@@ -30,6 +31,7 @@ type RoundRange struct {
 	r          io.ReaderAt
 	lo, hi     int
 	start, end int64
+	sc         *RoundScratch // decode storage; nil means the range's own
 
 	crc     uint32
 	noCRC   bool
@@ -44,6 +46,12 @@ type RoundRange struct {
 // then unavailable (use Err for the status).
 func (r *RoundRange) DisableCRC() { r.noCRC = true }
 
+// UseScratch makes the range decode into sc's storage instead of its
+// own, so ranges decoded one after another on one goroutine grow one
+// scratch between them. Must be called before Rounds; the yielded
+// rounds then alias sc, which no other decode may use meanwhile.
+func (r *RoundRange) UseScratch(sc *RoundScratch) { r.sc = sc }
+
 // Range returns a decoder over rounds [lo, hi) of an indexed plan.
 func (p *PlanAt) Range(lo, hi int) (*RoundRange, error) {
 	if p.offs == nil {
@@ -53,6 +61,44 @@ func (p *PlanAt) Range(lo, hi int) (*RoundRange, error) {
 		return nil, fmt.Errorf("schedio: round range [%d,%d) outside [0,%d)", lo, hi, len(p.offs)-1)
 	}
 	return &RoundRange{h: p.h, r: p.r, lo: lo, hi: hi, start: p.offs[lo], end: p.offs[hi]}, nil
+}
+
+// SplitRounds partitions the indexed rounds into at most n contiguous,
+// non-empty ranges of about equal byte length, cut at round boundaries,
+// and returns their bounds: range i is rounds [bounds[i], bounds[i+1]),
+// bounds[0] is 0 and the last entry is NumRounds. Cut j sits at the
+// round boundary nearest to j/n of the way through the round stream's
+// bytes; targets that land on the same boundary share one cut, so there
+// are fewer than n ranges when rounds are fewer or one round outweighs
+// several targets. Nearest cuts bound every range of two or more rounds
+// by 2/n of the stream — only a single round can be heavier.
+//
+// Round sizes are what makes this matter: minimum-time broadcast
+// doubles the informed set every round, so the last round alone holds
+// about half the plan's bytes and an equal-round-count split gives one
+// range nearly all the work.
+func (p *PlanAt) SplitRounds(n int) ([]int, error) {
+	if p.offs == nil {
+		return nil, errors.New("schedio: plan has no round index")
+	}
+	rounds := len(p.offs) - 1
+	if rounds == 0 {
+		return []int{0}, nil
+	}
+	n = max(1, min(n, rounds))
+	base, total := p.offs[0], p.offs[rounds]-p.offs[0]
+	bounds := make([]int, 1, n+1)
+	for j := 1; j < n; j++ {
+		target := base + total*int64(j)/int64(n)
+		i := sort.Search(rounds+1, func(i int) bool { return p.offs[i] >= target })
+		if i > 0 && target-p.offs[i-1] <= p.offs[i]-target {
+			i--
+		}
+		if i > bounds[len(bounds)-1] && i < rounds {
+			bounds = append(bounds, i)
+		}
+	}
+	return append(bounds, rounds), nil
 }
 
 // RangeBytes returns the raw encoded byte span of rounds [lo, hi) — the
@@ -108,9 +154,12 @@ func (r *RoundRange) Rounds() iter.Seq[linecomm.Round] {
 		if r.noCRC {
 			d.src.stopCRC() // every later fold no-ops: no checksum work
 		}
-		var sc roundScratch
+		sc := r.sc
+		if sc == nil {
+			sc = new(RoundScratch)
+		}
 		for i := r.lo; i < r.hi; i++ {
-			round, done, err := d.readRound(&sc)
+			round, done, err := d.readRound(sc)
 			if err != nil {
 				r.err = err
 				return

@@ -309,3 +309,113 @@ func TestRangeBytesDecodeSpan(t *testing.T) {
 		t.Error("corrupted span drained cleanly")
 	}
 }
+
+// checkSplit asserts SplitRounds' contract for one plan and range cap:
+// contiguous, non-empty ranges covering [0, NumRounds), at most n of
+// them, and none of two or more rounds above 2/n of the round bytes
+// (up to integer rounding of the targets).
+func checkSplit(t *testing.T, p *PlanAt, n int) []int {
+	t.Helper()
+	bounds, err := p.SplitRounds(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := p.NumRounds()
+	if bounds[0] != 0 || bounds[len(bounds)-1] != rounds {
+		t.Fatalf("n=%d: bounds %v do not cover [0,%d)", n, bounds, rounds)
+	}
+	if nr := len(bounds) - 1; nr > max(n, 1) || nr > rounds {
+		t.Fatalf("n=%d: %d ranges over %d rounds: %v", n, nr, rounds, bounds)
+	}
+	span := func(lo, hi int) int64 {
+		b, err := p.RangeBytes(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(b))
+	}
+	total := span(0, rounds)
+	for i := 1; i < len(bounds); i++ {
+		lo, hi := bounds[i-1], bounds[i]
+		if lo >= hi {
+			t.Fatalf("n=%d: empty or reversed range [%d,%d) in %v", n, lo, hi, bounds)
+		}
+		if b := span(lo, hi); hi-lo > 1 && b*int64(n) > 2*total+2*int64(n) {
+			t.Fatalf("n=%d: range [%d,%d) holds %d of %d bytes, above 2/n", n, lo, hi, b, total)
+		}
+	}
+	return bounds
+}
+
+// TestSplitRounds: the byte-balanced split holds its contract on the
+// doubling profile of real broadcast plans and on synthetic round-size
+// profiles, for every cap from below one to beyond the round count.
+func TestSplitRounds(t *testing.T) {
+	for _, kn := range [][2]int{{1, 9}, {2, 12}, {3, 12}} {
+		data := encodePlan(t, kn[0], kn[1], 3, true)
+		p, err := OpenPlanAt(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := -1; n <= p.NumRounds()+3; n++ {
+			checkSplit(t, p, n)
+		}
+	}
+
+	// Doubling profile: the last round is about half the bytes and the
+	// one before it a quarter, so four targets cut just before both.
+	data := encodePlan(t, 2, 14, 0, true)
+	p, err := OpenPlanAt(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := checkSplit(t, p, 4), []int{0, 12, 13, 14}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("k=2 n=14 into 4: bounds %v, want %v", got, want)
+	}
+
+	// Synthetic profiles: flat, one giant round in the middle, giants
+	// at both ends, and random sizes.
+	rng := rand.New(rand.NewSource(5))
+	random := make([]int, 23)
+	for i := range random {
+		random[i] = 1 + rng.Intn(40)
+	}
+	for _, sizes := range [][]int{
+		{5, 5, 5, 5, 5, 5, 5, 5},
+		{1, 1, 1, 60, 1, 1, 1},
+		{50, 1, 1, 1, 1, 50},
+		{1, 2},
+		random,
+	} {
+		s := &linecomm.Schedule{}
+		for _, calls := range sizes {
+			round := make(linecomm.Round, calls)
+			for c := range round {
+				round[c] = linecomm.Call{Path: []uint64{0, 1}}
+			}
+			s.Rounds = append(s.Rounds, round)
+		}
+		var buf bytes.Buffer
+		h := Header{K: 1, Dims: []int{4}, Scheme: "broadcast"}
+		if _, err := EncodeIndexed(&buf, h, s); err != nil {
+			t.Fatal(err)
+		}
+		p, err := OpenPlanAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= len(sizes)+2; n++ {
+			checkSplit(t, p, n)
+		}
+	}
+
+	// An unindexed plan cannot be split.
+	plain := encodePlan(t, 2, 6, 0, false)
+	pp, err := OpenPlanAt(bytes.NewReader(plain), int64(len(plain)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pp.SplitRounds(4); err == nil {
+		t.Fatal("unindexed plan split")
+	}
+}

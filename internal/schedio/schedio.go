@@ -68,6 +68,7 @@ import (
 	"hash/crc32"
 	"io"
 	"iter"
+	"slices"
 	"sync"
 
 	"sparsehypercube/internal/linecomm"
@@ -437,7 +438,7 @@ func (d *Decoder) Rounds() iter.Seq[linecomm.Round] {
 		if !d.claim() {
 			return
 		}
-		var sc roundScratch
+		var sc RoundScratch
 		for {
 			d.roundOffs = append(d.roundOffs, d.src.n)
 			round, done, err := d.readRound(&sc)
@@ -456,20 +457,35 @@ func (d *Decoder) Rounds() iter.Seq[linecomm.Round] {
 	}
 }
 
-// roundScratch is the storage a round decode reuses between rounds: the
+// RoundScratch is the storage a round decode reuses between rounds: the
 // path arena, per-call offsets into it, and the round slice itself. All
 // three grow only as call bytes are actually read off the wire — never
 // from a declared count — so a hostile header cannot force allocation
-// beyond a fixed multiple of the bytes it backs with data.
-type roundScratch struct {
+// beyond a fixed multiple of the bytes it backs with data. The arena and
+// offsets grow by doubling: broadcast rounds double too, so a decode
+// allocates about twice its largest round in all, where the runtime's
+// 1.25x growth of large slices would allocate about five times it.
+//
+// The zero value is ready to use. Decoders keep their own; a caller
+// that decodes several ranges one after another can share one through
+// RoundRange.UseScratch, so the storage grows once, not per range.
+type RoundScratch struct {
 	round linecomm.Round
 	arena []uint64
 	offs  []int
 }
 
+// appendDoubling is append that doubles a full slice's capacity.
+func appendDoubling[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 64))
+	}
+	return append(s, v)
+}
+
 // readRound decodes one round into sc's reused storage. done is true at
 // the stream terminator (round is nil there).
-func (d *Decoder) readRound(sc *roundScratch) (round linecomm.Round, done bool, err error) {
+func (d *Decoder) readRound(sc *RoundScratch) (round linecomm.Round, done bool, err error) {
 	marker, err := d.uvarint("round header")
 	if err != nil {
 		return nil, false, err
@@ -491,7 +507,7 @@ func (d *Decoder) readRound(sc *roundScratch) (round linecomm.Round, done bool, 
 		if plen > maxPathLen {
 			return nil, false, fmt.Errorf("schedio: path length %d exceeds %d", plen, maxPathLen)
 		}
-		sc.offs = append(sc.offs, len(sc.arena))
+		sc.offs = appendDoubling(sc.offs, len(sc.arena))
 		var prev uint64
 		for i := uint64(0); i < plen; i++ {
 			v, err := d.uvarint("path vertex")
@@ -501,7 +517,7 @@ func (d *Decoder) readRound(sc *roundScratch) (round linecomm.Round, done bool, 
 			if i > 0 {
 				v ^= prev // stored as XOR delta from the previous hop
 			}
-			sc.arena = append(sc.arena, v)
+			sc.arena = appendDoubling(sc.arena, v)
 			prev = v
 		}
 	}

@@ -1,12 +1,14 @@
 package sparsehypercube
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"iter"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -284,13 +286,13 @@ func (p *Plan) Materialize() *Schedule {
 //
 // On an indexed random-access plan (ReadPlanAt or OpenPlanFile over a
 // WriteIndexedTo file) Verify is automatically parallel: the round
-// stream is split by index into contiguous ranges checked by
-// WithVerifyWorkers workers (GOMAXPROCS by default), and the merged
-// Report is identical — violation for violation, byte for byte — to
-// the serial pass. Any decode or checksum anomaly on the fast path
-// falls back to the authoritative serial pass, so corrupted files
-// report exactly as they always did. Every other plan verifies in one
-// streamed serial pass.
+// stream is split by index into contiguous ranges of about equal byte
+// length, checked by WithVerifyWorkers workers (GOMAXPROCS by default),
+// and the merged Report is identical — violation for violation, byte
+// for byte — to the serial pass. Any decode or checksum anomaly on the
+// fast path falls back to the authoritative serial pass, so corrupted
+// files report exactly as they always did. Every other plan verifies in
+// one streamed serial pass.
 func (p *Plan) Verify() Report {
 	if rep, ok := p.verifyParallel(); ok {
 		return rep
@@ -315,14 +317,15 @@ func (p *Plan) Verify() Report {
 }
 
 // verifyParallel is the indexed fast path of Verify: split the round
-// stream into contiguous index ranges, scan them in parallel for the
-// receivers they inform (the only state crossing a range boundary) and
-// their span CRCs, then run one seeded stream validator per range and
-// merge. ok is false when the plan is not eligible — not random-access,
-// not indexed, a custom-verifier scheme, fewer than two rounds or
-// workers — or when any worker sees a decode/integrity anomaly; the
-// caller then runs the serial pass, whose Report is authoritative (and,
-// for clean plans, identical to the merged one by construction).
+// stream into contiguous ranges of about equal byte length, scan them
+// in parallel for the receivers they inform (the only state crossing a
+// range boundary) and their span CRCs, then run one seeded stream
+// validator per range and merge. ok is false when the plan is not
+// eligible — not random-access, not indexed, a custom-verifier scheme,
+// fewer than two rounds or workers — or when any worker sees a
+// decode/integrity anomaly; the caller then runs the serial pass, whose
+// Report is authoritative (and, for clean plans, identical to the
+// merged one by construction).
 func (p *Plan) verifyParallel() (Report, bool) {
 	if p.at == nil || !p.at.Indexed() {
 		return Report{}, false
@@ -334,115 +337,139 @@ func (p *Plan) verifyParallel() (Report, bool) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	rounds := p.at.NumRounds()
-	if workers < 2 || rounds < 2 {
+	if workers < 2 || p.at.NumRounds() < 2 {
 		return Report{}, false
 	}
-	workers = min(workers, rounds)
 	order := p.cube.Order()
 	source := p.scheme.Origin()
 	if source >= order {
 		return Report{}, false // trivial, and the serial path words the violation
 	}
-	bounds := make([]int, workers+1)
-	for w := range workers + 1 {
-		bounds[w] = w * rounds / workers
+	// Up to two ranges per worker, balanced by bytes: broadcast doubles
+	// its calls every round, so the last round alone is about half the
+	// plan, and the finer split lets the earlier ranges share the other
+	// worker in both passes.
+	bounds, err := p.at.SplitRounds(2 * workers)
+	if err != nil {
+		return Report{}, false
 	}
-	errs := make([]error, workers)
-	run := func(f func(w int) error) bool {
-		var wg sync.WaitGroup
-		for w := range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[w] = f(w)
-			}()
+	nr := len(bounds) - 1
+	last := nr - 1
+	ranges := make([]*schedio.RoundRange, nr)
+	for i := range nr {
+		if ranges[i], err = p.at.Range(bounds[i], bounds[i+1]); err != nil {
+			return Report{}, false
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return false
-			}
-		}
-		return true
 	}
+	bySize := make([]int, nr)
+	for i := range bySize {
+		bySize[i] = i
+	}
+	slices.SortStableFunc(bySize, func(a, b int) int {
+		return cmp.Compare(ranges[b].Bytes(), ranges[a].Bytes())
+	})
 
 	// Pass 1: per range, the receivers its calls inform and the CRC of
 	// its byte span. Informing is purely structural, so ranges are
-	// independent here. Range 0 needs no structural pre-scan at all:
-	// its seed is always empty, so its full seeded validation runs now,
-	// teeing out the informed delta that seeds range 1 — one decode of
-	// range 0 instead of two, overlapped with the structural pass over
-	// the rest. The final range's delta seeds nothing — only the span
-	// CRC matters there, so it just drains.
+	// independent here. The last range's delta seeds nothing, so it
+	// skips this pass; its CRC comes from its pass-2 decode instead.
 	//
-	// The range split is the parallelism; each validator gets its share
-	// of the cores for fill-phase sharding rather than GOMAXPROCS each.
-	fillShards := max(1, runtime.GOMAXPROCS(0)/workers)
-	deltas := make([][]uint64, workers)
-	crcs := make([]schedio.RangeCRC, workers)
-	parts := make([]*linecomm.Result, workers)
-	if !run(func(w int) error {
-		rr, err := p.at.Range(bounds[w], bounds[w+1])
-		if err != nil {
-			return err
-		}
-		switch {
-		case w == 0:
-			rounds := linecomm.TeeInformed(p.cube.inner, rr.Rounds(), &deltas[0])
-			parts[0] = linecomm.ValidateStreamSeeded(p.cube.inner, p.cube.K(), source,
-				nil, bounds[0], rounds, linecomm.DefaultOptions(), fillShards)
-		case w < workers-1:
-			deltas[w] = linecomm.CollectInformedStream(p.cube.inner, rr.Rounds())
-		default:
-			for range rr.Rounds() {
-			}
-		}
+	// Each pool slot decodes all its ranges, in both passes, into one
+	// scratch, so the decode storage grows once per slot, not per range.
+	scratch := make([]schedio.RoundScratch, workers)
+	deltas := make([][]uint64, nr)
+	crcs := make([]schedio.RangeCRC, nr)
+	pinCRC := func(i int, rr *schedio.RoundRange) error {
 		crc, err := rr.CRC()
 		if err != nil {
 			return err
 		}
-		crcs[w] = schedio.RangeCRC{CRC: crc, Bytes: rr.Bytes()}
+		crcs[i] = schedio.RangeCRC{CRC: crc, Bytes: rr.Bytes()}
 		return nil
+	}
+	pass1 := slices.DeleteFunc(slices.Clone(bySize), func(i int) bool { return i == last })
+	if !runRanges(workers, pass1, func(w, i int) error {
+		rr, err := p.at.Range(bounds[i], bounds[i+1])
+		if err != nil {
+			return err
+		}
+		rr.UseScratch(&scratch[w])
+		deltas[i] = linecomm.CollectInformedStream(p.cube.inner, rr.Rounds())
+		return pinCRC(i, rr)
 	}) {
 		return Report{}, false
 	}
-	if err := p.at.CheckRangeCRCs(crcs); err != nil {
-		return Report{}, false
-	}
-	// Prefix-union the deltas: range w's seed is everything informed by
-	// ranges [0, w). One backing array, sized exactly, so the seed
+	// Prefix-union the deltas: range i's seed is everything informed by
+	// ranges [0, i). One backing array, sized exactly, so the seed
 	// slices stay aliases of stable storage.
 	total := 0
 	for _, d := range deltas {
 		total += len(d)
 	}
 	all := make([]uint64, 0, total)
-	seeds := make([][]uint64, workers)
-	for w := range workers {
-		seeds[w] = all
-		all = append(all, deltas[w]...)
+	seeds := make([][]uint64, nr)
+	for i := range nr {
+		seeds[i] = all
+		all = append(all, deltas[i]...)
 	}
 
-	// Pass 2: full validation per remaining range, seeded with its
-	// boundary set. Range 0 was already validated during pass 1.
-	if !run(func(w int) error {
-		if w == 0 {
-			return nil
+	// Pass 2: full validation per range, seeded with its boundary set,
+	// largest range first so the heavy last round starts at once while
+	// the other workers take the rest. The range split is the
+	// parallelism; each validator gets its share of the cores for
+	// fill-phase sharding rather than GOMAXPROCS each.
+	fillShards := max(1, runtime.GOMAXPROCS(0)/workers)
+	parts := make([]*linecomm.Result, nr)
+	if !runRanges(workers, bySize, func(w, i int) error {
+		rr := ranges[i]
+		rr.UseScratch(&scratch[w])
+		if i != last {
+			rr.DisableCRC() // pass 1 already pinned this span's checksum
 		}
-		rr, err := p.at.Range(bounds[w], bounds[w+1])
-		if err != nil {
-			return err
+		parts[i] = linecomm.ValidateStreamSeeded(p.cube.inner, p.cube.K(), source,
+			seeds[i], bounds[i], rr.Rounds(), linecomm.DefaultOptions(), fillShards)
+		if i == last {
+			return pinCRC(i, rr)
 		}
-		rr.DisableCRC() // pass 1 already pinned this span's checksum
-		parts[w] = linecomm.ValidateStreamSeeded(p.cube.inner, p.cube.K(), source,
-			seeds[w], bounds[w], rr.Rounds(), linecomm.DefaultOptions(), fillShards)
 		return rr.Err()
 	}) {
 		return Report{}, false
 	}
+	if err := p.at.CheckRangeCRCs(crcs); err != nil {
+		return Report{}, false
+	}
 	res := linecomm.MergeRangeResults(order, parts)
 	return reportFrom(res, len(res.InformedPerRound)), true
+}
+
+// runRanges runs f on every range index in idx, in that order, across a
+// pool of at most workers goroutines, and reports whether every call
+// succeeded. f also receives its goroutine's slot in [0, workers), which
+// no other running call shares. After the first failure no further
+// index is started.
+func runRanges(workers int, idx []int, f func(w, i int) error) bool {
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for w := range min(workers, len(idx)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(idx) || failed.Load() {
+					return
+				}
+				if f(w, idx[k]) != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return !failed.Load()
 }
 
 // Err reports the decode status of a replayed plan: nil for generative

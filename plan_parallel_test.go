@@ -287,3 +287,95 @@ func TestParallelVerifyEdgeCases(t *testing.T) {
 		t.Error("unindexed plan reports Indexed")
 	}
 }
+
+// TestParallelVerifyMoreRangesThanWorkers: the byte-balanced split
+// hands two workers more ranges than there are workers, and the merged
+// Report still matches the serial pass.
+func TestParallelVerifyMoreRangesThanWorkers(t *testing.T) {
+	cube, err := New(2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := indexedPlanBytes(t, cube, 7)
+	at, err := schedio.OpenPlanAt(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	bounds, err := at.SplitRounds(2 * workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bounds)-1 <= workers {
+		t.Fatalf("split %v gives no more ranges than %d workers", bounds, workers)
+	}
+	serial := verifyAt(t, data, 1)
+	if !serial.Valid || !serial.MinimumTime {
+		t.Fatalf("intact plan did not verify: %+v", serial)
+	}
+	if got := verifyAt(t, data, workers); !reflect.DeepEqual(serial, got) {
+		t.Fatalf("Report diverged:\nserial:   %+v\nparallel: %+v", serial, got)
+	}
+}
+
+// TestParallelVerifyLastRangeCRC: the last range skips pass 1, so a
+// corruption that decodes cleanly and lies only in its bytes is caught
+// by the CRC of its pass-2 decode alone. The parallel path must then
+// defer to the serial pass, Report for Report.
+func TestParallelVerifyLastRangeCRC(t *testing.T) {
+	cube, err := New(2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := indexedPlanBytes(t, cube, 3)
+	at, err := schedio.OpenPlanAt(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	bounds, err := at.SplitRounds(2 * workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := bounds[len(bounds)-2], bounds[len(bounds)-1]
+	span, err := at.RangeBytes(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := bytes.Index(data, span)
+	if start < 0 {
+		t.Fatal("last range's bytes not found in the plan")
+	}
+	// Flip the low bit of a single-byte varint inside the span, keeping
+	// the one whose mutated span still decodes cleanly as a range.
+	mutated := -1
+	for off := range span {
+		if span[off]&0x80 != 0 || (off > 0 && span[off-1]&0x80 != 0) {
+			continue
+		}
+		mut := append([]byte(nil), span...)
+		mut[off] ^= 1
+		rr, err := schedio.DecodeSpan(at.Header(), mut, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range rr.Rounds() {
+		}
+		if rr.Err() == nil {
+			mutated = start + off
+			break
+		}
+	}
+	if mutated < 0 {
+		t.Fatal("no byte of the last range mutates to a clean decode")
+	}
+	mut := append([]byte(nil), data...)
+	mut[mutated] ^= 1
+	serial := verifyAt(t, mut, 1)
+	if serial.Valid {
+		t.Fatalf("corrupted plan verified serially: %+v", serial)
+	}
+	if got := verifyAt(t, mut, workers); !reflect.DeepEqual(serial, got) {
+		t.Fatalf("Report diverged:\nserial:   %+v\nparallel: %+v", serial, got)
+	}
+}
