@@ -13,7 +13,6 @@ import (
 	"sparsehypercube"
 	"sparsehypercube/internal/broadcast"
 	"sparsehypercube/internal/core"
-	"sparsehypercube/internal/gossip"
 	"sparsehypercube/internal/graph"
 	"sparsehypercube/internal/hamming"
 	"sparsehypercube/internal/labeling"
@@ -467,7 +466,7 @@ func BenchmarkPublicAPIEndToEnd(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep := cube.Verify(cube.Broadcast(0))
+		rep := cube.Plan(sparsehypercube.BroadcastScheme{Source: 0}).Verify()
 		if !rep.MinimumTime {
 			b.Fatal("invalid")
 		}
@@ -483,8 +482,8 @@ func BenchmarkGossipGatherScatter(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched := gossip.GatherScatter(s, 0)
-		res := gossip.Validate(s, 2, sched)
+		sched := linecomm.FromBroadcast(s.BroadcastSchedule(0))
+		res := linecomm.ValidateGossip(s, 2, sched)
 		if !res.Complete {
 			b.Fatal("gossip incomplete")
 		}

@@ -63,21 +63,6 @@ func ExampleReadPlan() {
 	// minimum time: true
 }
 
-// The deprecated pre-Plan entry points remain as wrappers.
-func ExampleCube_Broadcast() {
-	cube, err := sparsehypercube.New(2, 10)
-	if err != nil {
-		panic(err)
-	}
-	sched := cube.Broadcast(0)
-	report := cube.Verify(sched)
-	fmt.Println("rounds:", report.Rounds)
-	fmt.Println("minimum time:", report.MinimumTime)
-	// Output:
-	// rounds: 10
-	// minimum time: true
-}
-
 // Explicit paper parameters: Construct_BASE(15, 3) is the paper's
 // Example 3, a 6-regular graph.
 func ExampleNewWithDims() {
@@ -102,15 +87,12 @@ func ExampleLowerBoundDegree() {
 }
 
 // All-to-all gossip (the paper's §5 direction) in 2n rounds.
-func ExampleCube_Gossip() {
+func ExampleGossipScheme() {
 	cube, err := sparsehypercube.New(2, 8)
 	if err != nil {
 		panic(err)
 	}
-	rep, err := cube.VerifyGossip(cube.Gossip(0))
-	if err != nil {
-		panic(err)
-	}
+	rep := cube.Plan(sparsehypercube.GossipScheme{Root: 0}).Verify()
 	fmt.Println("rounds:", rep.Rounds)
 	fmt.Println("complete:", rep.Complete)
 	// Output:

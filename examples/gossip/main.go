@@ -23,10 +23,9 @@ func main() {
 	fmt.Printf("gossip on a degree-%d sparse hypercube with %d vertices (k = %d):\n\n",
 		cube.MaxDegree(), cube.Order(), cube.K())
 
-	sched := cube.Gossip(0)
-	rep, err := cube.VerifyGossip(sched)
-	if err != nil {
-		log.Fatal(err)
+	rep := cube.Plan(sparsehypercube.GossipScheme{Root: 0}).Verify()
+	if !rep.Valid || !rep.Complete {
+		log.Fatalf("gossip failed verification: %+v", rep)
 	}
 
 	lower := sparsehypercube.GossipMinimumRounds(cube.Order())

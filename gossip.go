@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"iter"
 
-	"sparsehypercube/internal/gossip"
 	"sparsehypercube/internal/linecomm"
 )
 
@@ -125,47 +124,5 @@ func (s GossipScheme) VerifyPlan(cube *Cube, rounds iter.Seq[[]Call]) Report {
 	return s.multi().VerifyPlan(cube, rounds)
 }
 
-// Gossip generates the gather-scatter all-to-all schedule rooted at
-// root.
-//
-// Deprecated: use the Plan engine —
-// c.Plan(GossipScheme{Root: root}).Materialize().
-func (c *Cube) Gossip(root uint64) *Schedule {
-	return c.Plan(GossipScheme{Root: root}).Materialize()
-}
-
-// GossipReport summarises gossip verification.
-type GossipReport struct {
-	Valid      bool
-	Complete   bool // every vertex knows every token
-	Rounds     int
-	MinKnown   int // fewest tokens known by any vertex at the end
-	Violations []string
-}
-
-// VerifyGossip checks a materialised schedule under the k-line gossip
-// model with the serial validator, which simulates tokens only up to
-// 2^14 vertices; see MultiSourceScheme for the model. For larger cubes
-// (and the unified Report form) use the streamed plan engine,
-// c.Plan(GossipScheme{...}).Verify(), which shards the simulation up to
-// 2^20 vertices all-source and further with restricted source sets.
-func (c *Cube) VerifyGossip(s *Schedule) (GossipReport, error) {
-	if c.Order() > gossip.MaxSimulateOrder {
-		return GossipReport{}, fmt.Errorf(
-			"sparsehypercube: gossip simulation limited to 2^14 vertices, cube has 2^%d", c.N())
-	}
-	res := gossip.Validate(c.inner, c.K(), toInner(s))
-	rep := GossipReport{
-		Valid:    res.Valid(),
-		Complete: res.Complete,
-		Rounds:   res.Rounds,
-		MinKnown: res.MinKnown,
-	}
-	for _, v := range res.Violations {
-		rep.Violations = append(rep.Violations, v.String())
-	}
-	return rep, nil
-}
-
 // GossipMinimumRounds returns the gossip round lower bound ceil(log2 N).
-func GossipMinimumRounds(order uint64) int { return gossip.MinimumRounds(order) }
+func GossipMinimumRounds(order uint64) int { return linecomm.GossipMinimumRounds(order) }

@@ -5,27 +5,53 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"sparsehypercube/internal/linecomm"
 )
+
+// serialGossip is the gossip oracle: the serial token-matrix validator
+// over the materialised schedule.
+func serialGossip(cube *Cube, s *Schedule) *linecomm.GossipResult {
+	return linecomm.ValidateGossip(cube.inner, cube.K(), toInner(s))
+}
+
+// mustMatchSerialGossip asserts a gossip plan's Report carries exactly
+// the serial oracle's verdict.
+func mustMatchSerialGossip(t *testing.T, res *linecomm.GossipResult, rep Report) {
+	t.Helper()
+	want := Report{
+		Valid:         res.Valid(),
+		Complete:      res.Complete,
+		MinimumTime:   res.MinimumTime,
+		Rounds:        res.Rounds,
+		MaxCallLength: res.MaxCallLength,
+	}
+	for _, v := range res.Violations {
+		want.Violations = append(want.Violations, v.String())
+	}
+	if !reflect.DeepEqual(want, rep) {
+		t.Fatalf("gossip plan diverged from serial oracle:\n%+v\n%+v", want, rep)
+	}
+}
 
 func TestGossipFacade(t *testing.T) {
 	cube, err := New(2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cube.Gossip(0)
-	rep, err := cube.VerifyGossip(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := cube.Plan(GossipScheme{Root: 0})
+	rep := plan.Verify()
 	if !rep.Valid || !rep.Complete {
 		t.Fatalf("gossip failed: %+v", rep)
 	}
 	if rep.Rounds != 2*cube.N() {
 		t.Fatalf("gossip rounds = %d, want %d", rep.Rounds, 2*cube.N())
 	}
-	if rep.MinKnown != int(cube.Order()) {
-		t.Fatalf("min known = %d", rep.MinKnown)
+	res := serialGossip(cube, plan.Materialize())
+	if res.MinKnown != int(cube.Order()) {
+		t.Fatalf("min known = %d", res.MinKnown)
 	}
+	mustMatchSerialGossip(t, res, rep)
 	if GossipMinimumRounds(cube.Order()) != cube.N() {
 		t.Fatal("gossip lower bound wrong")
 	}
@@ -36,25 +62,14 @@ func TestGossipFacadeCatchesTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cube.Gossip(3)
+	scheme := GossipScheme{Root: 3}
+	sched := cube.Plan(scheme).Materialize()
 	sched.Rounds = sched.Rounds[:len(sched.Rounds)-2]
-	rep, err := cube.VerifyGossip(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := scheme.VerifyPlan(cube, sched.Stream())
 	if rep.Complete {
 		t.Fatal("truncated gossip should be incomplete")
 	}
-}
-
-func TestGossipSimulationCap(t *testing.T) {
-	cube, err := New(2, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cube.VerifyGossip(&Schedule{}); err == nil {
-		t.Fatal("expected simulation-cap error for 2^15 vertices")
-	}
+	mustMatchSerialGossip(t, serialGossip(cube, sched), rep)
 }
 
 // TestMultiSourceSchemeFacade: the generalised scheme shares the gossip

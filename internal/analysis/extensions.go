@@ -5,7 +5,6 @@ import (
 
 	"sparsehypercube/internal/broadcast"
 	"sparsehypercube/internal/core"
-	"sparsehypercube/internal/gossip"
 	"sparsehypercube/internal/graph"
 	"sparsehypercube/internal/linecomm"
 	"sparsehypercube/internal/topo"
@@ -63,14 +62,14 @@ func RunGossip() *Table {
 			"lower bound", "complete"},
 	}
 	for _, n := range []int{6, 8, 10} {
-		sched, err := gossip.HypercubeExchange(n)
+		sched, err := linecomm.HypercubeExchange(n)
 		if err != nil {
 			continue
 		}
 		net := linecomm.GraphNetwork{G: topo.Hypercube(n)}
-		res := gossip.Validate(net, 1, sched)
+		res := linecomm.ValidateGossip(net, 1, sched)
 		t.AddRow("dimension exchange", fmt.Sprintf("Q_%d", n), n, 1, res.Rounds,
-			gossip.MinimumRounds(1<<uint(n)), res.Valid() && res.Complete)
+			linecomm.GossipMinimumRounds(1<<uint(n)), res.Valid() && res.Complete)
 	}
 	cases := []core.Params{
 		core.BaseParams(8, 3),
@@ -82,10 +81,10 @@ func RunGossip() *Table {
 		if err != nil {
 			continue
 		}
-		sched := gossip.GatherScatter(s, 0)
-		res := gossip.Validate(s, p.K, sched)
+		sched := linecomm.FromBroadcast(s.BroadcastSchedule(0))
+		res := linecomm.ValidateGossip(s, p.K, sched)
 		t.AddRow("gather-scatter", p.String(), s.MaxDegree(), p.K, res.Rounds,
-			gossip.MinimumRounds(s.Order()), res.Valid() && res.Complete)
+			linecomm.GossipMinimumRounds(s.Order()), res.Valid() && res.Complete)
 	}
 	t.Note("Minimum-time (n-round) k-line gossip at o(n) degree remains open, as the paper anticipates.")
 	return t

@@ -10,8 +10,8 @@ import (
 // broadcast to gather-scatter gossip. The obstacle to streaming the
 // gather phase is that it is the broadcast run backwards: its first round
 // is the broadcast's last — the one round a forward frontier walk reaches
-// only after producing every other round. StreamGatherScatter used to
-// solve that by materialising one full broadcast schedule.
+// only after producing every other round. The naive answer materialises
+// one full broadcast schedule.
 //
 // The engine instead precomputes the frontier array: the informed vertex
 // list of the full broadcast, laid out so that the prefix of length 2^r
@@ -23,8 +23,9 @@ import (
 // round r's calls are CallPath(frontier[i], d) for i < 2^r. The gather
 // phase replays rounds n-1..0 with reversed paths, the scatter phase
 // rounds 0..n-1 forward — 2n rounds, byte-identical to
-// gossip.GatherScatter, at O(N) words peak (the frontier plus one round's
-// arena) instead of the full O(N*n*k)-word schedule.
+// linecomm.FromBroadcast(BroadcastSchedule(root)), at O(N) words peak
+// (the frontier plus one round's arena) instead of the full
+// O(N*n*k)-word schedule.
 
 // callEndpoint returns the final vertex of CallPath(u, d) without
 // building the path: the frontier precomputation needs only receivers.
@@ -78,14 +79,14 @@ func (s *SparseHypercube) fillEndpoints(d int, callers, receivers []uint64, lo, 
 }
 
 // ScheduleGossipRounds generates the same 2n-round gather-scatter gossip
-// scheme as gossip.GatherScatter but as a round iterator off the
-// precomputed frontier: the gather phase emits the broadcast rounds in
-// reverse order with reversed paths (each vertex returns its tokens along
-// the call that informed it), the scatter phase re-emits them forward.
-// Peak memory is the O(N)-word frontier plus one round's arena — the
-// doubled schedule is never materialised. Call paths within a round are
-// built in parallel across a worker pool, arena-backed like
-// ScheduleRounds.
+// scheme as linecomm.FromBroadcast(s.BroadcastSchedule(root)) but as a
+// round iterator off the precomputed frontier: the gather phase emits
+// the broadcast rounds in reverse order with reversed paths (each vertex
+// returns its tokens along the call that informed it), the scatter phase
+// re-emits them forward. Peak memory is the O(N)-word frontier plus one
+// round's arena — the doubled schedule is never materialised. Call paths
+// within a round are built in parallel across a worker pool,
+// arena-backed like ScheduleRounds.
 //
 // The yielded round and every call path inside it are only valid until
 // the next iteration step: the engine reuses their backing storage. Use

@@ -330,7 +330,7 @@ func TestCSRSeededRangeGeneral(t *testing.T) {
 			for si, s := range schedules {
 				serial := ValidateStream(net.net, 1, s.Source, s.Stream())
 				for _, workers := range []int{2, 3} {
-					got := validateInRanges(net.net, 1, s.Source, s, workers)
+					got := validateInRanges(net.net, 1, s.Source, s, evenBounds(len(s.Rounds), workers), DefaultOptions())
 					if !reflect.DeepEqual(serial, got) {
 						t.Fatalf("schedule %d, %d workers: range result diverges:\nserial: %+v\nranged: %+v",
 							si, workers, serial, got)

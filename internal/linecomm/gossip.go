@@ -18,16 +18,20 @@ import (
 // ValidateGossip is the serial reference validator: it materialises a
 // full token-set matrix (one bit row per vertex) and applies exchanges
 // round by round. ValidateGossipStream (gossipstream.go) is the streamed,
-// sharded form crosschecked against it; internal/gossip re-exports both
-// next to the gossip schemes.
+// sharded form crosschecked against it.
+//
+// Two materialised schemes live here too: HypercubeExchange, the
+// minimum-time dimension exchange on Q_n, and FromBroadcast, which lifts
+// any broadcast into a 2x-length gather-scatter gossip. The sparse
+// hypercube's streamed gather-scatter (core.ScheduleGossipRounds) is
+// pinned round for round against FromBroadcast.
 
 // MaxGossipSimulateOrder caps the serial validator's full token-set
 // simulation (an order x order bit matrix). The streamed validator shards
 // the matrix and reaches larger instances; see MaxGossipSimulateCells.
 const MaxGossipSimulateOrder = 1 << 14
 
-// GossipResult reports gossip validation. internal/gossip aliases it as
-// gossip.Result.
+// GossipResult reports gossip validation.
 type GossipResult struct {
 	Violations []Violation
 	// Complete: every vertex knows every token at the end.
@@ -63,6 +67,57 @@ func (r *GossipResult) Err() error {
 // GossipMinimumRounds returns the gossip lower bound ceil(log2 N): each
 // round at most doubles the spread of any single token.
 func GossipMinimumRounds(order uint64) int { return intmath.CeilLog2(order) }
+
+// HypercubeExchange returns the classic dimension-exchange gossip on Q_n:
+// in the round for dimension i every vertex exchanges with its dimension-i
+// neighbor (2^(n-1) disjoint edges). Completes in n = ceil(log2 N) rounds
+// with k = 1 — minimum time, but on a degree-n graph.
+func HypercubeExchange(n int) (*Schedule, error) {
+	if n < 1 || n > 14 {
+		return nil, fmt.Errorf("gossip: dimension %d out of [1,14]", n)
+	}
+	order := uint64(1) << uint(n)
+	s := &Schedule{}
+	for d := 1; d <= n; d++ {
+		var round Round
+		bit := uint64(1) << uint(d-1)
+		for u := uint64(0); u < order; u++ {
+			if u&bit == 0 {
+				round = append(round, Call{Path: []uint64{u, u | bit}})
+			}
+		}
+		s.Rounds = append(s.Rounds, round)
+	}
+	return s, nil
+}
+
+// FromBroadcast lifts ANY valid broadcast schedule into a gossip schedule
+// of twice the length: the broadcast run backwards (reversed rounds,
+// reversed paths) gathers every token at the source — each vertex sends
+// to the vertex that informed it, strictly before that vertex sends on,
+// because broadcast informs parents before children — then the original
+// broadcast scatters the full token set. Edge-disjointness per round and
+// the one-call-per-vertex gossip constraint are inherited from the
+// broadcast rounds (callers and receivers of a valid broadcast round are
+// disjoint sets). This turns every broadcast scheme in the repository —
+// Broadcast_k, the tri-tree schemes, tree planners — into a
+// 2*ceil(log2 N)-round gossip scheme on the same graph.
+func FromBroadcast(bc *Schedule) *Schedule {
+	out := &Schedule{Source: bc.Source}
+	for ri := len(bc.Rounds) - 1; ri >= 0; ri-- {
+		var round Round
+		for _, call := range bc.Rounds[ri] {
+			rev := make([]uint64, len(call.Path))
+			for i, v := range call.Path {
+				rev[len(call.Path)-1-i] = v
+			}
+			round = append(round, Call{Path: rev})
+		}
+		out.Rounds = append(out.Rounds, round)
+	}
+	out.Rounds = append(out.Rounds, bc.Rounds...)
+	return out
+}
 
 // Per-call stages of the gossip structural checks, mirroring the
 // early-continue points both gossip validators share.

@@ -1,4 +1,4 @@
-package gossip
+package linecomm_test
 
 import (
 	"testing"
@@ -8,19 +8,19 @@ import (
 )
 
 // Boundary behaviour of the serial simulation cap: at exactly
-// MaxSimulateOrder the validator must still simulate; one dimension up it
-// must refuse with the dedicated SimulationCapExceeded kind (not the
-// misleading VertexOutOfRange it used to report).
+// MaxGossipSimulateOrder the validator must still simulate; one dimension
+// up it must refuse with the dedicated SimulationCapExceeded kind (not
+// the misleading VertexOutOfRange it used to report).
 
 func TestValidateAtSimulationCapBoundary(t *testing.T) {
-	s, err := core.NewBase(14, 3) // order 2^14 == MaxSimulateOrder
+	s, err := core.NewBase(14, 3) // order 2^14 == MaxGossipSimulateOrder
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Order() != MaxSimulateOrder {
-		t.Fatalf("test premise broken: order %d != cap %d", s.Order(), MaxSimulateOrder)
+	if s.Order() != linecomm.MaxGossipSimulateOrder {
+		t.Fatalf("test premise broken: order %d != cap %d", s.Order(), linecomm.MaxGossipSimulateOrder)
 	}
-	res := Validate(s, 2, &linecomm.Schedule{})
+	res := linecomm.ValidateGossip(s, 2, &linecomm.Schedule{})
 	if !res.Valid() || !res.Simulated {
 		t.Fatalf("order == cap must simulate: %+v", res)
 	}
@@ -28,8 +28,8 @@ func TestValidateAtSimulationCapBoundary(t *testing.T) {
 		t.Fatalf("empty schedule at cap: %+v", res)
 	}
 
-	full := GatherScatter(s, 0)
-	res = Validate(s, 2, full)
+	full := linecomm.FromBroadcast(s.BroadcastSchedule(0))
+	res = linecomm.ValidateGossip(s, 2, full)
 	if err := res.Err(); err != nil {
 		t.Fatalf("gather-scatter at cap: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestValidateJustAboveSimulationCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := &linecomm.Schedule{Rounds: []linecomm.Round{{{Path: []uint64{0, 1}}}}}
-	res := Validate(s, 2, sched)
+	res := linecomm.ValidateGossip(s, 2, sched)
 	if res.Valid() {
 		t.Fatal("expected cap violation for 2^15 vertices")
 	}
@@ -64,7 +64,7 @@ func TestValidateJustAboveSimulationCap(t *testing.T) {
 
 	// The streamed validator picks up exactly where the serial cap ends:
 	// the same 2^15 instance simulates fully there.
-	sres := ValidateStream(s, 2, StreamGatherScatter(s, 0))
+	sres := linecomm.ValidateGossipStream(s, 2, s.ScheduleGossipRounds(0))
 	if err := sres.Err(); err != nil {
 		t.Fatalf("streamed 2^15 gossip: %v", err)
 	}
@@ -82,16 +82,16 @@ func TestValidateAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := GatherScatter(s, 0)
+	base := linecomm.FromBroadcast(s.BroadcastSchedule(0))
 	doubled := &linecomm.Schedule{Rounds: append(append([]linecomm.Round{}, base.Rounds...), base.Rounds...)}
 
 	allocs := testing.AllocsPerRun(5, func() {
-		if res := Validate(s, 2, base); !res.Complete {
+		if res := linecomm.ValidateGossip(s, 2, base); !res.Complete {
 			t.Fatal("base schedule incomplete")
 		}
 	})
 	allocsDoubled := testing.AllocsPerRun(5, func() {
-		if res := Validate(s, 2, doubled); !res.Complete {
+		if res := linecomm.ValidateGossip(s, 2, doubled); !res.Complete {
 			t.Fatal("doubled schedule incomplete")
 		}
 	})

@@ -1,4 +1,4 @@
-package gossip
+package linecomm_test
 
 import (
 	"math/rand"
@@ -10,9 +10,9 @@ import (
 )
 
 // Stream-vs-serial crosschecks for the gossip validator, mirroring the
-// broadcast crosschecks: for k in {1, 2, 3}, ValidateStream must produce
-// byte-identical Results to the serial Validate on intact, mutated and
-// randomly corrupted gather-scatter schedules, on both structural engines
+// broadcast crosschecks: for k in {1, 2, 3}, ValidateGossipStream must
+// produce byte-identical Results to the serial ValidateGossip on intact,
+// mutated and randomly corrupted gather-scatter schedules, on both structural engines
 // (the CSR engine over the closed-form edge slots the sparse hypercube's
 // DimensionedNetwork contract enables, and the map fallback).
 
@@ -46,7 +46,7 @@ func crosscheckCases(t *testing.T) []*core.SparseHypercube {
 // on both structural engines.
 func mustMatchSerialGossip(t *testing.T, s *core.SparseHypercube, k int, sched *linecomm.Schedule) {
 	t.Helper()
-	want := Validate(s, k, sched)
+	want := linecomm.ValidateGossip(s, k, sched)
 	for name, net := range map[string]linecomm.Network{"dim": s, "map": plainNet{s}} {
 		got := linecomm.ValidateGossipStream(net, k, sched.Stream())
 		if !reflect.DeepEqual(want, got) {
@@ -58,8 +58,8 @@ func mustMatchSerialGossip(t *testing.T, s *core.SparseHypercube, k int, sched *
 func TestGossipStreamMatchesSerialOnIntactSchedules(t *testing.T) {
 	for _, s := range crosscheckCases(t) {
 		for _, root := range []uint64{0, s.Order() - 1, s.Order() / 3} {
-			sched := GatherScatter(s, root)
-			res := Validate(s, s.K(), sched)
+			sched := linecomm.FromBroadcast(s.BroadcastSchedule(root))
+			res := linecomm.ValidateGossip(s, s.K(), sched)
 			if err := res.Err(); err != nil {
 				t.Fatalf("k=%d root=%d: base schedule invalid: %v", s.K(), root, err)
 			}
@@ -157,7 +157,7 @@ func cloneSchedule(s *linecomm.Schedule) *linecomm.Schedule {
 
 func TestGossipStreamMatchesSerialOnMutations(t *testing.T) {
 	for _, s := range crosscheckCases(t) {
-		base := GatherScatter(s, 0)
+		base := linecomm.FromBroadcast(s.BroadcastSchedule(0))
 		for _, m := range gossipMutations() {
 			rng := rand.New(rand.NewSource(42))
 			applied := false
@@ -167,7 +167,7 @@ func TestGossipStreamMatchesSerialOnMutations(t *testing.T) {
 					continue
 				}
 				applied = true
-				res := Validate(s, s.K(), sched)
+				res := linecomm.ValidateGossip(s, s.K(), sched)
 				if res.Valid() && res.Complete {
 					t.Fatalf("k=%d: mutation %q went undetected", s.K(), m.name)
 				}
@@ -188,7 +188,7 @@ func TestGossipStreamMatchesSerialRandomCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := GatherScatter(s, 0)
+	base := linecomm.FromBroadcast(s.BroadcastSchedule(0))
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		sched := cloneSchedule(base)
@@ -230,18 +230,18 @@ func TestGossipStreamMatchesSerialOnForeignSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exchange, err := HypercubeExchange(6)
+	exchange, err := linecomm.HypercubeExchange(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Validate(s, 1, exchange)
+	res := linecomm.ValidateGossip(s, 1, exchange)
 	if !res.Complete || !res.MinimumTime {
 		t.Fatalf("dimension exchange misjudged: %+v", res)
 	}
 	mustMatchSerialGossip(t, s, 1, exchange)
 
 	bc := s.BroadcastSchedule(0)
-	res = Validate(s, 1, bc)
+	res = linecomm.ValidateGossip(s, 1, bc)
 	if res.Complete {
 		t.Fatal("a one-way broadcast cannot complete gossip")
 	}

@@ -1,4 +1,4 @@
-package gossip
+package linecomm_test
 
 import (
 	"reflect"
@@ -13,12 +13,12 @@ import (
 
 func TestHypercubeExchangeOptimal(t *testing.T) {
 	for n := 1; n <= 10; n++ {
-		sched, err := HypercubeExchange(n)
+		sched, err := linecomm.HypercubeExchange(n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		net := linecomm.GraphNetwork{G: topo.Hypercube(n)}
-		res := Validate(net, 1, sched)
+		res := linecomm.ValidateGossip(net, 1, sched)
 		if err := res.Err(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -26,10 +26,10 @@ func TestHypercubeExchangeOptimal(t *testing.T) {
 			t.Fatalf("n=%d: incomplete, min known %d", n, res.MinKnown)
 		}
 		if !res.MinimumTime {
-			t.Fatalf("n=%d: %d rounds, want %d", n, res.Rounds, MinimumRounds(1<<uint(n)))
+			t.Fatalf("n=%d: %d rounds, want %d", n, res.Rounds, linecomm.GossipMinimumRounds(1<<uint(n)))
 		}
 	}
-	if _, err := HypercubeExchange(0); err == nil {
+	if _, err := linecomm.HypercubeExchange(0); err == nil {
 		t.Error("expected range error")
 	}
 }
@@ -50,8 +50,8 @@ func TestGatherScatterOnSparseHypercubes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, root := range []uint64{0, s.Order() - 1, s.Order() / 3} {
-			sched := GatherScatter(s, root)
-			res := Validate(s, p.K, sched)
+			sched := linecomm.FromBroadcast(s.BroadcastSchedule(root))
+			res := linecomm.ValidateGossip(s, p.K, sched)
 			if err := res.Err(); err != nil {
 				t.Fatalf("%v root=%d: %v", p, root, err)
 			}
@@ -76,8 +76,8 @@ func TestFromBroadcastTriTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gsched := FromBroadcast(bc)
-			res := Validate(net, 2*h, gsched)
+			gsched := linecomm.FromBroadcast(bc)
+			res := linecomm.ValidateGossip(net, 2*h, gsched)
 			if err := res.Err(); err != nil {
 				t.Fatalf("h=%d src=%d: %v", h, src, err)
 			}
@@ -103,8 +103,8 @@ func TestFromBroadcastTreePlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsched := FromBroadcast(bc)
-	res := Validate(linecomm.GraphNetwork{G: g}, 15, gsched)
+	gsched := linecomm.FromBroadcast(bc)
+	res := linecomm.ValidateGossip(linecomm.GraphNetwork{G: g}, 15, gsched)
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestFromBroadcastTreePlanner(t *testing.T) {
 
 // The gossip lower bound: token spread at most doubles per round, so the
 // gather-scatter scheme is within a factor 2 of any scheme.
-func TestMinimumRounds(t *testing.T) {
+func TestGossipMinimumRounds(t *testing.T) {
 	cases := map[uint64]int{2: 1, 4: 2, 16: 4, 22: 5, 1 << 10: 10}
 	for order, want := range cases {
-		if got := MinimumRounds(order); got != want {
-			t.Errorf("MinimumRounds(%d) = %d, want %d", order, got, want)
+		if got := linecomm.GossipMinimumRounds(order); got != want {
+			t.Errorf("linecomm.GossipMinimumRounds(%d) = %d, want %d", order, got, want)
 		}
 	}
 }
@@ -130,7 +130,7 @@ func TestValidateCatchesBusyVertex(t *testing.T) {
 	s := &linecomm.Schedule{Rounds: []linecomm.Round{
 		{{Path: []uint64{0, 1}}, {Path: []uint64{1, 2}}},
 	}}
-	res := Validate(net, 1, s)
+	res := linecomm.ValidateGossip(net, 1, s)
 	if res.Valid() {
 		t.Fatal("busy vertex not flagged")
 	}
@@ -151,7 +151,7 @@ func TestValidateCatchesEdgeReuse(t *testing.T) {
 		{{Path: []uint64{0, 1, 2}}, {Path: []uint64{3, 0}}},
 		{{Path: []uint64{0, 3, 2}}, {Path: []uint64{1, 0}}}, // wait: vertex 0 busy twice? no: round 2 has calls 0-3-2 and 1-0: 0 is endpoint of first and receiver of second
 	}}
-	res := Validate(net, 2, s)
+	res := linecomm.ValidateGossip(net, 2, s)
 	if res.Valid() {
 		t.Fatal("expected violations")
 	}
@@ -166,7 +166,7 @@ func TestValidateCatchesPathProblems(t *testing.T) {
 		{{Path: []uint64{0, 9}}},       // out of range
 		{{Path: []uint64{0, 1, 2, 3}}}, // longer than k = 2
 	} {
-		res := Validate(net, 2, &linecomm.Schedule{Rounds: []linecomm.Round{bad}})
+		res := linecomm.ValidateGossip(net, 2, &linecomm.Schedule{Rounds: []linecomm.Round{bad}})
 		if res.Valid() {
 			t.Fatalf("schedule %v should be invalid", bad)
 		}
@@ -181,7 +181,7 @@ func TestValidateTokenSemantics(t *testing.T) {
 		{{Path: []uint64{0, 1}}},
 		{{Path: []uint64{1, 2}}},
 	}}
-	res := Validate(net, 1, s)
+	res := linecomm.ValidateGossip(net, 1, s)
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestValidateTokenSemantics(t *testing.T) {
 	}
 	// One more exchange completes it.
 	s.Rounds = append(s.Rounds, linecomm.Round{{Path: []uint64{0, 1}}})
-	res = Validate(net, 1, s)
+	res = linecomm.ValidateGossip(net, 1, s)
 	if !res.Complete {
 		t.Fatal("gossip should now be complete")
 	}
@@ -204,7 +204,7 @@ func TestValidateSimulationCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Validate(s, 2, &linecomm.Schedule{})
+	res := linecomm.ValidateGossip(s, 2, &linecomm.Schedule{})
 	if res.Valid() {
 		t.Fatal("expected cap violation for 2^15 vertices")
 	}
@@ -218,7 +218,7 @@ func TestValidateSynchronousRounds(t *testing.T) {
 	s := &linecomm.Schedule{Rounds: []linecomm.Round{
 		{{Path: []uint64{0, 1}}, {Path: []uint64{2, 3}}},
 	}}
-	res := Validate(net, 1, s)
+	res := linecomm.ValidateGossip(net, 1, s)
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +236,9 @@ func TestStreamGatherScatterMatchesMaterialised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := GatherScatter(s, 5)
+	want := linecomm.FromBroadcast(s.BroadcastSchedule(5))
 	var got []linecomm.Round
-	for r := range StreamGatherScatter(s, 5) {
+	for r := range s.ScheduleGossipRounds(5) {
 		got = append(got, linecomm.CloneRound(r))
 	}
 	if len(got) != len(want.Rounds) {

@@ -9,25 +9,8 @@ import (
 
 // gatherScatterQn lifts binomialSchedule(n) into the 2n-round
 // gather-scatter gossip (the reversed broadcast followed by the broadcast
-// itself) — the linecomm-local stand-in for gossip.GatherScatter, which
-// cannot be imported here without a cycle.
-func gatherScatterQn(n int) *Schedule {
-	bc := binomialSchedule(n)
-	out := &Schedule{}
-	for ri := len(bc.Rounds) - 1; ri >= 0; ri-- {
-		var round Round
-		for _, call := range bc.Rounds[ri] {
-			rev := make([]uint64, len(call.Path))
-			for i, v := range call.Path {
-				rev[len(call.Path)-1-i] = v
-			}
-			round = append(round, Call{Path: rev})
-		}
-		out.Rounds = append(out.Rounds, round)
-	}
-	out.Rounds = append(out.Rounds, bc.Rounds...)
-	return out
-}
+// itself).
+func gatherScatterQn(n int) *Schedule { return FromBroadcast(binomialSchedule(n)) }
 
 // TestGossipStreamShardWidths forces the sharded simulation through its
 // extreme shard layouts — one wide shard, word-wide shards (the scalar

@@ -21,26 +21,33 @@ func rangeStream(s *Schedule, lo, hi int) iter.Seq[Round] {
 }
 
 // validateInRanges is the reference parallel pipeline over a
-// materialised schedule: collect per-range informed deltas, prefix-union
-// them into seeds, validate each range seeded, merge.
-func validateInRanges(net Network, k int, source uint64, s *Schedule, workers int) *Result {
-	rounds := len(s.Rounds)
+// materialised schedule cut at bounds (bounds[0] = 0, ascending, last =
+// len(s.Rounds); equal neighbours make empty ranges): collect per-range
+// informed deltas, prefix-union them into seeds, validate each range
+// seeded, merge.
+func validateInRanges(net Network, k int, source uint64, s *Schedule, bounds []int, opts Options) *Result {
+	ranges := len(bounds) - 1
+	deltas := make([][]uint64, ranges)
+	for w := range ranges {
+		deltas[w] = CollectInformedStream(net, rangeStream(s, bounds[w], bounds[w+1]))
+	}
+	parts := make([]*Result, ranges)
+	var seed []uint64
+	for w := range ranges {
+		parts[w] = ValidateStreamSeeded(net, k, source, seed, bounds[w],
+			rangeStream(s, bounds[w], bounds[w+1]), opts, 1)
+		seed = append(seed, deltas[w]...)
+	}
+	return MergeRangeResults(net.Order(), parts)
+}
+
+// evenBounds cuts rounds into workers ranges of about equal round count.
+func evenBounds(rounds, workers int) []int {
 	bounds := make([]int, workers+1)
 	for w := range workers + 1 {
 		bounds[w] = w * rounds / workers
 	}
-	deltas := make([][]uint64, workers)
-	for w := range workers {
-		deltas[w] = CollectInformedStream(net, rangeStream(s, bounds[w], bounds[w+1]))
-	}
-	parts := make([]*Result, workers)
-	var seed []uint64
-	for w := range workers {
-		parts[w] = ValidateStreamSeeded(net, k, source, seed, bounds[w],
-			rangeStream(s, bounds[w], bounds[w+1]), DefaultOptions(), 1)
-		seed = append(seed, deltas[w]...)
-	}
-	return MergeRangeResults(net.Order(), parts)
+	return bounds
 }
 
 // TestRangeValidationMatchesSerial: splitting a schedule into seeded
@@ -72,7 +79,7 @@ func TestRangeValidationMatchesSerial(t *testing.T) {
 			for si, s := range schedules {
 				serial := ValidateStream(net.net, 1, s.Source, s.Stream())
 				for _, workers := range []int{2, 3, len(s.Rounds)} {
-					got := validateInRanges(net.net, 1, s.Source, s, workers)
+					got := validateInRanges(net.net, 1, s.Source, s, evenBounds(len(s.Rounds), workers), DefaultOptions())
 					if !reflect.DeepEqual(serial, got) {
 						t.Fatalf("schedule %d, %d workers: merged range Result diverges\nserial: %+v\nmerged: %+v",
 							si, workers, serial, got)

@@ -7,12 +7,42 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"sparsehypercube/internal/linecomm"
 )
 
+// serialReport is the oracle the Plan engine is pinned to: the serial
+// materialised validator, which shares no code path with the streamed
+// one, over the same schedule.
+func serialReport(cube *Cube, s *Schedule) Report {
+	res := linecomm.Validate(cube.inner, cube.K(), toInner(s))
+	return reportFrom(res, len(res.InformedPerRound))
+}
+
+// verifySchedule runs a materialised schedule through the Plan engine
+// under the broadcast model.
+func verifySchedule(cube *Cube, s *Schedule) Report {
+	return cube.Plan(RoundScheme("broadcast", s.Source, s.Stream())).Verify()
+}
+
+// fromInner converts an internal schedule to the public form, paths
+// aliased.
+func fromInner(s *linecomm.Schedule) *Schedule {
+	out := &Schedule{Source: s.Source, Rounds: make([][]Call, len(s.Rounds))}
+	for i, round := range s.Rounds {
+		out.Rounds[i] = make([]Call, len(round))
+		for j, c := range round {
+			out.Rounds[i][j] = Call{Path: c.Path}
+		}
+	}
+	return out
+}
+
 // TestPlanReplayMatchesDirect is the acceptance gate for the round
-// codec: ReadPlan(WriteTo(plan)) replayed into VerifyRounds produces a
-// Report identical to direct VerifyBroadcast, for k in {1, 2, 3}, and
-// the replay re-encodes byte-for-byte.
+// codec: ReadPlan(WriteTo(plan)) replayed into a RoundScheme plan and
+// through the replay's own Verify produces a Report identical to the
+// direct plan's, which matches the serial oracle, for k in {1, 2, 3};
+// and the replay re-encodes byte-for-byte.
 func TestPlanReplayMatchesDirect(t *testing.T) {
 	for _, kn := range [][2]int{{1, 6}, {2, 10}, {3, 12}} {
 		k, n := kn[0], kn[1]
@@ -21,12 +51,15 @@ func TestPlanReplayMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := cube.Order() / 3
-		direct := cube.VerifyBroadcast(src)
+		plan := cube.Plan(BroadcastScheme{Source: src})
+		direct := plan.Verify()
 		if !direct.Valid || !direct.MinimumTime {
 			t.Fatalf("k=%d n=%d: direct verification failed: %+v", k, n, direct)
 		}
+		if want := serialReport(cube, plan.Materialize()); !reflect.DeepEqual(want, direct) {
+			t.Fatalf("k=%d n=%d: plan diverged from serial oracle:\n%+v\n%+v", k, n, want, direct)
+		}
 
-		plan := cube.Plan(BroadcastScheme{Source: src})
 		var buf bytes.Buffer
 		wn, err := plan.WriteTo(&buf)
 		if err != nil {
@@ -36,17 +69,17 @@ func TestPlanReplayMatchesDirect(t *testing.T) {
 			t.Fatalf("WriteTo reported %d bytes, wrote %d", wn, buf.Len())
 		}
 
-		// Replay through the deprecated streaming entry point.
+		// Replay the decoded rounds through a RoundScheme plan.
 		replay, err := ReadPlan(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaRounds := cube.VerifyRounds(src, replay.Rounds())
+		viaRounds := cube.Plan(RoundScheme("rounds", src, replay.Rounds())).Verify()
 		if err := replay.Err(); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(direct, viaRounds) {
-			t.Fatalf("k=%d n=%d: replayed VerifyRounds diverged:\n%+v\n%+v", k, n, direct, viaRounds)
+			t.Fatalf("k=%d n=%d: replayed RoundScheme diverged:\n%+v\n%+v", k, n, direct, viaRounds)
 		}
 
 		// Replay through the plan's own Verify.
@@ -107,7 +140,7 @@ func TestPlanReplayStreamedN22(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	direct := cube.VerifyBroadcast(0)
+	direct := plan.Verify()
 	rf, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -158,9 +191,11 @@ func TestGossipPlanRoundTrip(t *testing.T) {
 		t.Fatalf("gossip replay diverged:\n%+v\n%+v", direct, rep)
 	}
 
-	// The deprecated wrapper and the plan snapshot agree.
-	if !reflect.DeepEqual(cube.Gossip(5), plan.Materialize()) {
-		t.Fatal("Gossip wrapper diverged from plan.Materialize")
+	// The streamed rounds equal the materialised gather-scatter lift of
+	// the serial broadcast schedule.
+	want := fromInner(linecomm.FromBroadcast(cube.inner.BroadcastSchedule(5)))
+	if !reflect.DeepEqual(want, plan.Materialize()) {
+		t.Fatal("gossip plan diverged from FromBroadcast")
 	}
 }
 
@@ -220,56 +255,59 @@ func TestGossipPlanBeyondSimulationCap(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersAgreeWithPlan pins the sextet as exact wrappers.
-func TestDeprecatedWrappersAgreeWithPlan(t *testing.T) {
+// TestPlanMatchesSerialOracle pins every way of consuming a broadcast
+// plan to references outside the Plan engine: the snapshot to core's
+// materialised schedule, the reports to the serial validator.
+func TestPlanMatchesSerialOracle(t *testing.T) {
 	cube, err := New(2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := cube.Plan(BroadcastScheme{Source: 9})
-	if !reflect.DeepEqual(cube.Broadcast(9), plan.Materialize()) {
-		t.Fatal("Broadcast diverged from plan.Materialize")
+	sched := fromInner(cube.inner.BroadcastSchedule(9))
+	if !reflect.DeepEqual(sched, plan.Materialize()) {
+		t.Fatal("plan.Materialize diverged from core's BroadcastSchedule")
 	}
-	if !reflect.DeepEqual(cube.VerifyBroadcast(9), plan.Verify()) {
-		t.Fatal("VerifyBroadcast diverged from plan.Verify")
+	want := serialReport(cube, sched)
+	if !want.Valid || !want.MinimumTime {
+		t.Fatalf("serial oracle rejected the broadcast: %+v", want)
 	}
-	sched := plan.Materialize()
-	if !reflect.DeepEqual(cube.Verify(sched),
-		func() Report {
-			rep := cube.Plan(RoundScheme("broadcast", sched.Source, sched.Stream())).Verify()
-			rep.Rounds = len(sched.Rounds)
-			return rep
-		}()) {
-		t.Fatal("Verify diverged from RoundScheme plan")
+	if got := plan.Verify(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("plan.Verify diverged from serial oracle:\n%+v\n%+v", want, got)
 	}
-	want := plan.Materialize()
+	if got := verifySchedule(cube, sched); !reflect.DeepEqual(want, got) {
+		t.Fatalf("RoundScheme plan diverged from serial oracle:\n%+v\n%+v", want, got)
+	}
 	got := &Schedule{Source: 9}
 	for round := range plan.Rounds() {
 		got.Rounds = append(got.Rounds, cloneCalls(round))
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("plan.Rounds diverged from plan.Materialize")
+	if !reflect.DeepEqual(sched, got) {
+		t.Fatal("plan.Rounds diverged from core's BroadcastSchedule")
 	}
 }
 
-// TestVerifySourceOutOfRange pins the legacy report shapes: Verify
-// counts declared rounds, VerifyRounds counts validated rounds (0 — the
-// stream is never consumed).
+// TestVerifySourceOutOfRange: a RoundScheme plan with a bad source
+// reports it without consuming the stream (0 rounds), exactly as the
+// serial oracle does for the materialised schedule.
 func TestVerifySourceOutOfRange(t *testing.T) {
 	cube, err := New(2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cube.Broadcast(0)
+	sched := cube.Plan(BroadcastScheme{Source: 0}).Materialize()
 	sched.Source = cube.Order() + 7
-	rep := cube.Verify(sched)
-	if rep.Valid || rep.Rounds != len(sched.Rounds) {
-		t.Fatalf("Verify with bad source: %+v", rep)
+	want := serialReport(cube, sched)
+	if want.Valid || want.Rounds != 0 {
+		t.Fatalf("serial oracle with bad source: %+v", want)
+	}
+	if got := verifySchedule(cube, sched); !reflect.DeepEqual(want, got) {
+		t.Fatalf("bad-source plan diverged from serial oracle:\n%+v\n%+v", want, got)
 	}
 	consumed := false
-	rep = cube.VerifyRounds(cube.Order(), func(yield func([]Call) bool) { consumed = true })
+	rep := cube.Plan(RoundScheme("rounds", cube.Order(), func(yield func([]Call) bool) { consumed = true })).Verify()
 	if rep.Valid || rep.Rounds != 0 || consumed {
-		t.Fatalf("VerifyRounds with bad source: %+v (consumed=%v)", rep, consumed)
+		t.Fatalf("RoundScheme plan with bad source: %+v (consumed=%v)", rep, consumed)
 	}
 }
 
@@ -362,17 +400,16 @@ func TestReadPlanRejectsBadInput(t *testing.T) {
 }
 
 // TestRoundSchemeExternal: an external materialised schedule flows
-// through the Plan engine and agrees with the deprecated Verify.
+// through the Plan engine and agrees with the serial oracle.
 func TestRoundSchemeExternal(t *testing.T) {
 	cube, err := New(3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cube.Broadcast(4)
+	sched := fromInner(cube.inner.BroadcastSchedule(4))
 	scheme := RoundScheme("external", sched.Source, sched.Stream())
 	rep := cube.Plan(scheme).Verify()
-	want := cube.Verify(sched)
-	want.Rounds = rep.Rounds // Verify counts declared rounds; the raw engine counts validated ones
+	want := serialReport(cube, sched)
 	if !reflect.DeepEqual(want, rep) {
 		t.Fatalf("RoundScheme verification diverged:\n%+v\n%+v", want, rep)
 	}

@@ -50,10 +50,7 @@
 //
 // The heavy lifting lives in internal packages (construction, labelings,
 // communication model, codec, baselines, experiment harness); this
-// package keeps the downstream surface small and stable. The pre-Plan
-// methods (Broadcast, BroadcastRounds, Verify, VerifyRounds,
-// VerifyBroadcast, Gossip) remain as thin deprecated wrappers over the
-// same engine.
+// package keeps the downstream surface small and stable.
 package sparsehypercube
 
 import (
@@ -255,60 +252,6 @@ func reportFrom(res *linecomm.Result, rounds int) Report {
 		rep.Violations = append(rep.Violations, v.String())
 	}
 	return rep
-}
-
-// Broadcast generates the paper's minimum-time k-line broadcast scheme
-// from source: exactly n rounds, calls of length at most k.
-//
-// Deprecated: use the Plan engine —
-// c.Plan(BroadcastScheme{Source: source}).Materialize().
-func (c *Cube) Broadcast(source uint64) *Schedule {
-	return c.Plan(BroadcastScheme{Source: source}).Materialize()
-}
-
-// BroadcastRounds streams the broadcast scheme one round at a time at
-// O(frontier) memory. The yielded slice and the paths inside it are
-// reused between iterations; copy anything that must outlive the step.
-//
-// Deprecated: use the Plan engine —
-// c.Plan(BroadcastScheme{Source: source}).Rounds().
-func (c *Cube) BroadcastRounds(source uint64) iter.Seq[[]Call] {
-	return c.Plan(BroadcastScheme{Source: source}).Rounds()
-}
-
-// Verify checks a materialised schedule against this cube under the
-// k-line model (edge existence, call lengths, per-round edge- and
-// receiver-disjointness, caller knowledge, completion, minimality).
-//
-// Deprecated: use the Plan engine —
-// c.Plan(RoundScheme("broadcast", s.Source, s.Stream())).Verify().
-func (c *Cube) Verify(s *Schedule) Report {
-	rep := c.Plan(RoundScheme("broadcast", s.Source, s.Stream())).Verify()
-	// The materialised validator historically counted the declared
-	// rounds even when the source was rejected up front.
-	rep.Rounds = len(s.Rounds)
-	return rep
-}
-
-// VerifyRounds validates a round stream (for example a plan's Rounds, or
-// rounds decoded off the wire) as it arrives. Report.Rounds counts the
-// rounds actually validated: 0 when source is rejected up front, in
-// which case the stream is never consumed.
-//
-// Deprecated: use the Plan engine —
-// c.Plan(RoundScheme("rounds", source, rounds)).Verify().
-func (c *Cube) VerifyRounds(source uint64, rounds iter.Seq[[]Call]) Report {
-	return c.Plan(RoundScheme("rounds", source, rounds)).Verify()
-}
-
-// VerifyBroadcast generates and validates the broadcast from source in
-// one streamed pass — the machine-checked form of Theorems 4 and 6 at
-// O(frontier) memory.
-//
-// Deprecated: use the Plan engine —
-// c.Plan(BroadcastScheme{Source: source}).Verify().
-func (c *Cube) VerifyBroadcast(source uint64) Report {
-	return c.Plan(BroadcastScheme{Source: source}).Verify()
 }
 
 // FormatSchedule renders a schedule with n-bit vertex labels.

@@ -1,6 +1,7 @@
 package sparsehypercube
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,8 +15,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if cube.K() != 2 || cube.N() != 10 || cube.Order() != 1024 {
 		t.Fatalf("cube parameters wrong: k=%d n=%d order=%d", cube.K(), cube.N(), cube.Order())
 	}
-	sched := cube.Broadcast(0)
-	rep := cube.Verify(sched)
+	rep := cube.Plan(BroadcastScheme{Source: 0}).Verify()
 	if !rep.Valid || !rep.Complete || !rep.MinimumTime {
 		t.Fatalf("verification failed: %+v", rep)
 	}
@@ -87,22 +87,29 @@ func TestVerifyCatchesTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cube.Broadcast(5)
+	plan := cube.Plan(BroadcastScheme{Source: 5})
+	sched := plan.Materialize()
 	// Drop a round: incomplete.
 	tampered := &Schedule{Source: sched.Source, Rounds: sched.Rounds[:len(sched.Rounds)-1]}
-	rep := cube.Verify(tampered)
+	rep := verifySchedule(cube, tampered)
 	if rep.Complete || rep.MinimumTime {
 		t.Fatal("truncated schedule should not verify as complete")
 	}
+	if want := serialReport(cube, tampered); !reflect.DeepEqual(want, rep) {
+		t.Fatalf("truncated schedule diverged from serial oracle:\n%+v\n%+v", want, rep)
+	}
 	// Corrupt a path: violations reported.
-	bad := cube.Broadcast(5)
+	bad := plan.Materialize()
 	bad.Rounds[0][0].Path = []uint64{5}
-	rep = cube.Verify(bad)
+	rep = verifySchedule(cube, bad)
 	if rep.Valid || len(rep.Violations) == 0 {
 		t.Fatal("corrupted schedule should report violations")
 	}
 	if !strings.Contains(rep.Violations[0], "path-invalid") {
 		t.Fatalf("unexpected violation: %v", rep.Violations)
+	}
+	if want := serialReport(cube, bad); !reflect.DeepEqual(want, rep) {
+		t.Fatalf("corrupted schedule diverged from serial oracle:\n%+v\n%+v", want, rep)
 	}
 }
 
@@ -118,7 +125,7 @@ func TestFormatSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := cube.FormatSchedule(cube.Broadcast(0))
+	out := cube.FormatSchedule(cube.Plan(BroadcastScheme{Source: 0}).Materialize())
 	if !strings.Contains(out, "broadcast from 000 in 3 rounds") {
 		t.Errorf("FormatSchedule output:\n%s", out)
 	}
@@ -174,7 +181,7 @@ func TestHeadlineGuarantee(t *testing.T) {
 			if cube.MaxDegree() < LowerBoundDegree(k, n) {
 				t.Errorf("k=%d n=%d: Delta below lower bound", k, n)
 			}
-			rep := cube.Verify(cube.Broadcast(uint64(n)))
+			rep := cube.Plan(BroadcastScheme{Source: uint64(n)}).Verify()
 			if !rep.MinimumTime || rep.MaxCallLength > k {
 				t.Errorf("k=%d n=%d: broadcast report %+v", k, n, rep)
 			}

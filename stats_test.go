@@ -7,7 +7,7 @@ func TestScheduleStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cube.Broadcast(0)
+	sched := cube.Plan(BroadcastScheme{Source: 0}).Materialize()
 	st := cube.Stats(sched)
 	if st.Rounds != 10 {
 		t.Errorf("rounds = %d", st.Rounds)
@@ -28,7 +28,7 @@ func TestScheduleStats(t *testing.T) {
 		t.Errorf("loads implausible: %+v", st)
 	}
 	// A gossip schedule doubles the usage but still fits capacity 1.
-	gst := cube.Stats(cube.Gossip(0))
+	gst := cube.Stats(cube.Plan(GossipScheme{Root: 0}).Materialize())
 	if gst.Rounds != 20 || gst.TotalCalls != 2*st.TotalCalls {
 		t.Errorf("gossip stats wrong: %+v", gst)
 	}

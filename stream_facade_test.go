@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestBroadcastRoundsMatchBroadcast checks that the streaming facade
-// reproduces the materialised schedule exactly (rounds deep-copied out
-// of the reused buffers before comparing).
+// TestBroadcastRoundsMatchBroadcast checks that a broadcast plan's
+// streamed rounds reproduce core's materialised broadcast schedule
+// exactly (rounds deep-copied out of the reused buffers before
+// comparing).
 func TestBroadcastRoundsMatchBroadcast(t *testing.T) {
 	for _, kn := range [][2]int{{1, 6}, {2, 10}, {3, 12}} {
 		cube, err := New(kn[0], kn[1])
@@ -15,9 +16,9 @@ func TestBroadcastRoundsMatchBroadcast(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, src := range []uint64{0, 1, cube.Order() - 1} {
-			want := cube.Broadcast(src)
+			want := fromInner(cube.inner.BroadcastSchedule(src))
 			got := &Schedule{Source: src}
-			for round := range cube.BroadcastRounds(src) {
+			for round := range cube.Plan(BroadcastScheme{Source: src}).Rounds() {
 				copied := make([]Call, len(round))
 				for i, c := range round {
 					copied[i] = Call{Path: append([]uint64(nil), c.Path...)}
@@ -39,31 +40,25 @@ func TestVerifyBroadcastMinimumTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := cube.VerifyBroadcast(7)
+		rep := cube.Plan(BroadcastScheme{Source: 7}).Verify()
 		if !rep.Valid || !rep.MinimumTime || rep.Rounds != kn[1] || rep.MaxCallLength > kn[0] {
 			t.Fatalf("k=%d n=%d: streamed verification failed: %+v", kn[0], kn[1], rep)
 		}
 	}
 }
 
-// TestVerifyRoundsCatchesTampering streams a tampered schedule and
-// expects the streaming validator to reject it like Verify does.
+// TestVerifyRoundsCatchesTampering streams a tampered schedule through a
+// RoundScheme plan and expects the streaming validator to reject it
+// exactly like the serial oracle does.
 func TestVerifyRoundsCatchesTampering(t *testing.T) {
 	cube, err := New(2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cube.Broadcast(0)
+	sched := cube.Plan(BroadcastScheme{Source: 0}).Materialize()
 	sched.Rounds[2][0].Path[len(sched.Rounds[2][0].Path)-1] = sched.Rounds[2][1].To()
-	stream := func(yield func([]Call) bool) {
-		for _, r := range sched.Rounds {
-			if !yield(r) {
-				return
-			}
-		}
-	}
-	repStream := cube.VerifyRounds(sched.Source, stream)
-	repSerial := cube.Verify(sched)
+	repStream := verifySchedule(cube, sched)
+	repSerial := serialReport(cube, sched)
 	if repStream.Valid || repSerial.Valid {
 		t.Fatal("tampered schedule accepted")
 	}
