@@ -303,6 +303,58 @@ func TestUploadTooLarge(t *testing.T) {
 	decodeError(t, body)
 }
 
+// TestJSONBodyOverLimit: a JSON body past the upload cap answers 413 on
+// every JSON endpoint, even when its value closes before the cap and
+// only padding runs past it (the JSON decoders stop reading at the
+// value's end). A session whose batch drew the 413 still accepts valid
+// batches and closes with the in-process Report.
+func TestJSONBodyOverLimit(t *testing.T) {
+	const limit = 64
+	ts := newTestServer(t, WithMaxUpload(limit))
+	cube, err := sparsehypercube.New(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := cube.Plan(sparsehypercube.BroadcastScheme{Source: 1})
+	direct, sched := plan.Verify(), plan.Materialize()
+
+	const open = `{"k":2,"n":2,"source":1}`
+	resp, body := post(t, ts.URL+"/v1/sessions", "application/json", []byte(open))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("open status %d: %s", resp.StatusCode, body)
+	}
+	var sr sessionResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+
+	padding := strings.Repeat(" ", 200)
+	for _, tc := range []struct{ name, path, value string }{
+		{"session open", "/v1/sessions", open},
+		{"session rounds", "/v1/sessions/" + sr.ID + "/rounds", `{"rounds":[]}`},
+		{"range verify", "/v1/ranges/verify", `{"plan_id":"p","start_round":0,"end_round":1}`},
+	} {
+		if len(tc.value) >= limit {
+			t.Fatalf("%s: value of %d bytes does not close before the %d-byte cap", tc.name, len(tc.value), limit)
+		}
+		resp, body := post(t, ts.URL+tc.path, "application/json", []byte(tc.value+padding))
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: %d-byte body over a %d-byte cap: status %d: %s", tc.name, len(tc.value+padding), limit, resp.StatusCode, body)
+			continue
+		}
+		decodeError(t, body)
+	}
+
+	streamSessionRounds(t, ts.URL+"/v1/sessions/"+sr.ID+"/rounds", sched, 1)
+	resp, body = post(t, ts.URL+"/v1/sessions/"+sr.ID+"/close", "application/json", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("close status %d: %s", resp.StatusCode, body)
+	}
+	if got := decodeReport(t, body); !reflect.DeepEqual(got, direct) {
+		t.Fatalf("session report diverges:\ngot  %+v\nwant %+v", got, direct)
+	}
+}
+
 // TestServedBounds pins the resource bounds: a tiny upload naming a
 // cube past the dimension bound is refused on every entry point (the
 // validator's state scales with declared order, not upload size), and

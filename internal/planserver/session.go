@@ -3,6 +3,7 @@ package planserver
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -163,6 +164,19 @@ func (s *Server) handleSessionRounds(w http.ResponseWriter, r *http.Request) {
 		writeError(w, uploadStatus(err), "round batch: %v", err)
 		return
 	}
+	// One call slab for the whole batch; each round sent is a
+	// capacity-capped view of it, and every path still aliases the
+	// decoder's vertex slab.
+	ncalls := 0
+	for _, round := range batch {
+		ncalls += len(round)
+	}
+	calls := make([]sparsehypercube.Call, 0, ncalls)
+	for _, round := range batch {
+		for _, c := range round {
+			calls = append(calls, sparsehypercube.Call(c))
+		}
+	}
 	// The channel sends must stay inside the critical section (close
 	// cannot race a send), but the response write must not: a slow
 	// client draining its response would otherwise hold sendMu and
@@ -175,11 +189,8 @@ func (s *Server) handleSessionRounds(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, round := range batch {
-		calls := make([]sparsehypercube.Call, len(round))
-		for i, c := range round {
-			calls[i] = sparsehypercube.Call{Path: c.Path}
-		}
-		sess.ch <- calls
+		sess.ch <- calls[:len(round):len(round)]
+		calls = calls[len(round):]
 	}
 	sess.received += len(batch)
 	received := sess.received
@@ -208,7 +219,16 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sess.report)
 }
 
-// decodeJSONBody decodes one bounded JSON value.
+// decodeJSONBody decodes one bounded JSON value. Decode returns as soon
+// as the value closes, so the rest of the body is read to the limit
+// too: an over-limit body is refused (a *http.MaxBytesError, 413) even
+// when its value closes early, while bytes after the value within the
+// limit stay ignored.
 func decodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	return json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	body := http.MaxBytesReader(w, r.Body, limit)
+	err := json.NewDecoder(body).Decode(v)
+	if _, rest := io.Copy(io.Discard, body); rest != nil {
+		return rest
+	}
+	return err
 }
