@@ -178,43 +178,67 @@ func TestFormatDocRangeVerify(t *testing.T) {
 		t.Fatalf("documented span_crc %d, real CRC %d", req.SpanCRC, crc)
 	}
 
-	// A real worker answers the documented request with the documented
-	// response — compared as parsed envelopes and as compacted JSON, so
-	// neither field values nor wire names can drift.
+	// A real worker answers both documented requests — seed as a list
+	// and as a bitmap — with the documented response, compared as
+	// parsed envelopes and as compacted JSON, so neither field values
+	// nor wire names can drift.
+	var bits distverify.RangeRequest
+	if err := json.Unmarshal([]byte(docBlock(t, doc, "json-range-request-bits")), &bits); err != nil {
+		t.Fatalf("json-range-request-bits block: %v", err)
+	}
+	if bits.Seed != nil || bits.SeedBits == nil {
+		t.Fatalf("json-range-request-bits block does not send the bitmap form: %+v", bits)
+	}
+	listSeed, _, err := req.ResolveSeed(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitsSeed, _, err := bits.ResolveSeed(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits.SeedBits, bits.Seed = nil, req.Seed
+	if !reflect.DeepEqual(bits, req) || !reflect.DeepEqual(listSeed, bitsSeed) {
+		t.Fatalf("the two documented requests ask different questions:\n%+v seed %v\n%+v seed %v", req, listSeed, bits, bitsSeed)
+	}
 	ts := httptest.NewServer(planserver.New().Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/ranges/verify", "application/json",
-		strings.NewReader(docBlock(t, doc, "json-range-request")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("worker refused the documented request: %d: %s", resp.StatusCode, body)
-	}
-	var got, want distverify.RangeResponse
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
-	}
+	var want distverify.RangeResponse
 	if err := json.Unmarshal([]byte(docBlock(t, doc, "json-range-response")), &want); err != nil {
 		t.Fatalf("json-range-response block: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("worker answered %+v, spec documents %+v", got, want)
-	}
-	var gotC, wantC bytes.Buffer
-	if err := json.Compact(&gotC, body); err != nil {
-		t.Fatal(err)
-	}
+	var wantC bytes.Buffer
 	if err := json.Compact(&wantC, []byte(docBlock(t, doc, "json-range-response"))); err != nil {
 		t.Fatal(err)
 	}
-	if gotC.String() != wantC.String() {
-		t.Fatalf("wire bytes diverged:\nworker: %s\nspec:   %s", gotC.String(), wantC.String())
+	for _, block := range []string{"json-range-request", "json-range-request-bits"} {
+		resp, err := http.Post(ts.URL+"/v1/ranges/verify", "application/json",
+			strings.NewReader(docBlock(t, doc, block)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("worker refused the documented %s: %d: %s", block, resp.StatusCode, body)
+		}
+		var got distverify.RangeResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: worker answered %+v, spec documents %+v", block, got, want)
+		}
+		var gotC bytes.Buffer
+		if err := json.Compact(&gotC, body); err != nil {
+			t.Fatal(err)
+		}
+		if gotC.String() != wantC.String() {
+			t.Fatalf("%s: wire bytes diverged:\nworker: %s\nspec:   %s", block, gotC.String(), wantC.String())
+		}
 	}
 }
 

@@ -7,7 +7,9 @@
 // checksum with crc32Combine — then fans the expensive seeded
 // validation of each round range out over HTTP (POST /v1/ranges/verify)
 // and merges the responses with linecomm.MergeRangeResults into a
-// Report byte-identical to single-process Plan.Verify.
+// Report byte-identical to single-process Plan.Verify. The last range
+// seeds nothing, so the structural pass only checksums its raw bytes;
+// the worker that validates it decodes it and re-checks that CRC.
 //
 // The fleet is assumed unreliable. Every request gets its own timeout;
 // a failed or timed-out range goes back on the shared task queue with
@@ -25,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -210,18 +213,20 @@ type job struct {
 	cube   *sparsehypercube.Cube
 	source uint64
 
-	bounds  []int              // nRanges+1 round-index boundaries
-	seeds   [][]uint64         // per-range informed seed (prefix union)
-	crcs    []schedio.RangeCRC // per-range span CRCs from the structural pass
-	planIDs map[string]string  // endpoint -> uploaded plan id ("" = inline)
+	bounds   []int              // nRanges+1 round-index boundaries
+	crcs     []schedio.RangeCRC // per-range span CRCs from the structural pass
+	reqs     []RangeRequest     // per-range request: bounds, seed, span CRC
+	informed []uint64           // per-range seed_informed echo to expect
+	planIDs  map[string]string  // endpoint -> uploaded plan id ("" = inline)
 }
 
 func (j *job) nRanges() int { return len(j.bounds) - 1 }
 
-// structuralPass is the local pass 1: scan every range for the
-// receivers it informs and its span CRC, stitch the CRCs against the
-// plan's stored checksum, and prefix-union the deltas into per-range
-// seeds. Reports false on any decode or integrity anomaly.
+// structuralPass is the local pass 1: scan every range but the last for
+// the receivers it informs and its span CRC, checksum the last range's
+// raw bytes, stitch the CRCs against the plan's stored checksum, and
+// prefix-union the deltas into per-range seed bitmaps. Reports false on
+// any decode or integrity anomaly.
 func (j *job) structuralPass() bool {
 	n := j.nRanges()
 	deltas := make([][]uint64, n)
@@ -236,16 +241,23 @@ func (j *job) structuralPass() bool {
 			defer wg.Done()
 			defer func() { <-sem }()
 			errs[w] = func() error {
-				rr, err := j.at.Range(j.bounds[w], j.bounds[w+1])
+				lo, hi := j.bounds[w], j.bounds[w+1]
+				if w == n-1 {
+					// The last range seeds nothing; its CRC is all
+					// CheckRangeCRCs needs, and the decode is left to the
+					// worker, which re-checks the CRC against it.
+					span, err := j.at.RangeBytes(lo, hi)
+					if err != nil {
+						return err
+					}
+					j.crcs[w] = schedio.RangeCRC{CRC: crc32.ChecksumIEEE(span), Bytes: int64(len(span))}
+					return nil
+				}
+				rr, err := j.at.Range(lo, hi)
 				if err != nil {
 					return err
 				}
-				if w < n-1 {
-					deltas[w] = linecomm.CollectInformedStream(j.cube, rr.Rounds())
-				} else {
-					for range rr.Rounds() {
-					}
-				}
+				deltas[w] = linecomm.CollectInformedStream(j.cube, rr.Rounds())
 				crc, err := rr.CRC()
 				if err != nil {
 					return err
@@ -264,15 +276,18 @@ func (j *job) structuralPass() bool {
 	if err := j.at.CheckRangeCRCs(j.crcs); err != nil {
 		return false
 	}
-	total := 0
-	for _, d := range deltas {
-		total += len(d)
-	}
-	all := make([]uint64, 0, total)
-	j.seeds = make([][]uint64, n)
+	// Prefix-union the deltas into each range's seed bitmap. An empty
+	// seed (range 0's) is sent as neither form.
+	acc := make([]uint64, seedWords(j.cube.Order()))
+	j.reqs = make([]RangeRequest, n)
+	j.informed = make([]uint64, n)
 	for w := range n {
-		j.seeds[w] = all
-		all = append(all, deltas[w]...)
+		j.reqs[w] = RangeRequest{StartRound: j.bounds[w], EndRound: j.bounds[w+1], SpanCRC: j.crcs[w].CRC}
+		if popCount(acc) > 0 {
+			j.reqs[w].SeedBits = encodeSeedBits(acc)
+		}
+		j.informed[w] = informedWith(acc, j.source)
+		setSeedBits(acc, deltas[w])
 	}
 	return true
 }
@@ -334,16 +349,18 @@ type task struct {
 // outcome is one attempt's verdict as seen by the central loop.
 type outcome struct {
 	task
-	res   *linecomm.Result
-	err   error
-	local bool // a local fallback compute; its failure aborts dispatch
+	res    *linecomm.Result
+	status int // the worker's HTTP status, 0 if none came back
+	err    error
+	local  bool // a local fallback compute; its failure aborts dispatch
 }
 
 // dispatch fans the ranges out: one puller goroutine per endpoint
 // drains a shared task queue (so an idle worker steals the retry of a
 // range a slow or dead worker dropped), the central loop collects
-// outcomes, requeues failures with backoff, and verifies ranges whose
-// retry budget is exhausted locally. ok is false when ctx is cancelled
+// outcomes, requeues failures with backoff, and verifies locally the
+// ranges whose retry budget is exhausted, and a last range a worker
+// refused with 400. ok is false when ctx is cancelled
 // or a local fallback itself fails — the caller then degrades to the
 // full local Verify.
 func (j *job) dispatch(ctx context.Context) (sparsehypercube.Report, bool) {
@@ -392,7 +409,11 @@ func (j *job) dispatch(ctx context.Context) (sparsehypercube.Report, bool) {
 			return sparsehypercube.Report{}, false
 		}
 		j.c.logf("distverify: range %d attempt %d failed: %v", o.idx, o.attempt, o.err)
-		if o.attempt < j.c.retries {
+		// The structural pass never decoded the last range, so a worker
+		// refusing it as malformed most likely refuses its bytes, as
+		// every worker would: the local decode settles that at once.
+		refused := o.idx == n-1 && o.status == http.StatusBadRequest
+		if o.attempt < j.c.retries && !refused {
 			t := task{idx: o.idx, attempt: o.attempt + 1}
 			delay := time.Duration(t.attempt) * j.c.backoff
 			time.AfterFunc(delay, func() { queue <- t })
@@ -414,9 +435,9 @@ func (j *job) pull(ctx context.Context, endpoint string, queue <-chan task, outc
 		case <-ctx.Done():
 			return
 		case t := <-queue:
-			res, err := j.verifyRange(ctx, endpoint, t.idx)
+			res, status, err := j.verifyRange(ctx, endpoint, t.idx)
 			select {
-			case outcomes <- outcome{task: t, res: res, err: err}:
+			case outcomes <- outcome{task: t, res: res, status: status, err: err}:
 			case <-ctx.Done():
 				return
 			}
@@ -427,19 +448,14 @@ func (j *job) pull(ctx context.Context, endpoint string, queue <-chan task, outc
 // verifyRange runs one range on one worker: by plan id when the
 // endpoint accepted the upload (falling back to inline if the worker
 // answers 404), inline otherwise.
-func (j *job) verifyRange(ctx context.Context, endpoint string, idx int) (*linecomm.Result, error) {
+func (j *job) verifyRange(ctx context.Context, endpoint string, idx int) (*linecomm.Result, int, error) {
 	lo, hi := j.bounds[idx], j.bounds[idx+1]
-	wire := &RangeRequest{
-		StartRound: lo,
-		EndRound:   hi,
-		Seed:       j.seeds[idx],
-		SpanCRC:    j.crcs[idx].CRC,
-	}
+	wire := j.reqs[idx] // a copy: the plan fields are this attempt's own
 	if id := j.planIDs[endpoint]; id != "" {
 		wire.PlanID = id
-		res, status, err := j.post(ctx, endpoint, wire)
+		res, status, err := j.post(ctx, endpoint, idx, &wire)
 		if status != http.StatusNotFound {
-			return res, err
+			return res, status, err
 		}
 		// The worker lost (or never had) the plan: ship the bytes.
 		wire.PlanID = ""
@@ -447,18 +463,18 @@ func (j *job) verifyRange(ctx context.Context, endpoint string, idx int) (*linec
 	h := j.at.Header()
 	span, err := j.at.RangeBytes(lo, hi)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	wire.Plan = &InlinePlan{K: h.K, Dims: h.Dims, Source: h.Source, Span: span}
-	res, _, err := j.post(ctx, endpoint, wire)
-	return res, err
+	return j.post(ctx, endpoint, idx, &wire)
 }
 
-// post sends one range request and validates the response: the worker
-// must echo the exact range and span CRC it was asked about — a
-// response for the wrong range is rejected, not merged — and every
-// violation kind must parse.
-func (j *job) post(ctx context.Context, endpoint string, wire *RangeRequest) (*linecomm.Result, int, error) {
+// post sends range idx's request and validates the response: the
+// worker must echo the exact range, span CRC and seeded informed count
+// it was asked about — a response for the wrong range, or from a worker
+// that dropped the seed, is rejected, not merged — and every violation
+// kind must parse.
+func (j *job) post(ctx context.Context, endpoint string, idx int, wire *RangeRequest) (*linecomm.Result, int, error) {
 	body, err := json.Marshal(wire)
 	if err != nil {
 		return nil, 0, err
@@ -491,6 +507,12 @@ func (j *job) post(ctx context.Context, endpoint string, wire *RangeRequest) (*l
 		return nil, resp.StatusCode, fmt.Errorf("%s: response for range [%d,%d) crc %08x, asked [%d,%d) crc %08x",
 			endpoint, rr.StartRound, rr.EndRound, rr.SpanCRC, wire.StartRound, wire.EndRound, wire.SpanCRC)
 	}
+	// A worker predating seed_informed echoes none; that is only
+	// trusted on a request without seed_bits, which it understood.
+	if rr.SeedInformed != j.informed[idx] && (rr.SeedInformed != 0 || wire.SeedBits != nil) {
+		return nil, resp.StatusCode, fmt.Errorf("%s: range [%d,%d) seeded with %d informed, sent %d",
+			endpoint, wire.StartRound, wire.EndRound, rr.SeedInformed, j.informed[idx])
+	}
 	if len(rr.InformedPerRound) != wire.EndRound-wire.StartRound {
 		return nil, resp.StatusCode, fmt.Errorf("%s: response carries %d round counts for %d rounds",
 			endpoint, len(rr.InformedPerRound), wire.EndRound-wire.StartRound)
@@ -511,8 +533,12 @@ func (j *job) localRange(idx int) (*linecomm.Result, error) {
 		return nil, err
 	}
 	rr.DisableCRC() // the structural pass already pinned this span's checksum
+	seed, _, err := j.reqs[idx].ResolveSeed(j.cube.Order(), j.source)
+	if err != nil {
+		return nil, err
+	}
 	res := linecomm.ValidateStreamSeeded(j.cube, j.cube.K(), j.source,
-		j.seeds[idx], lo, rr.Rounds(), linecomm.DefaultOptions(), 0)
+		seed, lo, rr.Rounds(), linecomm.DefaultOptions(), 0)
 	return res, rr.Err()
 }
 

@@ -7,13 +7,16 @@ package distverify_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,6 +147,12 @@ func mutateSchedule(name string, s *sparsehypercube.Schedule, order uint64) {
 		c := s.Rounds[last][0]
 		s.Rounds[last] = s.Rounds[last][1:]
 		s.Rounds[0] = append(s.Rounds[0], c)
+	case "junk-heavy-first-round":
+		// Calls off the cube inform nobody, so the byte-balanced split
+		// cuts early ranges whose seeds are tiny.
+		for i := range uint64(2000) {
+			s.Rounds[0] = append(s.Rounds[0], sparsehypercube.Call{Path: []uint64{order + i, order + i + 1}})
+		}
 	}
 }
 
@@ -171,7 +180,7 @@ func mutatedPlanBytes(t *testing.T, cube *sparsehypercube.Cube, src uint64, name
 // included — for k ∈ {1,2,3}.
 func TestDistVerifyMutatedPlans(t *testing.T) {
 	names := []string{"drop-middle-call", "duplicate-call", "retarget-receiver",
-		"overlong-call", "out-of-range-vertex", "uninformed-early-caller"}
+		"overlong-call", "out-of-range-vertex", "uninformed-early-caller", "junk-heavy-first-round"}
 	urls, _ := fleet(t, 3)
 	for _, kn := range [][2]int{{1, 6}, {2, 9}, {3, 12}} {
 		k, n := kn[0], kn[1]
@@ -391,6 +400,58 @@ func TestDistVerifyWorkerFaults(t *testing.T) {
 		checkIdentical(t, wantMutated, got, "wrong-range response")
 	})
 
+	t.Run("old-worker", func(t *testing.T) {
+		// A worker that predates seed_bits ignores the field, validates
+		// the range unseeded and echoes no seed_informed. The missing
+		// echo is trusted only on range 0, which has no seed: alone the
+		// old worker answers range 0 at the first try and forces the
+		// local fallback for every seeded range, beside a good worker
+		// the retry.
+		var mu sync.Mutex
+		asked := map[int]int{} // start_round -> requests
+		inner := planserver.New().Handler()
+		old := httptest.NewServer(flakyHandler(inner, func(w http.ResponseWriter, r *http.Request, body []byte) bool {
+			var m map[string]any
+			if err := json.Unmarshal(body, &m); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return true
+			}
+			mu.Lock()
+			asked[int(m["start_round"].(float64))]++
+			mu.Unlock()
+			delete(m, "seed_bits")
+			stripped, _ := json.Marshal(m)
+			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(stripped)), int64(len(stripped))
+			return rewriteResponse(inner, func(m map[string]any) { delete(m, "seed_informed") })(w, r, stripped)
+		}))
+		t.Cleanup(old.Close)
+		good, _ := fleet(t, 1)
+		for _, urls := range [][]string{{old.URL}, {old.URL, good[0]}} {
+			c, err := distverify.New(urls, opts()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Verify(context.Background(), data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkIdentical(t, want, got, "old worker in fleet of %d", len(urls))
+			if len(urls) == 1 {
+				mu.Lock()
+				// Default retries: 2, so 3 attempts per seeded range.
+				for start, n := range asked {
+					if want := map[bool]int{true: 1, false: 3}[start == 0]; n != want {
+						t.Errorf("old worker alone: range at round %d asked %d times, want %d", start, n, want)
+					}
+				}
+				if len(asked) < 2 {
+					t.Errorf("old worker alone saw only ranges %v", asked)
+				}
+				mu.Unlock()
+			}
+		}
+	})
+
 	t.Run("all-dead", func(t *testing.T) {
 		dead := httptest.NewServer(http.NotFoundHandler())
 		url := dead.URL
@@ -566,5 +627,188 @@ func TestDistVerifyFile(t *testing.T) {
 	checkIdentical(t, localReport(t, data), got, "file entry point")
 	if _, err := c.VerifyFile(context.Background(), dir+"/missing"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// rangeBodies is a RoundTripper that records every range-verify
+// request body it forwards.
+type rangeBodies struct {
+	mu     sync.Mutex
+	bodies [][]byte
+}
+
+func (rb *rangeBodies) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/v1/ranges/verify" {
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		rb.mu.Lock()
+		rb.bodies = append(rb.bodies, body)
+		rb.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// recorded returns the bodies recorded so far. A cancelled dispatch may
+// still be sending when Verify returns.
+func (rb *rangeBodies) recorded() [][]byte {
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	return slices.Clone(rb.bodies)
+}
+
+// TestDistVerifyRangeRequestBytes is the deterministic bytes gate of
+// the seed wire, on an indexed n = 16 plan uploaded to two workers.
+// Range 0 carries no seed and every later range request carries its
+// seed as seed_bits, never as a list, so the range-request bodies total
+// at most ranges × (⌈order/6⌉ + 1 KiB): a base64 bitmap plus the
+// envelope per range, where seed lists cost about 6 bytes per informed
+// vertex.
+func TestDistVerifyRangeRequestBytes(t *testing.T) {
+	const source = 11
+	cube, err := sparsehypercube.New(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := indexedPlanBytes(t, cube, source)
+	urls, _ := fleet(t, 2)
+	rb := &rangeBodies{}
+	c, err := distverify.New(urls, distverify.WithPlanUpload(), distverify.WithLogf(t.Logf),
+		distverify.WithHTTPClient(&http.Client{Transport: rb}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Verify(context.Background(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIdentical(t, localReport(t, data), got, "n=16 upload")
+
+	order := cube.Order()
+	ranges := map[[2]int]bool{}
+	total := 0
+	for _, body := range rb.recorded() {
+		var req distverify.RangeRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		if req.PlanID == "" || req.Plan != nil {
+			t.Fatalf("range [%d,%d) not sent by plan id", req.StartRound, req.EndRound)
+		}
+		ranges[[2]int{req.StartRound, req.EndRound}] = true
+		total += len(body)
+		if req.Seed != nil {
+			t.Errorf("range [%d,%d) sent its seed as a list", req.StartRound, req.EndRound)
+		}
+		if (req.SeedBits != nil) != (req.StartRound > 0) {
+			t.Errorf("range [%d,%d): seed_bits sent = %v", req.StartRound, req.EndRound, req.SeedBits != nil)
+		}
+		if _, _, err := req.ResolveSeed(order, source); err != nil {
+			t.Errorf("range [%d,%d): %v", req.StartRound, req.EndRound, err)
+		}
+	}
+	if n := len(rb.recorded()); len(ranges) != n || len(ranges) < 2 {
+		t.Fatalf("%d range requests for %d distinct ranges", n, len(ranges))
+	}
+	budget := len(ranges) * (int((order+5)/6) + 1024)
+	t.Logf("%d range requests, %d bytes (budget %d)", len(ranges), total, budget)
+	if total > budget {
+		t.Fatalf("range requests total %d bytes, budget %d", total, budget)
+	}
+}
+
+// TestDistVerifyCorruptLastRange: the coordinator only checksums the
+// last range, so a corruption there that both checksums miss — a
+// two-byte vertex varint rewritten as the non-canonical 80 00, same
+// length, plan CRC recomputed — must be caught by the worker's decode
+// and still end at the local Plan.Verify Report. The worker's 400 sends
+// the range to the local decode at once: it is asked of the fleet once,
+// not retried under the default backoff.
+func TestDistVerifyCorruptLastRange(t *testing.T) {
+	cube, err := sparsehypercube.New(2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := indexedPlanBytes(t, cube, 3)
+	at, err := schedio.OpenPlanAt(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := at.NumRounds()
+	span, err := at.RangeBytes(rounds-1, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := bytes.LastIndex(data, span)
+	end := start + len(span) // the terminator byte
+
+	// Walk the last round's calls to the first caller that encodes in
+	// exactly two bytes.
+	off := start
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(data[off:end])
+		if n <= 0 {
+			t.Fatalf("bad varint at %d", off)
+		}
+		off += n
+		return v
+	}
+	at2 := -1
+	for calls := uvarint() - 1; calls > 0 && at2 < 0; calls-- {
+		pathLen := uvarint()
+		if v := off; uvarint() >= 1<<7 && off-v == 2 {
+			at2 = v
+		}
+		for range pathLen - 1 {
+			uvarint()
+		}
+	}
+	if at2 < 0 {
+		t.Fatal("last round has no two-byte caller")
+	}
+	bad := append([]byte(nil), data...)
+	bad[at2], bad[at2+1] = 0x80, 0x00
+	binary.LittleEndian.PutUint32(bad[end+1:], crc32.ChecksumIEEE(bad[:end+1]))
+
+	plan, err := sparsehypercube.ReadPlanAt(bytes.NewReader(bad), int64(len(bad)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plan.Verify()
+	if want.Valid {
+		t.Fatalf("local verify accepted the corrupt last range: %+v", want)
+	}
+	urls, _ := fleet(t, 2)
+	for _, upload := range []bool{false, true} {
+		rb := &rangeBodies{}
+		opts := []distverify.Option{distverify.WithLogf(t.Logf), distverify.WithHTTPClient(&http.Client{Transport: rb})}
+		if upload {
+			opts = append(opts, distverify.WithPlanUpload())
+		}
+		c, err := distverify.New(urls, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Verify(context.Background(), bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIdentical(t, want, got, "corrupt last range, upload=%v", upload)
+		asked := 0
+		for _, body := range rb.recorded() {
+			var req distverify.RangeRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatal(err)
+			}
+			if req.EndRound == rounds {
+				asked++
+			}
+		}
+		if asked != 1 {
+			t.Errorf("upload=%v: last range asked of the fleet %d times, want 1", upload, asked)
+		}
 	}
 }

@@ -8,8 +8,9 @@ package planserver
 // request claims is checked against what the bytes say: the span CRC
 // must match what the decode accumulates (409 otherwise — verifying
 // different bytes than the coordinator checksummed would stitch a lie
-// into its report), the seed must fit the cube, and any refusal is the
-// structured 4xx envelope, never a 500.
+// into its report), the seed — a vertex list or an order-bit bitmap —
+// must fit the cube, and any refusal is the structured 4xx envelope,
+// never a 500.
 
 import (
 	"hash/crc32"
@@ -100,18 +101,15 @@ func (s *Server) handleRangeVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "source %d outside [0,%d)", source, cube.Order())
 		return
 	}
-	for _, v := range req.Seed {
-		// The validator's bit-set state seeds by index; an out-of-range
-		// vertex is a malformed request, not a violation to report.
-		if v >= cube.Order() {
-			writeError(w, http.StatusBadRequest, "seed vertex %d outside [0,%d)", v, cube.Order())
-			return
-		}
+	seed, seedInformed, err := req.ResolveSeed(cube.Order(), source)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	release := s.acquireVerify()
 	start := time.Now()
-	res := linecomm.ValidateStreamSeeded(cube, cube.K(), source, req.Seed, lo,
+	res := linecomm.ValidateStreamSeeded(cube, cube.K(), source, seed, lo,
 		rr.Rounds(), linecomm.DefaultOptions(), 0)
 	s.observeVerify(start)
 	release()
@@ -128,5 +126,5 @@ func (s *Server) handleRangeVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "span checksum mismatch: computed %08x, request claims %08x", crc, req.SpanCRC)
 		return
 	}
-	writeJSON(w, http.StatusOK, distverify.ResponseFromResult(res, lo, hi, crc))
+	writeJSON(w, http.StatusOK, distverify.ResponseFromResult(res, lo, hi, crc, seedInformed))
 }

@@ -2,6 +2,7 @@ package planserver
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
 	"net/http"
@@ -27,6 +28,26 @@ type rangeFixture struct {
 	span   []byte
 	crc    uint32
 	want   *linecomm.Result // the seeded validator's local verdict
+}
+
+// informed is the seed_informed echo the fixture's request must draw:
+// |seed ∪ {source}|, counted independently of the worker.
+func (f *rangeFixture) informed() uint64 {
+	set := map[uint64]bool{f.at.Header().Source: true}
+	for _, v := range f.seed {
+		set[v] = true
+	}
+	return uint64(len(set))
+}
+
+// seedBits encodes seed as the order-bit seed_bits bitmap.
+func seedBits(order uint64, seed []uint64) []byte {
+	out := make([]byte, 8*((order+63)/64))
+	for _, v := range seed {
+		w := binary.LittleEndian.Uint64(out[8*(v/64):])
+		binary.LittleEndian.PutUint64(out[8*(v/64):], w|1<<(v%64))
+	}
+	return out
 }
 
 func newRangeFixture(t *testing.T, k, n int, source uint64, lo, hi int) *rangeFixture {
@@ -95,9 +116,9 @@ func checkRangeResponse(t *testing.T, f *rangeFixture, body []byte) {
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatalf("decoding range response %q: %v", body, err)
 	}
-	if rr.StartRound != f.lo || rr.EndRound != f.hi || rr.SpanCRC != f.crc {
-		t.Fatalf("response echoes [%d,%d) crc %08x, want [%d,%d) crc %08x",
-			rr.StartRound, rr.EndRound, rr.SpanCRC, f.lo, f.hi, f.crc)
+	if rr.StartRound != f.lo || rr.EndRound != f.hi || rr.SpanCRC != f.crc || rr.SeedInformed != f.informed() {
+		t.Fatalf("response echoes [%d,%d) crc %08x seeded %d, want [%d,%d) crc %08x seeded %d",
+			rr.StartRound, rr.EndRound, rr.SpanCRC, rr.SeedInformed, f.lo, f.hi, f.crc, f.informed())
 	}
 	got, err := rr.Result()
 	if err != nil {
@@ -120,6 +141,44 @@ func TestRangeVerifyInline(t *testing.T) {
 			t.Fatalf("range %v: status %d: %s", split, resp.StatusCode, body)
 		}
 		checkRangeResponse(t, f, body)
+	}
+}
+
+// TestRangeVerifySeedForms: the same range sent with its seed as a
+// vertex list and as a seed_bits bitmap must draw byte-identical
+// responses, inline and by plan id.
+func TestRangeVerifySeedForms(t *testing.T) {
+	ts := newTestServer(t)
+	for _, split := range [][2]int{{3, 7}, {9, 10}} {
+		f := newRangeFixture(t, 2, 10, 3, split[0], split[1])
+		resp, body := post(t, ts.URL+"/v1/plans", "application/octet-stream", f.data)
+		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload status %d: %s", resp.StatusCode, body)
+		}
+		var info PlanInfo
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+		for _, byID := range []bool{false, true} {
+			var bodies [2][]byte
+			for i := range bodies {
+				req := f.inlineRequest()
+				if byID {
+					req.Plan, req.PlanID = nil, info.ID
+				}
+				if i == 1 {
+					req.Seed, req.SeedBits = nil, seedBits(f.cube.Order(), f.seed)
+				}
+				resp, bodies[i] = postRange(t, ts.URL, req)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("range %v by id %v form %d: status %d: %s", split, byID, i, resp.StatusCode, bodies[i])
+				}
+			}
+			checkRangeResponse(t, f, bodies[0])
+			if !bytes.Equal(bodies[0], bodies[1]) {
+				t.Fatalf("range %v by id %v: seed forms diverge:\nlist:   %s\nbitmap: %s", split, byID, bodies[0], bodies[1])
+			}
+		}
 	}
 }
 
@@ -248,6 +307,37 @@ func TestRangeVerifyRefusals(t *testing.T) {
 			resp, body := postRange(t, ts.URL, req)
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, body)
+			}
+			if msg := decodeError(t, body); !strings.Contains(msg, tc.substr) {
+				t.Fatalf("error %q does not mention %q", msg, tc.substr)
+			}
+		})
+	}
+
+	// Malformed seed_bits, on an n = 5 cube whose order (32) leaves the
+	// top half of the bitmap's one word outside the cube.
+	sf := newRangeFixture(t, 2, 5, 1, 2, 4)
+	seedCases := []struct {
+		name   string
+		mutate func(r *distverify.RangeRequest)
+		substr string
+	}{
+		{"seed-bits-wrong-length", func(r *distverify.RangeRequest) { r.Seed, r.SeedBits = nil, make([]byte, 16) }, "seed_bits holds 16 bytes"},
+		{"seed-bits-beyond-order", func(r *distverify.RangeRequest) {
+			r.Seed, r.SeedBits = nil, seedBits(64, append(append([]uint64(nil), sf.seed...), 40))
+		}, "seed_bits sets bit 40 outside [0,32)"},
+		{"seed-and-seed-bits", func(r *distverify.RangeRequest) { r.SeedBits = seedBits(32, sf.seed) }, "at most one"},
+	}
+	for _, tc := range seedCases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := sf.inlineRequest()
+			if len(req.Seed) == 0 {
+				t.Fatal("fixture range has no seed")
+			}
+			tc.mutate(req)
+			resp, body := postRange(t, ts.URL, req)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
 			}
 			if msg := decodeError(t, body); !strings.Contains(msg, tc.substr) {
 				t.Fatalf("error %q does not mention %q", msg, tc.substr)
