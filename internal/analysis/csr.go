@@ -107,7 +107,7 @@ func RunCSR(maxLog, repeats int) (*Table, *CSRResult) {
 				run.CsrMs, run.Speedup, run.Match)
 		}
 	}
-	t.Note("Same intact BFS-tree broadcast, same Network graph, same streamed rounds; the engines differ only in how per-round disjointness state is indexed (hash maps vs dense edge slots). match = DeepEqual + byte-identical JSON Reports.")
+	t.Note("Same intact BFS-tree broadcast, same Network graph, same streamed rounds; the engines differ only in how per-round disjointness state is indexed (hash maps vs the graph's edge slots, its adjacency positions). match = DeepEqual + byte-identical JSON Reports.")
 	return t, res
 }
 

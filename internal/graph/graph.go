@@ -16,12 +16,9 @@ import (
 // Graph is an immutable simple undirected graph in compressed sparse row
 // form. Neighbor lists are sorted, contain no duplicates and no self-loops.
 type Graph struct {
-	off    []int32 // len n+1; adjacency of v is adj[off[v]:off[v+1]]
-	adj    []int32
-	eoff   []int32 // len n+1; edge-slot offsets, see slots.go
-	uadj   []int32 // len m; up-neighbors of u are uadj[eoff[u]:eoff[u+1]]
-	slotOf []int32 // len 2m; slotOf[i] is the slot of edge {row of i, adj[i]}
-	n      int
+	off []int32 // len n+1; adjacency of v is adj[off[v]:off[v+1]]
+	adj []int32
+	n   int
 }
 
 // NumVertices returns the order of the graph.
@@ -41,22 +38,17 @@ func (g *Graph) Neighbors(v int) []int32 {
 	return g.adj[g.off[v]:g.off[v+1]]
 }
 
-// HasEdge reports whether {u, v} is an edge. The search is hand-rolled
-// (not sort.Search) because this sits on the validators' per-hop path:
-// a branchless-friendly linear scan for the short neighbor lists of
-// sparse graphs, binary search above that, always over the endpoint
-// with the shorter neighbor list.
+// HasEdge reports whether {u, v} is an edge: the edge search of
+// EdgeSlot (see slots.go), without the slot.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
-		return false
-	}
-	if g.off[u+1]-g.off[u] > g.off[v+1]-g.off[v] {
-		u, v = v, u
-	}
-	return searchInt32(g.adj[g.off[u]:g.off[u+1]], int32(v)) >= 0
+	_, ok := g.EdgeSlot(u, v)
+	return ok
 }
 
-// searchInt32 returns the index of x in the sorted slice ns, or -1.
+// searchInt32 returns the index of x in the sorted slice ns, or -1. It
+// is hand-rolled (not sort.Search) because it sits on the validators'
+// per-hop path: a branchless-friendly linear scan for the short
+// neighbor lists of sparse graphs, binary search above that.
 func searchInt32(ns []int32, x int32) int {
 	if len(ns) <= 16 {
 		for i, w := range ns {
@@ -194,8 +186,7 @@ func (b *Builder) Finish() *Graph {
 		adj[cursor[e[1]]] = e[0]
 		cursor[e[1]]++
 	}
-	eoff, uadj, slotOf := buildSlotIndex(off, adj, b.n)
-	g := &Graph{off: off, adj: adj, eoff: eoff, uadj: uadj, slotOf: slotOf, n: b.n}
+	g := &Graph{off: off, adj: adj, n: b.n}
 	// Neighbor lists are sorted because edges were processed in sorted
 	// order for the low endpoint; the high-endpoint insertions also happen
 	// in sorted order of the low endpoint, which is the neighbor value.

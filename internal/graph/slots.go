@@ -1,91 +1,46 @@
 package graph
 
-import "sort"
-
-// Edge-slot numbering: a dense bijection between the undirected edges of
-// the graph and [0, NumEdges). It is derived entirely from the CSR
-// arrays — the edge {u, v} with u < v gets slot
+// Edge-slot numbering: an injection from the undirected edges of the
+// graph into [0, 2·NumEdges), read straight off the CSR arrays. The
+// edge {u, v} takes the adjacency position of its other endpoint in the
+// list of its chosen endpoint c — the one with the shorter neighbor
+// list, the lower id on a tie:
 //
-//	eoff[u] + rank of v among u's neighbors greater than u
+//	slot(u, v) = off[c] + index of the other endpoint in adj[c]
 //
-// where eoff[u] counts the edges whose lower endpoint is below u. The
-// up-neighbor lists are materialised once at Finish (uadj, the CSR of
-// the lower-to-higher orientation), so EdgeSlot is a single search of
-// an average deg(u)/2 entries and SlotEndpoints is a binary search over
-// eoff plus one array read.
+// Every adjacency position names one directed edge, so distinct edges
+// get distinct slots; the other direction's position is a hole. The
+// choice of c depends only on the edge set, so the slot is the same
+// from either endpoint and under any insertion order.
 //
 // The numbering is what lets the streaming validator index per-round
 // edge-disjointness state for an arbitrary graph in flat arrays (one
 // counter per slot) instead of hash maps — the same trick the
-// dimensioned fast path plays with vertex*n + dim slots, without
-// needing the one-bit-per-edge hypercube structure.
+// dimensioned fast path plays with vertex*n + dim slots, holes and all,
+// without needing the one-bit-per-edge hypercube structure.
 
-// NumEdgeSlots returns the size of the dense edge-slot universe, which
-// equals NumEdges: every undirected edge owns exactly one slot.
-func (g *Graph) NumEdgeSlots() int { return len(g.adj) / 2 }
+// NumEdgeSlots returns the size of the edge-slot universe: the length
+// of the adjacency array, 2·NumEdges. Half of it is holes.
+func (g *Graph) NumEdgeSlots() int { return len(g.adj) }
 
-// EdgeSlot returns the dense slot id of the edge {u, v}, in either
-// endpoint order. ok is false exactly when HasEdge(u, v) is false:
-// self-loops, out-of-range vertices and non-edges have no slot. This
-// sits on the CSR engine's per-hop path, hence the hand-rolled search
-// (see searchInt32) and the slotOf side array, which lets the lookup
-// scan whichever endpoint has the shorter neighbor list — on skewed
-// graphs (k-trees, stars) that turns a binary search of a hub's
-// thousands of up-neighbors into a short linear scan at the other end.
+// EdgeSlot returns the slot id of the edge {u, v}, in either endpoint
+// order. ok is false exactly when {u, v} is not an edge: self-loops,
+// out-of-range vertices and non-edges have no slot. This sits on the
+// CSR engine's per-hop path: the search scans the shorter neighbor list
+// (on skewed graphs — k-trees, stars — a short scan at the leaf end
+// instead of a binary search of a hub's thousands of neighbors), and
+// the position it lands on is the slot, so a hop reads one adjacency
+// line and nothing else.
 func (g *Graph) EdgeSlot(u, v int) (int, bool) {
 	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
 		return 0, false
 	}
-	if g.off[u+1]-g.off[u] > g.off[v+1]-g.off[v] {
+	if du, dv := g.off[u+1]-g.off[u], g.off[v+1]-g.off[v]; du > dv || du == dv && u > v {
 		u, v = v, u
 	}
 	i := searchInt32(g.adj[g.off[u]:g.off[u+1]], int32(v))
 	if i < 0 {
 		return 0, false
 	}
-	return int(g.slotOf[int(g.off[u])+i]), true
-}
-
-// SlotEndpoints inverts EdgeSlot: it returns the edge {u, v} (u < v)
-// owning slot s. It panics if s is outside [0, NumEdgeSlots).
-func (g *Graph) SlotEndpoints(s int) (u, v int) {
-	if s < 0 || s >= g.NumEdgeSlots() {
-		panic("graph: edge slot out of range")
-	}
-	// Largest u with eoff[u] <= s: eoff is nondecreasing with
-	// eoff[n] = NumEdges, so the search is over the vertex axis.
-	u = sort.Search(g.n, func(i int) bool { return int(g.eoff[i+1]) > s })
-	return u, int(g.uadj[s])
-}
-
-// buildSlotIndex computes the slot index of a finished CSR graph: the
-// eoff prefix-sum array (eoff[u] = number of edges {x, y} with x < y
-// and x < u), the flat up-neighbor lists uadj (sorted, since each is a
-// suffix of a sorted neighbor list), and the directed-edge slot array
-// slotOf, aligned with adj. The down half of slotOf is filled with a
-// per-vertex cursor: sweeping u upward hands v its down-neighbors in
-// ascending order, which is exactly how they sit in v's sorted
-// adjacency prefix, so each write lands at the cursor — O(m) total.
-func buildSlotIndex(off, adj []int32, n int) (eoff, uadj, slotOf []int32) {
-	eoff = make([]int32, n+1)
-	uadj = make([]int32, len(adj)/2)
-	slotOf = make([]int32, len(adj))
-	cur := make([]int32, n)
-	copy(cur, off[:n])
-	for u := 0; u < n; u++ {
-		ns := adj[off[u]:off[u+1]]
-		// Up-neighbors are the suffix beyond the last w <= u.
-		i := len(ns)
-		for i > 0 && ns[i-1] > int32(u) {
-			i--
-		}
-		eoff[u+1] = eoff[u] + int32(copy(uadj[eoff[u]:], ns[i:]))
-		for j, v := range ns[i:] {
-			s := eoff[u] + int32(j)
-			slotOf[int(off[u])+i+j] = s
-			slotOf[cur[v]] = s
-			cur[v]++
-		}
-	}
-	return eoff, uadj, slotOf
+	return int(g.off[u]) + i, true
 }

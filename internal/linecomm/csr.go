@@ -27,8 +27,9 @@ import (
 // maxCSRSlots caps the universes held as per-slot counters (generalised
 // capacities). Counters are 4 bytes per slot where bit sets are 1 bit,
 // so the cap is maxStreamBits/32: the same 256 MiB worst-case footprint
-// per array, admitting graphs up to 2^26 vertices and 2^26 edges. Bit-set
-// universes keep the maxStreamBits cap.
+// per array, admitting graphs up to 2^26 vertices and 2^25 edges (a
+// graph.Graph numbers its edges by adjacency position, two slots per
+// edge). Bit-set universes keep the maxStreamBits cap.
 const maxCSRSlots = maxStreamBits / 32
 
 // slottedFor reports whether net can drive the CSR engine under opts'

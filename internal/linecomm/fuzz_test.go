@@ -5,18 +5,20 @@ import (
 	"reflect"
 	"testing"
 
+	"sparsehypercube/internal/graph"
 	"sparsehypercube/internal/topo"
 )
 
 // FuzzValidate feeds arbitrary byte-derived schedules to the validator:
 // whatever the input, it must classify without panicking, and a schedule
-// it calls minimum-time must really inform everyone. optRaw picks the
-// generalised model (optionsFromByte) and splitMask the round cuts of a
-// range-split replay (boundsFromMask).
+// it calls minimum-time must really inform everyone. netRaw picks the
+// 16-vertex network (fuzzGraph: Q_4 or an irregular random family),
+// optRaw the generalised model (optionsFromByte) and splitMask the round
+// cuts of a range-split replay (boundsFromMask).
 func FuzzValidate(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4}, uint8(2), uint8(0), uint16(0))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 9}, uint8(1), uint8(0), uint16(0))
-	f.Add([]byte{255, 254, 253}, uint8(3), uint8(0), uint16(0))
+	f.Add([]byte{1, 2, 3, 4}, uint8(2), uint8(0), uint16(0), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 9}, uint8(1), uint8(0), uint16(0), uint8(0))
+	f.Add([]byte{255, 254, 253}, uint8(3), uint8(0), uint16(0), uint8(0))
 	// Five rounds of a binomial broadcast from 0 on Q_4, cut at rounds 2
 	// and 4, under Definition 1 and under a relaxed model.
 	binomial := []byte{0,
@@ -25,10 +27,23 @@ func FuzzValidate(f *testing.F) {
 		3, 0, 0, 4, 0, 1, 5, 0, 2, 6, 0, 3, 7,
 		3, 0, 0, 8, 0, 1, 9, 0, 2, 10, 0, 3, 11,
 		1, 0, 4, 12, 0, 5, 13}
-	f.Add(binomial, uint8(0), uint8(0), uint16(0b10100))
-	f.Add(binomial, uint8(1), uint8(0x15), uint16(0xffff))
-	net := GraphNetwork{G: topo.Hypercube(4)}
-	f.Fuzz(func(t *testing.T, data []byte, kRaw, optRaw uint8, splitMask uint16) {
+	f.Add(binomial, uint8(0), uint8(0), uint16(0b10100), uint8(0))
+	f.Add(binomial, uint8(1), uint8(0x15), uint16(0xffff), uint8(0))
+	// Edges called both ways at once on every network, and valid
+	// tree-broadcast prefixes on each irregular family, plain and
+	// relaxed, whole and cut.
+	for netRaw := uint8(0); netRaw < 10; netRaw++ {
+		g := fuzzGraph(netRaw)
+		f.Add(bothWaysSeed(g), uint8(0), uint8(0), uint16(0), netRaw)
+		if netRaw%5 != 0 {
+			seed := treeSeed(g)
+			f.Add(seed, uint8(0), uint8(0), uint16(0), netRaw)
+			f.Add(seed, uint8(1), uint8(0x15), uint16(0b110), netRaw)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, kRaw, optRaw uint8, splitMask uint16, netRaw uint8) {
+		g := fuzzGraph(netRaw)
+		net := GraphNetwork{G: g}
 		k := int(kRaw)%4 + 1
 		opts := optionsFromByte(optRaw)
 		s := scheduleFromBytes(data)
@@ -40,25 +55,77 @@ func FuzzValidate(f *testing.F) {
 			t.Fatal("Valid() inconsistent with Violations")
 		}
 		// The streaming engines must reproduce the serial Result exactly,
-		// whatever the input and model: map engine via the stripped
-		// wrapper, CSR engine via the bare GraphNetwork (the graph's own
-		// slots, per-slot counters once a capacity exceeds 1) and via the
-		// dimensioned wrapper (closed-form slots). So must the same
-		// schedule cut into seeded round ranges and merged.
+		// whatever the input, network and model: map engine via the
+		// stripped wrapper, CSR engine via the bare GraphNetwork (the
+		// graph's own slots, per-slot counters once a capacity exceeds 1)
+		// and, on Q_4 only, via the dimensioned wrapper (closed-form
+		// slots). So must the same schedule cut into seeded round ranges
+		// and merged.
+		nets := map[string]Network{"map": plainNet{net}, "csr": net}
+		if netRaw%5 == 0 {
+			nets["dim"] = dimNet{plainNet{net}, 4}
+		}
 		bounds := boundsFromMask(len(s.Rounds), splitMask)
-		for name, streamNet := range map[string]Network{
-			"map": plainNet{net}, "csr": net, "dim": dimNet{plainNet{net}, 4},
-		} {
+		for name, streamNet := range nets {
 			sres := ValidateStreamOpts(streamNet, k, s.Source, s.Stream(), opts)
 			if !reflect.DeepEqual(res, sres) {
-				t.Fatalf("%s stream diverges from serial under %+v:\nserial: %+v\nstream: %+v", name, opts, res, sres)
+				t.Fatalf("%s stream on network %d diverges from serial under %+v:\nserial: %+v\nstream: %+v", name, netRaw, opts, res, sres)
 			}
 			rres := validateInRanges(streamNet, k, s.Source, s, bounds, opts)
 			if !reflect.DeepEqual(res, rres) {
-				t.Fatalf("%s ranges %v diverge from serial under %+v:\nserial: %+v\nmerged: %+v", name, bounds, opts, res, rres)
+				t.Fatalf("%s ranges %v on network %d diverge from serial under %+v:\nserial: %+v\nmerged: %+v", name, bounds, netRaw, opts, res, rres)
 			}
 		}
 	})
+}
+
+// fuzzGraph decodes the fuzzed network byte into a 16-vertex graph:
+// b%5 picks Q_4 or the Gnp, RandomRegular, RandomKTree or
+// RandomConnected family, and b/5 seeds the family and varies its
+// density. Only Q_4 is regular, so the other four put the degree rule
+// of graph.Graph's edge slots under fuzz, not just its id tie-break.
+func fuzzGraph(b uint8) *graph.Graph {
+	seed := int64(b / 5)
+	switch b % 5 {
+	case 1:
+		return topo.Gnp(16, 0.15+0.05*float64(seed%4), seed)
+	case 2:
+		return topo.RandomRegular(16, 2+int(seed%4), seed)
+	case 3:
+		return topo.RandomKTree(16, 1+int(seed%3), seed)
+	case 4:
+		return topo.RandomConnected(16, int(seed%16), seed)
+	}
+	return topo.Hypercube(4)
+}
+
+// bothWaysSeed encodes nine rounds that each call one edge of g in both
+// directions: every engine must flag the shared edge, which the csr
+// engine sees only if both directions resolve to the same slot.
+func bothWaysSeed(g *graph.Graph) []byte {
+	data := []byte{0}
+	g.Edges(func(u, v int) {
+		if len(data) < 64 {
+			data = append(data, 1, 0, byte(u), byte(v), 0, byte(v), byte(u))
+		}
+	})
+	return data
+}
+
+// treeSeed encodes TreeRounds(g, 0) in scheduleFromBytes's format, up to
+// the first round with more calls than one fuzzed round can carry (4).
+func treeSeed(g *graph.Graph) []byte {
+	data := []byte{0}
+	for r := range TreeRounds(g, 0) {
+		if len(r) > 4 {
+			break
+		}
+		data = append(data, byte(len(r)-1))
+		for _, c := range r {
+			data = append(data, 0, byte(c.From()), byte(c.To()))
+		}
+	}
+	return data
 }
 
 // optionsFromByte decodes the generalised model: bits 0-1 give

@@ -173,13 +173,14 @@ type Network interface {
 // SlottedNetwork is a Network whose edges carry a slot numbering: an
 // injection from edges into [0, NumEdgeSlots). Holes are allowed — the
 // csrState engine sizes its sets by NumEdgeSlots but never scans the
-// slot universe. Materialised CSR graphs provide a dense numbering for
-// free (graph.Graph's eoff arrays), and it is what upgrades an arbitrary
-// network from the per-round map engine to the flat csrState engine —
-// every disjointness constraint indexed by slot id instead of hashed
-// edge keys. The contract binds EdgeSlot to HasEdge: EdgeSlot(u, v) must
-// report ok exactly when HasEdge(u, v), and distinct edges must map to
-// distinct slots.
+// slot universe. Materialised CSR graphs number their edges for free,
+// by adjacency position (graph.Graph.EdgeSlot: two slots per edge, one
+// of them a hole), which upgrades an arbitrary graph from the per-round
+// map engine to the flat csrState engine — every disjointness
+// constraint indexed by slot id instead of hashed edge keys. The
+// contract binds EdgeSlot to HasEdge: EdgeSlot(u, v) must report ok
+// exactly when HasEdge(u, v), and distinct edges must map to distinct
+// slots.
 type SlottedNetwork interface {
 	Network
 	// NumEdgeSlots returns the size of the slot universe (at least the

@@ -17,6 +17,10 @@ import (
 // graph workload of the CSR engine's differential suite and of
 // benchtab's map-vs-CSR curve.
 //
+// Generating the whole schedule costs O(n + m) time and O(n) memory:
+// the BFS, then a simulation that visits only the vertices with calls
+// left to make.
+//
 // The yielded round and its call paths reuse storage between
 // iterations; use CloneRound to retain one. An out-of-range source
 // yields nothing.
@@ -45,63 +49,70 @@ func TreeRounds(g *graph.Graph, source uint64) iter.Seq[Round] {
 		}
 		// children[off[v]:off[v+1]] in discovery order: earlier-found
 		// children are informed first, keeping rounds frontier-shaped.
-		deg := make([]int32, n+1)
-		for _, v := range order[1:] {
-			deg[parent[v]+1]++
-		}
+		// next[v], the next child v calls, is the fill cursor first.
 		off := make([]int32, n+1)
+		for _, v := range order[1:] {
+			off[parent[v]+1]++
+		}
 		for v := 1; v <= n; v++ {
-			off[v] = off[v-1] + deg[v]
+			off[v] += off[v-1]
 		}
 		children := make([]int32, off[n])
-		cursor := make([]int32, n)
-		copy(cursor, off[:n])
-		for _, v := range order[1:] {
-			p := parent[v]
-			children[cursor[p]] = v
-			cursor[p]++
-		}
-		// Simulate: informed vertices in the order they were informed,
-		// each with a cursor over its remaining children. One arena and
-		// one Round buffer are reused across rounds.
 		next := make([]int32, n)
 		copy(next, off[:n])
-		informed := make([]int32, 0, n)
-		informed = append(informed, int32(source))
+		for _, v := range order[1:] {
+			p := parent[v]
+			children[next[p]] = v
+			next[p]++
+		}
+		copy(next, off[:n])
+		// Simulate over an active list: the informed vertices that still
+		// have children to call, in the order they were informed. A
+		// round's callers are exactly the active list; the next list is
+		// those callers with children left, then the round's receivers
+		// that have children — every caller was informed before every
+		// receiver, so informed order holds. Each vertex enters the list
+		// once and leaves it for good, so the whole run is O(n + m). The
+		// BFS queue and the parent array are spent by now and hold the
+		// two lists (n distinct vertices at most); they, the arena and
+		// the Round buffer are reused across rounds.
+		active := order[:0]
+		if off[source] < off[source+1] {
+			active = append(active, int32(source))
+		}
+		nextActive := parent[:0]
 		var (
 			round Round
 			arena []uint64
 		)
-		for {
-			calls := 0
-			for _, v := range informed {
-				if next[v] < off[v+1] {
-					calls++
-				}
-			}
-			if calls == 0 {
-				return
-			}
+		for len(active) > 0 {
+			calls := len(active)
 			if cap(round) < calls {
-				round = make(Round, calls)
-				arena = make([]uint64, 2*calls)
+				// Grow geometrically: a frontier that widens by a few
+				// calls a round would otherwise reallocate every round.
+				size := min(max(calls, 2*cap(round)), n)
+				round = make(Round, size)
+				arena = make([]uint64, 2*size)
 			}
 			round = round[:calls]
 			arena = arena[:2*calls]
-			ci := 0
-			nInformed := len(informed)
-			for _, v := range informed[:nInformed] {
-				if next[v] == off[v+1] {
-					continue
-				}
+			nextActive = nextActive[:0]
+			for ci, v := range active {
 				w := children[next[v]]
 				next[v]++
 				arena[2*ci] = uint64(v)
 				arena[2*ci+1] = uint64(w)
 				round[ci] = Call{Path: arena[2*ci : 2*ci+2 : 2*ci+2]}
-				informed = append(informed, w)
-				ci++
+				if next[v] < off[v+1] {
+					nextActive = append(nextActive, v)
+				}
 			}
+			for ci := range calls {
+				if w := arena[2*ci+1]; off[w] < off[w+1] {
+					nextActive = append(nextActive, int32(w))
+				}
+			}
+			active, nextActive = nextActive, active
 			if !yield(round) {
 				return
 			}
