@@ -16,7 +16,7 @@ package graph
 // The numbering is what lets the streaming validator index per-round
 // edge-disjointness state for an arbitrary graph in flat arrays (one
 // counter per slot) instead of hash maps — the same trick the
-// dimensioned fast path plays with vertex*n + dim slots, holes and all,
+// dimensioned fast path plays with dim*order + vertex slots, holes and all,
 // without needing the one-bit-per-edge hypercube structure.
 
 // NumEdgeSlots returns the size of the edge-slot universe: the length

@@ -12,13 +12,15 @@ import (
 // set is indexed by an edge-slot id the network supplies
 // (SlottedNetwork.EdgeSlot — for materialised graphs, backed by the CSR
 // arrays) or, on hypercube-family networks without a numbering of their
-// own, by the closed form lower*n + flipped dimension (dimSlots). Bit
-// sets hold receivers, callers and capacity-1 edges; small per-slot
-// counters hold generalised capacities (Options.EdgeCapacity/
-// ReceiverCapacity > 1). Touched slots are recorded and cleared between
-// rounds — up to one recorded slot per word of the set, past which the
-// round resets the whole set instead (see touchList) — so the engine
-// allocates once per validation run and nothing per round.
+// own, by the dimension-major closed form dim*order + lower (dimSlots),
+// which keeps the hops of one round on one dimension inside one
+// order-bit window of each set. Bit sets hold receivers, callers and
+// capacity-1 edges; small per-slot counters hold generalised capacities
+// (Options.EdgeCapacity/ReceiverCapacity > 1). Touched slots are
+// recorded and cleared between rounds — up to one recorded slot per word
+// of the set, past which the round resets the whole set instead (see
+// touchList) — so the engine allocates once per validation run and
+// nothing per round.
 //
 // mapState stays as the reference engine — it is what the differential
 // suite crosschecks csrState against, and the fallback for networks
@@ -48,7 +50,7 @@ func slottedFor(net Network, order uint64, opts Options) (SlottedNetwork, bool) 
 			order > maxStreamBits/uint64(dn.N()) {
 			return nil, false
 		}
-		sn = dimSlots{dn, dn.N()}
+		sn = dimSlots{dn, dn.N(), int(order)}
 	}
 	universeCap := func(capacity int) uint64 {
 		if capacity == 1 {
@@ -64,24 +66,29 @@ func slottedFor(net Network, order uint64, opts Options) (SlottedNetwork, bool) 
 }
 
 // dimSlots numbers the edges of a DimensionedNetwork in closed form:
-// edge {u, v} with u < v takes slot u*n + d, d the 0-based bit they
-// differ in — the hypercube arc label tail*dimension + direction. On
-// spanning subgraphs of Q_n (the sparse hypercube) the numbering has
-// holes, which csrState tolerates: it never scans the slot universe.
+// edge {u, v} with u < v takes slot d*order + u, d the 0-based bit they
+// differ in. Dimension-major order keeps each dimension's edges in one
+// order-bit window of the slot sets, so a round's hops on one dimension
+// (most of a broadcast round's hops share one) touch that window —
+// order/8 bytes, 32 KiB at n = 18 — rather than the whole order*n-bit
+// set. On spanning subgraphs of Q_n (the sparse hypercube) the
+// numbering has holes, which csrState tolerates: it never scans the
+// slot universe.
 type dimSlots struct {
 	DimensionedNetwork
-	n int // N(), read once
+	n     int // N(), read once
+	order int // Order(), read once
 }
 
 // NumEdgeSlots implements SlottedNetwork.
-func (d dimSlots) NumEdgeSlots() int { return int(d.Order()) * d.n }
+func (d dimSlots) NumEdgeSlots() int { return d.order * d.n }
 
 // EdgeSlot implements SlottedNetwork.
 func (d dimSlots) EdgeSlot(u, v uint64) (int, bool) {
 	if !d.HasEdge(u, v) {
 		return 0, false
 	}
-	return int(min(u, v))*d.n + bits.TrailingZeros64(u^v), true
+	return bits.TrailingZeros64(u^v)*d.order + int(min(u, v)), true
 }
 
 // csrState is the slot-indexed round state: the disjointness engine of

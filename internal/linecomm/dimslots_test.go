@@ -1,6 +1,7 @@
 package linecomm_test
 
 import (
+	"math/bits"
 	"testing"
 
 	"sparsehypercube/internal/core"
@@ -10,7 +11,9 @@ import (
 // TestDimSlotsNumbering checks the closed-form edge slots on the sparse
 // hypercubes of the gossip crosschecks (k = 1, 2, 3). For every vertex
 // pair: ok iff HasEdge, the slot lies in [0, NumEdgeSlots), both
-// argument orders agree, and distinct edges never share a slot.
+// argument orders agree, and distinct edges never share a slot. The
+// layout is dimension-major: an edge flipping bit d lies in
+// [d*order, (d+1)*order), one order-wide window per dimension.
 func TestDimSlotsNumbering(t *testing.T) {
 	for _, p := range []core.Params{
 		core.HypercubeParams(6),
@@ -41,6 +44,11 @@ func TestDimSlotsNumbering(t *testing.T) {
 				}
 				if slot < 0 || slot >= sn.NumEdgeSlots() {
 					t.Fatalf("%v: EdgeSlot(%d,%d) = %d outside [0,%d)", p, u, v, slot, sn.NumEdgeSlots())
+				}
+				d := bits.TrailingZeros64(u ^ v)
+				if lo := d * int(order); slot < lo || slot >= lo+int(order) {
+					t.Fatalf("%v: EdgeSlot(%d,%d) = %d outside dimension %d's window [%d,%d)",
+						p, u, v, slot, d, lo, lo+int(order))
 				}
 				if back, ok := sn.EdgeSlot(v, u); !ok || back != slot {
 					t.Fatalf("%v: EdgeSlot(%d,%d) = %d but EdgeSlot(%d,%d) = %d,%v", p, u, v, slot, v, u, back, ok)

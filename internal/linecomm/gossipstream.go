@@ -17,18 +17,24 @@ import (
 // cross-call disjointness checks on slot-indexed bit sets (any network
 // with an edge-slot numbering, hypercube family included — see csr.go)
 // or per-round maps (everything else), retaining only the (from, to)
-// exchange pairs — two words per call instead of the full paths.
+// exchange pairs — two 32-bit ids per call instead of the full paths.
 //
 // Knowledge tracking is the part that does not fit in memory at n >= 20:
 // a full token matrix is order^2 bits (128 GiB at n = 20). The streamed
 // validator therefore shards the token axis: each shard owns a slice of
-// the token universe, fills its own order x shardTokens bit matrix by
-// replaying the retained exchange pairs, and folds per-vertex popcounts
-// into a shared count vector under a lock — sharded bitvec fills, serial
-// merge. Shards are independent, so they run across a worker pool;
-// per-shard memory is bounded by gossipSimBudgetBytes regardless of
-// order, and the result is bit-identical to the serial simulation because
-// token exchange is union-only (shards never interact).
+// the token universe and replays the retained exchange pairs over it,
+// and shards run across a worker pool, folding per-vertex counts into a
+// shared count vector under a lock. Within a shard every vertex carries
+// a one-byte row state — zero, partial or full — and only partial rows
+// hold words in the worker's order x shardTokens matrix. An exchange
+// with an empty or a full row changes states only; partial with partial
+// ORs one row of at most a cache line. Gather-scatter keeps most rows
+// empty until the root fills, and full after it, so most replays never
+// touch the matrix, which is written only as rows turn partial and is
+// never cleared. Per-worker memory is bounded by gossipSimBudgetBytes
+// regardless of order, and the counts are exactly those of the serial
+// simulation because token exchange is union-only (shards never
+// interact, and union with an empty or a full row needs no words).
 //
 // The same machinery validates multi-source dissemination
 // (ValidateMultiSourceStream): only the listed sources hold tokens, so
@@ -96,7 +102,9 @@ func ValidateMultiSourceStream(net Network, k int, sources []uint64, rounds iter
 		st = newGossipCSRState(sn, order)
 	}
 
-	var pairs []uint64 // flat (from, to) exchange log for the simulation
+	// Flat (from, to) exchange log for the simulation. Simulated orders
+	// are capped at MaxGossipSimulateVertices = 2^26, so ids fit 32 bits.
+	var pairs []uint32
 	nRounds := 0
 	for round := range rounds {
 		st.beginRound(round)
@@ -130,7 +138,7 @@ func ValidateMultiSourceStream(net Network, k int, sources []uint64, rounds iter
 				}
 			}
 			if simulate {
-				pairs = append(pairs, from, to)
+				pairs = append(pairs, uint32(from), uint32(to))
 			}
 		}
 		st.endRound()
@@ -251,6 +259,17 @@ func gossipShardWords(order, totalWords, workers, budgetBytes int) int {
 	return max(1, min(budgetWords, gossipShardMaxWords, totalWords/workers))
 }
 
+// rowState is a shard row's knowledge in one byte: the row holds none
+// of the shard's tokens, some of them, or all of them. Only partial
+// rows have words in the shard matrix.
+type rowState uint8
+
+const (
+	rowZero rowState = iota
+	rowPartial
+	rowFull
+)
+
 // simulateGossipTokens replays the exchange log over the token matrix,
 // sharded along the token axis, and returns the per-vertex known-token
 // counts. sources nil means token t starts at vertex t (all-source
@@ -258,7 +277,15 @@ func gossipShardWords(order, totalWords, workers, budgetBytes int) int {
 // endpoints the union of their rows — union-only updates make shards
 // independent, so each worker fills its own shard matrix and the only
 // synchronisation is the serial fold of popcounts into counts.
-func simulateGossipTokens(order uint64, sources []uint64, pairs []uint64) []int32 {
+//
+// Each worker's shard matrix keeps words only for partial rows (see
+// rowState): a row's words are written when it turns partial, seeded or
+// copied from its partner, so the matrix is allocated once per worker
+// and never cleared. Exchanges where both rows are empty, or either is
+// full, change states only; partial with partial ORs the rows and marks
+// both full once the union holds every shard token. The fold adds the
+// shard width for full rows and popcounts only partial ones.
+func simulateGossipTokens(order uint64, sources []uint64, pairs []uint32) []int32 {
 	n := int(order)
 	m := len(sources)
 	if sources == nil {
@@ -291,7 +318,9 @@ func simulateGossipTokens(order uint64, sources []uint64, pairs []uint64) []int3
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var know []uint64
+			know := make([]uint64, n*shardWords)
+			state := make([]rowState, n)
+			full := make([]uint64, shardWords)
 			for {
 				si := int(next.Add(1)) - 1
 				if si >= numShards {
@@ -299,47 +328,23 @@ func simulateGossipTokens(order uint64, sources []uint64, pairs []uint64) []int3
 				}
 				lo := si * shardWords
 				hi := min(lo+shardWords, totalWords)
-				w := hi - lo
-				if cap(know) < n*w {
-					know = make([]uint64, n*w)
-				} else {
-					know = know[:n*w]
-					clear(know)
-				}
-				// Fill: seed the shard's tokens, replay the exchange log.
 				tlo, thi := lo*64, min(hi*64, m)
-				for t := tlo; t < thi; t++ {
-					v := t
-					if sources != nil {
-						v = int(sources[t])
-					}
-					know[v*w+(t-tlo)>>6] |= 1 << uint(t&63)
-				}
-				if w == 1 {
-					for p := 0; p < len(pairs); p += 2 {
-						u := know[pairs[p]] | know[pairs[p+1]]
-						know[pairs[p]] = u
-						know[pairs[p+1]] = u
-					}
-				} else {
-					for p := 0; p < len(pairs); p += 2 {
-						ra := know[int(pairs[p])*w:][:w]
-						rb := know[int(pairs[p+1])*w:][:w]
-						for j := range ra {
-							u := ra[j] | rb[j]
-							ra[j] = u
-							rb[j] = u
-						}
-					}
-				}
-				// Merge: fold the shard's popcounts serially.
+				simulateShard(know, state, full[:hi-lo], tlo, thi, sources, pairs)
+
+				// Merge: fold the shard's counts serially.
+				w := hi - lo
 				mu.Lock()
-				for v := 0; v < n; v++ {
-					c := 0
-					for _, wd := range know[v*w : (v+1)*w] {
-						c += bits.OnesCount64(wd)
+				for v, s := range state {
+					switch s {
+					case rowFull:
+						counts[v] += int32(thi - tlo)
+					case rowPartial:
+						c := 0
+						for _, wd := range know[v*w : (v+1)*w] {
+							c += bits.OnesCount64(wd)
+						}
+						counts[v] += int32(c)
 					}
-					counts[v] += int32(c)
 				}
 				mu.Unlock()
 			}
@@ -347,4 +352,68 @@ func simulateGossipTokens(order uint64, sources []uint64, pairs []uint64) []int3
 	}
 	wg.Wait()
 	return counts
+}
+
+// simulateShard replays pairs over the shard of tokens [tlo, thi), whose
+// width is len(full) words, leaving each vertex's rowState in state and
+// each partial row's words in know (row v at know[v*w:]). full is
+// filled with the row that holds every shard token.
+func simulateShard(know []uint64, state []rowState, full []uint64, tlo, thi int, sources []uint64, pairs []uint32) {
+	w := len(full)
+	for j := range full {
+		full[j] = ^uint64(0)
+	}
+	if r := (thi - tlo) & 63; r != 0 {
+		full[w-1] = 1<<uint(r) - 1
+	}
+	row := func(v int) []uint64 { return know[v*w:][:w] }
+
+	// Seed: each shard token's vertex gets a row holding that one bit
+	// (sources are distinct, so no vertex is seeded twice). The row is
+	// partial unless the shard has just the one token.
+	seeded := rowPartial
+	if thi-tlo == 1 {
+		seeded = rowFull
+	}
+	clear(state)
+	for t := tlo; t < thi; t++ {
+		v := t
+		if sources != nil {
+			v = int(sources[t])
+		}
+		r := row(v)
+		clear(r)
+		r[(t-tlo)>>6] = 1 << uint(t&63)
+		state[v] = seeded
+	}
+
+	// Replay: both endpoints of an exchange end with the union.
+	for p := 0; p < len(pairs); p += 2 {
+		a, b := int(pairs[p]), int(pairs[p+1])
+		sa, sb := state[a], state[b]
+		switch {
+		case sa == sb && sa != rowPartial:
+			// zero with zero, full with full: nothing changes.
+		case sa == rowFull || sb == rowFull:
+			state[a], state[b] = rowFull, rowFull
+		case sa == rowZero:
+			copy(row(a), row(b))
+			state[a] = rowPartial
+		case sb == rowZero:
+			copy(row(b), row(a))
+			state[b] = rowPartial
+		default:
+			ra, rb := row(a), row(b)
+			var diff uint64
+			for j := range ra {
+				u := ra[j] | rb[j]
+				ra[j] = u
+				rb[j] = u
+				diff |= u ^ full[j]
+			}
+			if diff == 0 {
+				state[a], state[b] = rowFull, rowFull
+			}
+		}
+	}
 }

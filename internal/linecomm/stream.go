@@ -26,16 +26,20 @@ import (
 // on any network with an edge-slot numbering, the flat slot-indexed
 // csrState in csr.go, generalised capacities included. Materialised
 // graphs (SlottedNetwork) bring their own numbering; hypercube-family
-// networks (DimensionedNetwork) get the closed form lower*n + dim. For
-// everything else the same per-round maps the sequential validator
-// uses (mapState, the differential suite's reference engine), still
-// streamed and still sharded in phase 1.
+// networks (DimensionedNetwork) get the dimension-major closed form
+// dim*order + lower, so a round's hops on one dimension share one
+// order-bit window of the edge sets. For everything else the same
+// per-round maps the sequential validator uses (mapState, the
+// differential suite's reference engine), still streamed and still
+// sharded in phase 1.
 
 // DimensionedNetwork is a Network whose vertices are n-bit addresses and
 // whose edges each connect vertices differing in exactly one bit:
 // hypercubes and their spanning subgraphs (the sparse hypercube, Q_n
 // itself). The property lets the validator number edge slots as
-// lower*n + dimension (dimSlots) instead of hashing edge keys.
+// dim*order + lower (dimSlots) instead of hashing edge keys:
+// dimension-major, so the hops of one round along one dimension stay in
+// one order-bit window of the slot sets.
 type DimensionedNetwork interface {
 	Network
 	// N returns the address width in bits; Order() <= 1 << N().

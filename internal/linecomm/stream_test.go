@@ -22,7 +22,7 @@ func (p plainNet) HasEdge(u, v uint64) bool { return p.g.HasEdge(u, v) }
 
 // dimNet upgrades a plainNet over Q_n to a DimensionedNetwork: with the
 // graph's own numbering hidden, the CSR engine runs on the closed-form
-// slots lower*n + dim (Q_n satisfies the one-bit-per-edge contract).
+// slots dim*order + lower (Q_n satisfies the one-bit-per-edge contract).
 type dimNet struct {
 	plainNet
 	n int
