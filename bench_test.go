@@ -236,6 +236,31 @@ func BenchmarkPlanVerifyIndexedN18(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanWriteIndexedN18 is the encode layer through the facade:
+// generate the k = 2, n = 18 broadcast from source 5 and write it as an
+// indexed plan (about 1.3 MB) into a reused buffer. BenchmarkDecodeN18
+// in internal/schedio is the matching decode-only layer.
+func BenchmarkPlanWriteIndexedN18(b *testing.B) {
+	cube, err := sparsehypercube.New(2, 18)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := cube.Plan(sparsehypercube.BroadcastScheme{Source: 5})
+	var buf bytes.Buffer
+	if _, err := plan.WriteIndexedTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if _, err := plan.WriteIndexedTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // EXP-STREAM: the fully streamed generate-and-validate pipeline at sizes
 // where the schedule is never materialised (peak heap stays at the
 // frontier, not the call total). Run with -benchtime=1x for a quick

@@ -60,6 +60,11 @@ func (s *SparseHypercube) AppendCallPath(dst []uint64, u uint64, d int) []uint64
 // round are independent, so they are constructed in parallel across a
 // worker pool sized by GOMAXPROCS.
 //
+// The round, path arena and frontier storage grow in steps of 8x, sized
+// by frontierCap, not on every doubling of the frontier: a full
+// generation allocates at most 8/7 of its final round's storage, and a
+// consumer that stops after any round holds less than 8x that round's.
+//
 // The yielded round and every call path inside it are only valid until
 // the next iteration step: the engine reuses their backing storage. Use
 // linecomm.CloneRound to retain a round. Feed the iterator to
@@ -69,38 +74,44 @@ func (s *SparseHypercube) ScheduleRounds(source uint64) iter.Seq[linecomm.Round]
 	s.checkVertex(source)
 	return func(yield func(linecomm.Round) bool) {
 		maxPath := s.params.K + 1
-		informed := make([]uint64, 1, 2)
-		informed[0] = source
 		var (
-			round linecomm.Round
-			arena []uint64
+			round    linecomm.Round
+			arena    []uint64
+			informed = []uint64{source}
 		)
 		for d := s.n; d >= 1; d-- {
-			f := len(informed)
-			if cap(round) < f {
-				round = make(linecomm.Round, f)
-			}
-			round = round[:f]
-			if cap(arena) < f*maxPath {
-				arena = make([]uint64, f*maxPath)
-			}
 			// Grow the frontier in place: callers occupy [0, f), their
 			// receivers land in [f, 2f) (each informed vertex places
 			// exactly one call, and in a valid scheme every receiver is
 			// new, so the informed set doubles each round).
-			if cap(informed) < 2*f {
-				grown := make([]uint64, 2*f)
-				copy(grown, informed)
-				informed = grown
-			} else {
-				informed = informed[:2*f]
+			f := len(informed)
+			if cap(round) < f {
+				c := frontierCap(f, s.Order()/2)
+				round = make(linecomm.Round, c)
+				arena = make([]uint64, c*maxPath)
+				informed = append(make([]uint64, 0, 2*c), informed...)
 			}
+			round = round[:f]
+			informed = informed[:2*f]
 			s.buildRound(d, informed[:f], informed[f:2*f], round, arena, maxPath)
 			if !yield(round) {
 				return
 			}
 		}
 	}
+}
+
+// frontierCap is the call capacity ScheduleRounds allocates when a
+// frontier of f calls outgrows its storage: last, the final round's
+// call count, divided by the largest power of 8 that keeps the result
+// at least f. The result lies in [f, 8f), and the capacities a full
+// generation steps through are last/8^j, which sum to under 8/7 of last.
+func frontierCap(f int, last uint64) int {
+	c := last
+	for c/8 >= uint64(f) {
+		c /= 8
+	}
+	return int(c)
 }
 
 // buildRound fills round[i] with callers[i]'s call across dimension d and

@@ -108,6 +108,54 @@ func TestScheduleRoundsEarlyStop(t *testing.T) {
 	}
 }
 
+// TestScheduleRoundsStorageSteps pins ScheduleRounds' storage policy.
+// frontierCap steps each cube's capacity in 8x jumps down from the final
+// round, so every round holds under 8x its own calls' storage and a full
+// run allocates under 8/7 of the final round's; and a consumer that
+// breaks early on an n = 22 cube allocates accordingly, never the final
+// round's storage.
+func TestScheduleRoundsStorageSteps(t *testing.T) {
+	for n := 1; n <= MaxN; n++ {
+		last := uint64(1) << (n - 1)
+		c, total := 0, uint64(0)
+		for f := 1; uint64(f) <= last; f *= 2 {
+			if c < f {
+				c = frontierCap(f, last)
+				total += uint64(c)
+			}
+			if c < f || c >= 8*f {
+				t.Fatalf("n=%d: capacity %d for a frontier of %d", n, c, f)
+			}
+		}
+		if uint64(c) != last || 7*total > 8*last {
+			t.Fatalf("n=%d: final capacity %d, %d calls allocated in all, final round %d", n, c, total, last)
+		}
+	}
+
+	s, err := NewAuto(2, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stop at a frontier of 512 calls. Each call holds a Call header, an
+	// arena slot of k+1 words and two frontier words.
+	const stopAfter = 10
+	perCall := uint64(24 + 8*(s.K()+1) + 8*2)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rounds := 0
+	for range s.ScheduleRounds(5) {
+		if rounds++; rounds == stopAfter {
+			break
+		}
+	}
+	runtime.ReadMemStats(&after)
+	f := uint64(1) << (stopAfter - 1)
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, 8*f*perCall+4<<10; got > ceiling {
+		t.Fatalf("stopping after round %d (%d calls) allocated %d bytes, ceiling %d", stopAfter, f, got, ceiling)
+	}
+}
+
 // TestScheduleRoundsValidateStream runs the full streamed pipeline —
 // generation feeding validation round by round — and requires a
 // violation-free minimum-time broadcast (Theorems 4 and 6, streamed).

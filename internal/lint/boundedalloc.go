@@ -15,13 +15,15 @@ import (
 // Mechanics (intra-function): a variable assigned from a varint decode
 // (a call whose name is uvarint, Uvarint, ReadUvarint, Varint or
 // ReadVarint — this repo's canonical decoder method and the
-// encoding/binary entry points) is tainted, as is anything assigned
+// encoding/binary entry points — or bufUvarint, schedio's buffered
+// fast-path decode) is tainted, as is anything assigned
 // from a tainted value (including conversions like int(v)). A tainted
 // variable that is compared against a constant — a named cap like
 // maxRoundCalls, or a literal — anywhere in the function counts as
 // bounded. Sizing a make (length or capacity argument) from a tainted,
-// never-compared variable is a violation. Growth via append as bytes
-// are actually read is the sanctioned alternative and is never flagged.
+// never-compared variable is a violation, as is sizing a slices.Grow
+// (its count argument) that way. Growth via append as bytes are
+// actually read is the sanctioned alternative and is never flagged.
 var BoundedAlloc = &Analyzer{
 	Name: "boundedalloc",
 	Doc:  "forbid make sizes data-flowing from a varint decode without a comparison against a cap",
@@ -31,6 +33,7 @@ var BoundedAlloc = &Analyzer{
 // varintNames are the decode entry points whose results are tainted.
 var varintNames = map[string]bool{
 	"uvarint":     true, // schedio's canonical-form decoder method
+	"bufUvarint":  true, // schedio's buffered fast-path decode (decodeCalls)
 	"Uvarint":     true, // encoding/binary
 	"ReadUvarint": true,
 	"Varint":      true,
@@ -146,17 +149,20 @@ func checkBoundedAlloc(pass *Pass, body *ast.BlockStmt) {
 		return true
 	})
 
-	// Pass 3: flag make sizes fed by tainted, unbounded objects.
+	// Pass 3: flag make and slices.Grow sizes fed by tainted, unbounded
+	// objects.
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "make" ||
-			p.Info.Uses[id] != types.Universe.Lookup("make") {
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		isMake := ok && id.Name == "make" && p.Info.Uses[id] == types.Universe.Lookup("make")
+		if !isMake && !isFunc(p.callee(call), "slices", "Grow") {
 			return true
 		}
-		for _, arg := range call.Args[1:] { // skip the type argument
+		// Both take the type (make) or the slice (Grow) first, sizes after.
+		for _, arg := range call.Args[1:] {
 			flagUnboundedIdents(pass, arg, tainted, bounded)
 		}
 		return true

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 const maxEntries = 1 << 20
@@ -76,3 +77,33 @@ func unboundedFromMethod(d *dec) ([]uint64, error) {
 }
 
 var errTooBig = errors.New("too big")
+
+// bufUvarint mirrors schedio's buffered fast-path decode: it is a taint
+// source by name, like uvarint.
+func bufUvarint(b []byte, p int) (uint64, int) {
+	v, n := binary.Uvarint(b[p:])
+	return v, p + n
+}
+
+// unboundedFastPath sizes an allocation from the fast decoder with no
+// cap comparison.
+func unboundedFastPath(b []byte) []uint64 {
+	plen, _ := bufUvarint(b, 0)
+	return make([]uint64, 0, int(plen)) // want `allocation sized from varint-decoded "plen"`
+}
+
+// unboundedGrow: a slices.Grow count is a sink too.
+func unboundedGrow(b []byte, arena []uint64) []uint64 {
+	plen, _ := bufUvarint(b, 0)
+	return slices.Grow(arena, int(plen)) // want `allocation sized from varint-decoded "plen"`
+}
+
+// cappedGrow is decodeCalls' shape: the declared length is compared
+// against a cap before it sizes the growth.
+func cappedGrow(b []byte, arena []uint64) []uint64 {
+	plen, p := bufUvarint(b, 0)
+	if p < 0 || plen > maxEntries || plen > uint64(len(b)-p) {
+		return arena
+	}
+	return slices.Grow(arena, max(len(arena), 64, int(plen)))
+}

@@ -48,22 +48,7 @@ func fuzzSeedIndexed(f *testing.F, k, n int, source uint64) {
 // deterministic decoder tests: every one must fail with a clean error
 // while allocating no more than a fixed multiple of its real size.
 func adversarialHeaders() [][]byte {
-	// A minimal valid header: magic, version 1, k=1, one dim (4), scheme
-	// "broadcast", source 0.
-	head := func() []byte {
-		b := []byte(magic)
-		b = append(b, 1, 1, 1, 4)
-		b = append(b, byte(len("broadcast")))
-		b = append(b, "broadcast"...)
-		return append(b, 0)
-	}
-	uv := func(b []byte, v uint64) []byte {
-		for v >= 0x80 {
-			b = append(b, byte(v)|0x80)
-			v >>= 7
-		}
-		return append(b, byte(v))
-	}
+	head, uv := minimalHeader, binary.AppendUvarint
 	var out [][]byte
 	// A round declaring 2^60 calls in a 30-byte file.
 	out = append(out, uv(head(), 1<<60+1))
@@ -87,6 +72,16 @@ func adversarialHeaders() [][]byte {
 		out = append(out, append(buf.Bytes(), idx...))
 	}
 	return out
+}
+
+// minimalHeader is a minimal valid plan header: magic, version 1, k=1,
+// one dim (4), scheme "broadcast", source 0.
+func minimalHeader() []byte {
+	b := []byte(magic)
+	b = append(b, 1, 1, 1, 4)
+	b = append(b, byte(len("broadcast")))
+	b = append(b, "broadcast"...)
+	return append(b, 0)
 }
 
 func emptyRounds() iter.Seq[linecomm.Round] {

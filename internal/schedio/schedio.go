@@ -59,6 +59,15 @@
 // The decoder never trusts counts for allocation: storage grows only as
 // call data is actually read, so truncated or hostile headers fail
 // cleanly with an error instead of panicking or over-allocating.
+//
+// Both directions work a call at a time. The encoder appends a whole
+// call and checks for a flush once per call. The decoder decodes whole
+// calls straight from its read buffer on a fast path; a call that
+// crosses the buffer's refill edge, or breaks any rule, is left
+// unconsumed for the byte-at-a-time reference path, which decodes it
+// and words every error. The fast path changes neither the bytes
+// accepted nor a single error message (FuzzDecodeChunked holds the two
+// paths to identical outcomes).
 package schedio
 
 import (
@@ -68,7 +77,6 @@ import (
 	"hash/crc32"
 	"io"
 	"iter"
-	"slices"
 	"sync"
 
 	"sparsehypercube/internal/linecomm"
@@ -170,7 +178,7 @@ func writePlan(w io.Writer, h Header, rounds iter.Seq[linecomm.Round], offs *[]i
 	if err := h.validate(); err != nil {
 		return 0, err
 	}
-	e := &encoder{w: w}
+	e := &encoder{w: w, buf: make([]byte, 0, encoderFlushAt+encoderSlack)}
 	e.bytes([]byte(magic))
 	e.uvarint(Version)
 	e.uvarint(uint64(h.K))
@@ -187,14 +195,7 @@ func writePlan(w io.Writer, h Header, rounds iter.Seq[linecomm.Round], offs *[]i
 		}
 		e.uvarint(uint64(len(round)) + 1)
 		for _, call := range round {
-			e.uvarint(uint64(len(call.Path)))
-			for i, v := range call.Path {
-				if i == 0 {
-					e.uvarint(v)
-				} else {
-					e.uvarint(call.Path[i-1] ^ v)
-				}
-			}
+			e.call(call.Path)
 		}
 		if e.err != nil {
 			break // stop consuming the producer once the sink is dead
@@ -257,7 +258,14 @@ type encoder struct {
 	err error
 }
 
-const encoderFlushAt = 32 << 10
+// The encoder flushes once its buffer reaches encoderFlushAt bytes. It
+// checks after each call, so the buffer is made encoderSlack bytes
+// longer: room for the call or scheme name that crosses the mark,
+// unless a path is unusually long.
+const (
+	encoderFlushAt = 32 << 10
+	encoderSlack   = 1 << 10
+)
 
 func (e *encoder) flush() {
 	if len(e.buf) == 0 || e.err != nil {
@@ -276,6 +284,21 @@ func (e *encoder) flush() {
 func (e *encoder) uvarint(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
 	if len(e.buf) >= encoderFlushAt {
+		e.flush()
+	}
+}
+
+// call appends one call — its path length, first vertex and XOR deltas
+// — and checks for a flush once, after the whole call.
+func (e *encoder) call(path []uint64) {
+	buf := binary.AppendUvarint(e.buf, uint64(len(path)))
+	var prev uint64
+	for _, v := range path {
+		buf = binary.AppendUvarint(buf, prev^v) // prev is 0 for the first vertex
+		prev = v
+	}
+	e.buf = buf
+	if len(buf) >= encoderFlushAt {
 		e.flush()
 	}
 }
@@ -299,6 +322,12 @@ func (e *encoder) offset() int64 { return e.n + int64(len(e.buf)) }
 // A Decoder is single-use but safe against concurrent misuse: Err may be
 // called from any goroutine, and a second (even concurrent) Rounds call
 // fails with a clean error instead of racing on the underlying reader.
+//
+// Rounds decode through a 32 KiB read buffer. Calls wholly inside it
+// take the fast path (decodeCalls); the rest — a call crossing the
+// refill edge, or one the fast path finds anything wrong with — take
+// the byte-at-a-time reference path (uvarint), so how the reader
+// chunks its bytes never changes the rounds, the error or Consumed.
 type Decoder struct {
 	src byteSource
 	h   Header
@@ -458,13 +487,19 @@ func (d *Decoder) Rounds() iter.Seq[linecomm.Round] {
 }
 
 // RoundScratch is the storage a round decode reuses between rounds: the
-// path arena, per-call offsets into it, and the round slice itself. All
-// three grow only as call bytes are actually read off the wire — never
-// from a declared count — so a hostile header cannot force allocation
-// beyond a fixed multiple of the bytes it backs with data. The arena and
-// offsets grow by doubling: broadcast rounds double too, so a decode
-// allocates about twice its largest round in all, where the runtime's
-// 1.25x growth of large slices would allocate about five times it.
+// path arena and the round slice itself. Both grow only as call bytes
+// are actually read off the wire — never from a declared count — so a
+// hostile header cannot force allocation beyond a fixed multiple of the
+// bytes it backs with data. Both grow by doubling: broadcast rounds
+// double too, so a decode allocates about twice its largest round in
+// all, where the runtime's 1.25x growth of large slices would allocate
+// about five times it. A call's path aliases the arena array that was
+// current when the call was decoded; growth copies the arena but never
+// writes the old array again, so earlier paths stay intact.
+//
+// Most calls decode on a fast path straight from the decoder's read
+// buffer (decodeCalls); it grows the arena only for calls whose bytes
+// are already buffered, so the bound above holds for it too.
 //
 // The zero value is ready to use. Decoders keep their own; a caller
 // that decodes several ranges one after another can share one through
@@ -472,13 +507,15 @@ func (d *Decoder) Rounds() iter.Seq[linecomm.Round] {
 type RoundScratch struct {
 	round linecomm.Round
 	arena []uint64
-	offs  []int
 }
 
-// appendDoubling is append that doubles a full slice's capacity.
+// appendDoubling is append that doubles a full slice's capacity. It
+// sizes the new array itself: asked to double a full slice of 256 or
+// more elements, append and slices.Grow take the runtime's large-slice
+// growth steps, which land near 2.4x.
 func appendDoubling[T any](s []T, v T) []T {
 	if len(s) == cap(s) {
-		s = slices.Grow(s, max(len(s), 64))
+		s = append(make([]T, 0, max(2*len(s), 64)), s...)
 	}
 	return append(s, v)
 }
@@ -498,8 +535,14 @@ func (d *Decoder) readRound(sc *RoundScratch) (round linecomm.Round, done bool, 
 		return nil, false, fmt.Errorf("schedio: round declares %d calls (max %d)", numCalls, uint64(maxRoundCalls))
 	}
 	sc.arena = sc.arena[:0]
-	sc.offs = sc.offs[:0]
+	sc.round = sc.round[:0]
 	for ci := uint64(0); ci < numCalls; ci++ {
+		if k := d.decodeCalls(sc, numCalls-ci); k > 0 {
+			ci += k - 1
+			continue
+		}
+		// The reference path: one call, byte at a time, refilling the
+		// buffer as needed. It words every decode error.
 		plen, err := d.uvarint("path length")
 		if err != nil {
 			return nil, false, err
@@ -507,7 +550,7 @@ func (d *Decoder) readRound(sc *RoundScratch) (round linecomm.Round, done bool, 
 		if plen > maxPathLen {
 			return nil, false, fmt.Errorf("schedio: path length %d exceeds %d", plen, maxPathLen)
 		}
-		sc.offs = appendDoubling(sc.offs, len(sc.arena))
+		base := len(sc.arena)
 		var prev uint64
 		for i := uint64(0); i < plen; i++ {
 			v, err := d.uvarint("path vertex")
@@ -520,17 +563,101 @@ func (d *Decoder) readRound(sc *RoundScratch) (round linecomm.Round, done bool, 
 			sc.arena = appendDoubling(sc.arena, v)
 			prev = v
 		}
-	}
-	sc.offs = append(sc.offs, len(sc.arena))
-	if cap(sc.round) < len(sc.offs)-1 {
-		sc.round = make(linecomm.Round, len(sc.offs)-1)
-	}
-	sc.round = sc.round[:len(sc.offs)-1]
-	for i := range sc.round {
-		lo, hi := sc.offs[i], sc.offs[i+1]
-		sc.round[i] = linecomm.Call{Path: sc.arena[lo:hi:hi]}
+		end := len(sc.arena)
+		sc.round = appendDoubling(sc.round, linecomm.Call{Path: sc.arena[base:end:end]})
 	}
 	return sc.round, false, nil
+}
+
+// decodeCalls is readRound's fast path. It decodes up to want whole
+// calls straight from the bytes already in the read buffer and returns
+// how many it decoded. It stops before the first call it cannot finish
+// there — a call crossing the buffer's refill edge, or any anomaly the
+// reference path would report (a non-canonical or overflowing varint, a
+// path over maxPathLen) — and consumes none of that call's bytes, so
+// the byte-at-a-time path decodes it next and words any error exactly
+// as it always has.
+//
+// A call's arena storage is grown only once its declared length fits
+// in the buffered bytes (every vertex takes at least one byte), so the
+// fast path never allocates for bytes it has not read.
+func (d *Decoder) decodeCalls(sc *RoundScratch, want uint64) uint64 {
+	s := &d.src
+	buf := s.buf[:s.lim]
+	pos := s.pos
+	arena, round := sc.arena, sc.round
+	var done uint64
+calls:
+	for ; done < want; done++ {
+		p := pos
+		var plen uint64
+		if p < len(buf) && buf[p] < 0x80 {
+			plen = uint64(buf[p])
+			p++
+		} else if plen, p = bufUvarint(buf, p); p < 0 {
+			break
+		}
+		if plen > maxPathLen || plen > uint64(len(buf)-p) {
+			break
+		}
+		base := len(arena)
+		if cap(arena)-base < int(plen) { // double, as appendDoubling does
+			arena = append(make([]uint64, 0, max(2*cap(arena), 64, base+int(plen))), arena...)
+		}
+		arena = arena[:base+int(plen)]
+		var prev uint64
+		for i := base; i < len(arena); i++ {
+			// A canonical 1-, 2- or 3-byte varint — every vertex and
+			// delta of a cube up to 2^21 vertices — decodes inline.
+			var v uint64
+			switch r := buf[p:]; {
+			case len(r) >= 1 && r[0] < 0x80:
+				v = uint64(r[0])
+				p++
+			case len(r) >= 2 && r[1] < 0x80 && r[1] != 0:
+				v = uint64(r[0]&0x7f) | uint64(r[1])<<7
+				p += 2
+			case len(r) >= 3 && r[1] >= 0x80 && r[2] < 0x80 && r[2] != 0:
+				v = uint64(r[0]&0x7f) | uint64(r[1]&0x7f)<<7 | uint64(r[2])<<14
+				p += 3
+			default:
+				if v, p = bufUvarint(buf, p); p < 0 {
+					arena = arena[:base]
+					break calls
+				}
+			}
+			prev ^= v // the first vertex is stored whole, the rest as XOR deltas
+			arena[i] = prev
+		}
+		end := len(arena)
+		round = appendDoubling(round, linecomm.Call{Path: arena[base:end:end]})
+		pos = p
+	}
+	sc.arena, sc.round = arena, round
+	s.n += int64(pos - s.pos)
+	s.pos = pos
+	return done
+}
+
+// bufUvarint decodes the varint at b[p:] and returns it with the offset
+// just past it, or a negative offset when the varint is not wholly
+// inside b or breaks a rule of Decoder.uvarint (canonical form, no
+// uint64 overflow) — then the reference path words the error.
+func bufUvarint(b []byte, p int) (uint64, int) {
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64 && p+i < len(b); i++ {
+		c := b[p+i]
+		if c < 0x80 {
+			if (i == binary.MaxVarintLen64-1 && c > 1) || (i > 0 && c == 0) {
+				return 0, -1
+			}
+			return x | uint64(c)<<s, p + i + 1
+		}
+		x |= uint64(c&0x7f) << s
+		s += 7
+	}
+	return 0, -1
 }
 
 // checkFooter folds the CRC over everything consumed so far, compares
