@@ -308,8 +308,8 @@ func runPlan(w, errw io.Writer, cube *sparsehypercube.Cube, schemeName string, s
 		scheme = sparsehypercube.BroadcastScheme{Source: source}
 	case "gossip":
 		scheme = sparsehypercube.GossipScheme{Root: source}
-		if cube.Order() > 1<<20 {
-			fmt.Fprintf(errw, "sparsecube: warning: gossip verification tracks order x order token cells and is capped at 2^20 vertices all-source; this 2^%d-vertex plan will write (and stream) fine but `replay` verification will report the knowledge half as simulation-cap-exceeded\n", cube.N())
+		if 2*(cube.Order()-1) > linecomm.MaxGossipCertifyExchanges {
+			fmt.Fprintf(errw, "sparsecube: warning: all-source gossip verification decides plans of at most %d exchanges (2^22 vertices); this 2^%d-vertex plan will write (and stream) fine but `replay` verification will report the knowledge half as simulation-cap-exceeded\n", linecomm.MaxGossipCertifyExchanges, cube.N())
 		}
 	default:
 		return fmt.Errorf("unknown scheme %q (want broadcast or gossip)", schemeName)

@@ -32,10 +32,11 @@ func allocBytes(f func()) uint64 {
 
 // TestCodecGateN16 is the deterministic gate on the codec and the
 // generator behind it, over one indexed k = 2, n = 16 broadcast plan.
-// It pins what the plan encodes to (length and CRC-32), that a stream
-// decode consumes exactly that many bytes, and ceilings on the heap
-// bytes each layer allocates: generation alone, generation plus encode
-// (Plan.WriteIndexedTo), and serial and two-worker parallel Plan.Verify.
+// It pins the work the plan carries (calls and hops), what it encodes
+// to (length and CRC-32), that a stream decode consumes exactly that
+// many bytes, and ceilings on the heap bytes each layer allocates:
+// generation alone, generation plus encode (Plan.WriteIndexedTo), and
+// serial and two-worker parallel Plan.Verify.
 // The allocation ceilings were set from measurement (linux/amd64, Go
 // 1.24) with about 15% headroom, except generation's, which is the
 // storage bound ScheduleRounds documents: 1.3x its final round's round,
@@ -50,6 +51,10 @@ func TestCodecGateN16(t *testing.T) {
 
 		planBytes = 313517
 		planCRC   = 0x2c0da88c
+		// Work counters: one call per vertex but the source, and the
+		// edges those calls occupy (measured).
+		planCalls = 1<<n - 1
+		planHops  = 67287
 
 		// Measured: 2,442,672 (generation included), 4,978,352 and
 		// 7,825,672 bytes.
@@ -91,6 +96,16 @@ func TestCodecGateN16(t *testing.T) {
 	inner, err := core.NewAuto(k, n)
 	if err != nil {
 		t.Fatal(err)
+	}
+	calls, hops := 0, 0
+	for r := range inner.ScheduleRounds(source) {
+		calls += len(r)
+		for _, c := range r {
+			hops += c.Length()
+		}
+	}
+	if calls != planCalls || hops != planHops {
+		t.Errorf("broadcast has %d calls over %d hops; want %d calls over %d hops", calls, hops, planCalls, planHops)
 	}
 	if got := allocBytes(func() {
 		for range inner.ScheduleRounds(source) {

@@ -22,11 +22,14 @@ import (
 //
 // Its Plan streams: rounds are rebuilt from the precomputed broadcast
 // frontier (the doubled schedule is never materialised) and Verify runs
-// the telephone-model gossip validator with a token-sharded knowledge
-// simulation — exact up to order x tokens = 2^40 cells (full gossip at
-// n = 20; far larger cubes with sampled sources). Past the cap Verify
-// still performs every structural check and reports a
-// simulation-cap-exceeded violation for the knowledge half.
+// the telephone-model gossip validator. Knowledge is decided by a hub
+// certificate through Root, linear in the exchange log, which accepts
+// the intact gather-scatter: all-source gossip is decided exactly
+// through n = 22 (2^23 exchanges). Logs it rejects fall back to a
+// token-sharded simulation, exact up to order x tokens = 2^40 cells
+// (full gossip at n = 20; far larger cubes with sampled sources). When
+// neither can decide, Verify still performs every structural check and
+// reports a simulation-cap-exceeded violation for the knowledge half.
 type MultiSourceScheme struct {
 	Root uint64
 	// Sources lists the token-holding vertices; nil or empty means every
@@ -39,8 +42,10 @@ type MultiSourceScheme struct {
 // plan files already serialise arbitrary rounds, so gossip plans are
 // served with no format change. The source set is a verification-side
 // concept and is not stored: a replayed plan verifies under the
-// all-source model, which above the all-source caps reports the
-// knowledge half as simulation-cap-exceeded. To re-verify a replayed
+// all-source model with the header's source as Root, which decides it
+// through n = 22 when the plan is an intact gather-scatter from that
+// root, and otherwise, above the all-source simulation caps, reports
+// the knowledge half as simulation-cap-exceeded. To re-verify a replayed
 // plan under the original source set, re-bind it explicitly:
 //
 //	replay, _ := sparsehypercube.ReadPlan(f)
@@ -68,8 +73,9 @@ func (s MultiSourceScheme) innerRounds(cube *Cube) iter.Seq[linecomm.Round] {
 
 // VerifyPlan implements PlanVerifier: correctness is checked by the
 // streamed telephone-model validator (per-round edge-disjointness, one
-// call per vertex per round, length bounds) with sharded token
-// simulation, not the broadcast validator. MinimumTime reports
+// call per vertex per round, length bounds) with the hub certificate
+// through Root and the sharded token simulation behind it, not the
+// broadcast validator. MinimumTime reports
 // completion in ceil(log2 N) rounds — false for the 2n-round
 // gather-scatter scheme, honestly.
 func (s MultiSourceScheme) VerifyPlan(cube *Cube, rounds iter.Seq[[]Call]) Report {
@@ -82,7 +88,7 @@ func (s MultiSourceScheme) VerifyPlan(cube *Cube, rounds iter.Seq[[]Call]) Repor
 			Msg: fmt.Sprintf("root %d outside [0,%d)", s.Root, cube.Order())}
 		return Report{Violations: []string{v.String()}}
 	}
-	res := linecomm.ValidateMultiSourceStream(cube.inner, cube.K(), s.Sources, toInnerRounds(rounds))
+	res := linecomm.ValidateMultiSourceStream(cube.inner, cube.K(), s.Root, s.Sources, toInnerRounds(rounds))
 	rep := Report{
 		Valid:         res.Valid(),
 		Complete:      res.Complete,

@@ -72,6 +72,40 @@ func TestGossipFacadeCatchesTampering(t *testing.T) {
 	mustMatchSerialGossip(t, serialGossip(cube, sched), rep)
 }
 
+// TestGossipPlanCertifiedBeyondSimulationCap: at n = 21 all-source
+// gossip is past the 2^40-cell simulation cap, yet the hub certificate
+// decides the intact gather-scatter plan: Valid and Complete. Without
+// its last scatter round the certificate cannot accept, and the report
+// falls back to simulation-cap-exceeded.
+func TestGossipPlanCertifiedBeyondSimulationCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n = 21 gossip plan: 4M calls, twice")
+	}
+	cube, err := New(2, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme := GossipScheme{Root: 5}
+	rep := cube.Plan(scheme).Verify()
+	if !rep.Valid || !rep.Complete || rep.Rounds != 2*cube.N() {
+		t.Fatalf("n=21 gossip plan misjudged: %+v", rep)
+	}
+
+	lastDropped := func(yield func([]Call) bool) {
+		r := 0
+		for round := range scheme.Rounds(cube) {
+			if r++; r == 2*cube.N() || !yield(round) {
+				return
+			}
+		}
+	}
+	rep = scheme.VerifyPlan(cube, lastDropped)
+	if rep.Valid || rep.Complete || rep.Rounds != 2*cube.N()-1 || len(rep.Violations) != 1 ||
+		!strings.Contains(rep.Violations[0], "simulation-cap-exceeded") {
+		t.Fatalf("n=21 gossip plan without its last round: %+v", rep)
+	}
+}
+
 // TestMultiSourceSchemeFacade: the generalised scheme shares the gossip
 // round stream, verifies only its listed tokens, and serialises as a
 // gossip plan (no format change — replay re-binds to the all-source

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sparsehypercube/internal/graph"
 	"sparsehypercube/internal/labeling"
@@ -280,12 +281,9 @@ func (s *SparseHypercube) HasEdge(u, v uint64) bool {
 	if x == 0 || x&(x-1) != 0 {
 		return false
 	}
-	d := 1
-	for x>>1 != 0 {
-		x >>= 1
-		d++
-	}
-	return s.HasEdgeDim(u, d)
+	// Both vertices are in range, so x's one bit is a dimension of the
+	// cube and the unchecked predicate is safe.
+	return s.hasEdgeDim(u, bits.TrailingZeros64(x)+1)
 }
 
 // Neighbors returns the sorted adjacency of u.

@@ -292,6 +292,53 @@ func TestHasEdgeRejectsNonNeighbors(t *testing.T) {
 	}
 }
 
+// TestHasEdgeMatchesHasEdgeDim pins the pair predicate to the
+// per-dimension one by brute force on every NewAuto (k <= 4) and
+// NewBase cube up to n = 12: each dimension hop agrees in both
+// directions, out-of-range pairs are rejected, and on cubes of at most
+// 2^8 vertices no pair at Hamming distance other than one is adjacent.
+func TestHasEdgeMatchesHasEdgeDim(t *testing.T) {
+	var cubes []*SparseHypercube
+	for n := 1; n <= 12; n++ {
+		for k := 1; k <= 4; k++ {
+			if s, err := NewAuto(k, n); err == nil {
+				cubes = append(cubes, s)
+			}
+		}
+		for m := 1; m < n; m++ {
+			if s, err := NewBase(n, m); err == nil {
+				cubes = append(cubes, s)
+			}
+		}
+	}
+	if len(cubes) < 24 {
+		t.Fatalf("only %d cubes built", len(cubes))
+	}
+	for _, s := range cubes {
+		order := s.Order()
+		for u := uint64(0); u < order; u++ {
+			for d := 1; d <= s.N(); d++ {
+				v := u ^ 1<<uint(d-1)
+				want := s.HasEdgeDim(u, d)
+				if s.HasEdge(u, v) != want || s.HasEdge(v, u) != want {
+					t.Fatalf("%v: HasEdge(%d,%d) disagrees with HasEdgeDim(%d,%d) = %v", s.Params(), u, v, u, d, want)
+				}
+			}
+			if s.HasEdge(u, order) || s.HasEdge(order, u) || s.HasEdge(u, u|order) {
+				t.Fatalf("%v: out-of-range neighbour of %d reported adjacent", s.Params(), u)
+			}
+			if order > 1<<8 {
+				continue
+			}
+			for v := uint64(0); v < order; v++ {
+				if x := u ^ v; (x == 0 || x&(x-1) != 0) && s.HasEdge(u, v) {
+					t.Fatalf("%v: pair {%d,%d} at distance != 1 reported adjacent", s.Params(), u, v)
+				}
+			}
+		}
+	}
+}
+
 func TestHypercubeDegenerate(t *testing.T) {
 	s, err := NewHypercube(5)
 	if err != nil {

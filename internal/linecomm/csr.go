@@ -314,7 +314,6 @@ func (c *csrState) informedCount() uint64 { return c.count }
 // suffices; endpoint occupancy is a bit per vertex with the same
 // first-claim recovery scan.
 type gossipCsrState struct {
-	net      SlottedNetwork
 	edgeUsed *bitvec.Set // NumEdgeSlots bits
 	busyUsed *bitvec.Set // order bits
 
@@ -326,7 +325,6 @@ type gossipCsrState struct {
 
 func newGossipCSRState(sn SlottedNetwork, order uint64) *gossipCsrState {
 	return &gossipCsrState{
-		net:          sn,
 		edgeUsed:     bitvec.New(sn.NumEdgeSlots()),
 		busyUsed:     bitvec.New(int(order)),
 		touchedEdges: newTouchList(sn.NumEdgeSlots()),
@@ -356,13 +354,11 @@ func (g *gossipCsrState) busyClaim(v uint64, ci int) (int, bool) {
 	return 0, true // unreachable: a set busy bit implies a registered claim
 }
 
-func (g *gossipCsrState) edgeUse(u, v uint64) bool {
-	slot, ok := g.net.EdgeSlot(u, v)
-	if !ok {
-		return false
-	}
-	if !g.edgeUsed.TestAndSet(slot) {
-		g.touchedEdges.add(int32(slot))
+// edgeUse takes the slot the structural pass resolved: EdgeSlot doubled
+// as the edge check there, so no hop is looked up twice.
+func (g *gossipCsrState) edgeUse(_, _ uint64, slot int32) bool {
+	if !g.edgeUsed.TestAndSet(int(slot)) {
+		g.touchedEdges.add(slot)
 		return false
 	}
 	return true

@@ -359,13 +359,13 @@ func TestCSRGossipDifferential(t *testing.T) {
 	mapNet := plainNet{csrNet}
 	sources := []uint64{0, uint64(g.NumVertices() / 2)}
 	for si, s := range schedules {
-		gm := ValidateGossipStream(mapNet, 2, s.Stream())
-		gc := ValidateGossipStream(csrNet, 2, s.Stream())
+		gm := ValidateGossipStream(mapNet, 2, s.Source, s.Stream())
+		gc := ValidateGossipStream(csrNet, 2, s.Source, s.Stream())
 		if !reflect.DeepEqual(gm, gc) {
 			t.Fatalf("schedule %d: gossip diverges:\nmap: %+v\ncsr: %+v", si, gm, gc)
 		}
-		mm := ValidateMultiSourceStream(mapNet, 1, sources, s.Stream())
-		mc := ValidateMultiSourceStream(csrNet, 1, sources, s.Stream())
+		mm := ValidateMultiSourceStream(mapNet, 1, s.Source, sources, s.Stream())
+		mc := ValidateMultiSourceStream(csrNet, 1, s.Source, sources, s.Stream())
 		if !reflect.DeepEqual(mm, mc) {
 			t.Fatalf("schedule %d: multi-source diverges:\nmap: %+v\ncsr: %+v", si, mm, mc)
 		}

@@ -17,8 +17,9 @@ import (
 //
 // ValidateGossip is the serial reference validator: it materialises a
 // full token-set matrix (one bit row per vertex) and applies exchanges
-// round by round. ValidateGossipStream (gossipstream.go) is the streamed,
-// sharded form crosschecked against it.
+// round by round. ValidateGossipStream (gossipstream.go) is the streamed
+// form crosschecked against it: a hub certificate, with a sharded token
+// simulation as its fallback.
 //
 // Two materialised schemes live here too: HypercubeExchange, the
 // minimum-time dimension exchange on Q_n, and FromBroadcast, which lifts
@@ -46,10 +47,12 @@ type GossipResult struct {
 	// non-degenerate paths (calls with other structural defects, such as
 	// a missing edge, still count — their length is well defined).
 	MaxCallLength int
-	// Simulated reports whether token propagation was actually simulated;
-	// false when the instance exceeded the simulation cap (in which case a
-	// SimulationCapExceeded violation is present and Complete/MinKnown are
-	// meaningless zeros).
+	// Simulated reports that the knowledge half — Complete and MinKnown
+	// — was decided exactly, by the streamed validator's hub certificate
+	// or by simulating the tokens. It is false when neither could run (in
+	// which case a SimulationCapExceeded violation is present and
+	// Complete/MinKnown are meaningless zeros) or the source list was
+	// rejected.
 	Simulated bool
 }
 
@@ -140,6 +143,14 @@ const (
 // order. Cross-call checks (busy endpoints, edge reuse) are the caller's
 // job and apply only to gossipFull calls.
 func checkGossipCall(net Network, k int, order uint64, ri, ci int, call Call, out []Violation) (uint8, []Violation) {
+	return checkGossipHops(net, nil, k, order, ri, ci, call, nil, out)
+}
+
+// checkGossipHops is checkGossipCall with the edge check taken from sn
+// when it is non-nil: EdgeSlot decides each hop's existence and its slot
+// lands in hopSlots (at least len(call.Path)-1 long), valid whenever the
+// returned stage is gossipFull. Violations are the same either way.
+func checkGossipHops(net Network, sn SlottedNetwork, k int, order uint64, ri, ci int, call Call, hopSlots []int32, out []Violation) (uint8, []Violation) {
 	if len(call.Path) < 2 {
 		return gossipSkip, append(out, Violation{ri, ci, PathInvalid,
 			fmt.Sprintf("path has %d vertices", len(call.Path))})
@@ -157,7 +168,15 @@ func checkGossipCall(net Network, k int, order uint64, ri, ci int, call Call, ou
 	}
 	out, bad = appendRepeatViolations(out, ri, ci, call.Path)
 	for i := 1; i < len(call.Path); i++ {
-		if !net.HasEdge(call.Path[i-1], call.Path[i]) {
+		var ok bool
+		if sn != nil {
+			var s int
+			s, ok = sn.EdgeSlot(call.Path[i-1], call.Path[i])
+			hopSlots[i-1] = int32(s)
+		} else {
+			ok = net.HasEdge(call.Path[i-1], call.Path[i])
+		}
+		if !ok {
 			out = append(out, Violation{ri, ci, PathInvalid,
 				fmt.Sprintf("no edge {%d,%d}", call.Path[i-1], call.Path[i])})
 			bad = true

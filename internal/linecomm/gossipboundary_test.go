@@ -63,8 +63,8 @@ func TestValidateJustAboveSimulationCap(t *testing.T) {
 	}
 
 	// The streamed validator picks up exactly where the serial cap ends:
-	// the same 2^15 instance simulates fully there.
-	sres := linecomm.ValidateGossipStream(s, 2, s.ScheduleGossipRounds(0))
+	// the same 2^15 instance is decided exactly there.
+	sres := linecomm.ValidateGossipStream(s, 2, 0, s.ScheduleGossipRounds(0))
 	if err := sres.Err(); err != nil {
 		t.Fatalf("streamed 2^15 gossip: %v", err)
 	}

@@ -43,14 +43,18 @@ func crosscheckCases(t *testing.T) []*core.SparseHypercube {
 
 // mustMatchSerialGossip asserts the streamed validator reproduces the
 // serial Result exactly — violations, order, messages, flags, counts —
-// on both structural engines.
+// on both structural engines, with the schedule's source as the hub
+// (the certificate decides where it can) and with no hub (the token
+// simulation always decides).
 func mustMatchSerialGossip(t *testing.T, s *core.SparseHypercube, k int, sched *linecomm.Schedule) {
 	t.Helper()
 	want := linecomm.ValidateGossip(s, k, sched)
 	for name, net := range map[string]linecomm.Network{"dim": s, "map": plainNet{s}} {
-		got := linecomm.ValidateGossipStream(net, k, sched.Stream())
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s engine diverges from serial:\nserial: %+v\nstream: %+v", name, want, got)
+		for _, hub := range []uint64{sched.Source, linecomm.NoHub} {
+			got := linecomm.ValidateGossipStream(net, k, hub, sched.Stream())
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s engine, hub %d diverges from serial:\nserial: %+v\nstream: %+v", name, hub, want, got)
+			}
 		}
 	}
 }

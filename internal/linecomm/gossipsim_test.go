@@ -122,3 +122,102 @@ func naiveGossipCounts(order int, sources []uint64, pairs []uint32) []int32 {
 	}
 	return counts
 }
+
+// FuzzGossipCertify checks the hub certificate's soundness on fuzzed
+// exchange logs, round boundaries and hubs: whenever certifyGossip
+// accepts, the naive replay must have every vertex knowing every token.
+// Logs come in the three shapes of FuzzGossipSimulate (shape 1 splices
+// a gather to vertex 0 and a scatter back into the log), plus shape 3:
+// shape 1 with one scatter exchange dropped, which a certificate that
+// let the scatter start early would wrongly accept. When the hub is 0
+// and a round ends where shape 1's gather does, the certificate must
+// also accept, so the fuzzer cannot pass by rejecting everything.
+func FuzzGossipCertify(f *testing.F) {
+	f.Add(uint64(1), uint16(700), uint8(0), uint8(1), uint16(0), []byte("\x01\x00\x02\x00\x03\x00\x01\x00\x02\x00\x01\x00"))
+	f.Add(uint64(2), uint16(130), uint8(1), uint8(0), uint16(3), []byte("\x05\x00\x07\x00\x05\x00\x07\x00\x07\x00\x09\x00"))
+	f.Add(uint64(3), uint16(8), uint8(0), uint8(1), uint16(0), []byte("\x00\x00\x01\x00\x02\x00\x03\x00"))
+	f.Add(uint64(4), uint16(0), uint8(2), uint8(1), uint16(0), []byte{})
+	f.Add(uint64(5), uint16(64), uint8(3), uint8(2), uint16(9), []byte("\x00\x00\x00\x00\x01\x00\x01\x00"))
+	f.Add(uint64(6), uint16(40), uint8(0), uint8(3), uint16(0), []byte("\x01\x00\x02\x00"))
+	f.Fuzz(func(t *testing.T, seed uint64, orderSel uint16, srcSel, shape uint8, hubSel uint16, log []byte) {
+		const maxOrder, maxPairs = 256, 2048
+		order := 1 + int(orderSel)%maxOrder
+		rng := rand.New(rand.NewPCG(seed, uint64(order)))
+
+		var sources []uint64
+		if srcSel%4 != 0 {
+			perm := rng.Perm(order)
+			sources = make([]uint64, 1+rng.IntN(order))
+			for i := range sources {
+				sources[i] = uint64(perm[i])
+			}
+		}
+
+		var raw []uint32
+		for i := 0; i+4 <= len(log) && len(raw) < 2*maxPairs; i += 4 {
+			a := uint32(binary.LittleEndian.Uint16(log[i:])) % uint32(order)
+			b := uint32(binary.LittleEndian.Uint16(log[i+2:])) % uint32(order)
+			raw = append(raw, a, b)
+		}
+		pairs := raw
+		junction := -1 // exchange index where the spliced gather ends
+		switch shape % 4 {
+		case 1, 3:
+			half := len(raw) / 4 * 2
+			pairs = append([]uint32(nil), raw[:half]...)
+			for v := 1; v < order; v++ {
+				pairs = append(pairs, uint32(v), 0)
+			}
+			junction = len(pairs) / 2
+			dropped := 0 // no vertex: shape 1 keeps every scatter exchange
+			if shape%4 == 3 && order > 1 {
+				dropped = 1 + rng.IntN(order-1)
+			}
+			for v := 1; v < order; v++ {
+				if v != dropped {
+					pairs = append(pairs, 0, uint32(v))
+				}
+			}
+			pairs = append(pairs, raw[half:]...)
+		case 2:
+			for p := 0; p < len(pairs); p += 2 {
+				if b := pairs[p+1]&^1 | pairs[p]&1; b < uint32(order) {
+					pairs[p+1] = b
+				} else {
+					pairs[p+1] = pairs[p]
+				}
+			}
+		}
+
+		// Round boundaries: random cuts (empty rounds included), the
+		// junction when there is one, and the end of the log.
+		var ends []int
+		for p := 0; p < len(pairs)/2; p++ {
+			if p == junction || rng.IntN(4) == 0 {
+				ends = append(ends, p)
+				if rng.IntN(8) == 0 {
+					ends = append(ends, p)
+				}
+			}
+		}
+		ends = append(ends, len(pairs)/2)
+
+		hub := uint64(hubSel) % uint64(order)
+		ok := certifyGossip(uint64(order), hub, sources, pairs, ends)
+		m := order
+		if sources != nil {
+			m = len(sources)
+		}
+		if ok {
+			for v, c := range naiveGossipCounts(order, sources, pairs) {
+				if int(c) != m {
+					t.Fatalf("order %d, %d tokens, hub %d, %d pairs: certified, but vertex %d knows %d tokens",
+						order, m, hub, len(pairs)/2, v, c)
+				}
+			}
+		}
+		if shape%4 == 1 && hub == 0 && !ok {
+			t.Fatalf("order %d, %d tokens: gather-scatter through hub 0 not certified", order, m)
+		}
+	})
+}

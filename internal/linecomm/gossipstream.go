@@ -3,8 +3,11 @@ package linecomm
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/bits"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -21,7 +24,11 @@ import (
 //
 // Knowledge tracking is the part that does not fit in memory at n >= 20:
 // a full token matrix is order^2 bits (128 GiB at n = 20). The streamed
-// validator therefore shards the token axis: each shard owns a slice of
+// validator first tries the hub certificate (certifyGossip): a few
+// linear reachability replays of the log from the schedule's origin,
+// which accept gather-scatter schedules — the paper's §5 gossip —
+// outright. Only logs it rejects reach the token simulation, which
+// shards the token axis: each shard owns a slice of
 // the token universe and replays the retained exchange pairs over it,
 // and shards run across a worker pool, folding per-vertex counts into a
 // shared count vector under a lock. Within a shard every vertex carries
@@ -51,6 +58,10 @@ const (
 	// every shard's matrix have one row per vertex no matter how narrow
 	// the token shard is.
 	MaxGossipSimulateVertices = uint64(1) << 26
+	// MaxGossipCertifyExchanges caps the exchange log kept for the hub
+	// certificate past the simulation caps: 2^23 exchanges, 64 MiB of
+	// 32-bit pairs, enough for gather-scatter through n = 22.
+	MaxGossipCertifyExchanges = 1 << 23
 )
 
 // gossipSimBudgetBytes bounds the simulation's resident matrix memory
@@ -62,13 +73,18 @@ var gossipSimBudgetBytes = 512 << 20
 // gossip model on net — every vertex starts with its own token — and
 // returns the same GossipResult, violation for violation, that
 // ValidateGossip returns on the materialised schedule whenever both run
-// (order <= MaxGossipSimulateOrder). Beyond the serial cap it keeps
-// simulating up to MaxGossipSimulateCells / MaxGossipSimulateVertices by
-// sharding the token matrix; past those caps it still performs every
-// structural check and reports a SimulationCapExceeded violation for the
-// knowledge half.
-func ValidateGossipStream(net Network, k int, rounds iter.Seq[Round]) *GossipResult {
-	return ValidateMultiSourceStream(net, k, nil, rounds)
+// (order <= MaxGossipSimulateOrder). hub is the schedule's origin (the
+// gather-scatter root): the hub certificate tries to decide completeness
+// through it in a few linear replays of the exchange log. It never
+// changes a result, since a rejected certificate falls back to the
+// token simulation; a hub outside the network certifies nothing. The
+// simulation shards the token matrix up to MaxGossipSimulateCells /
+// MaxGossipSimulateVertices; past those caps only the certificate can
+// decide, over logs of at most MaxGossipCertifyExchanges exchanges.
+// Every structural check runs regardless, and an undecided knowledge
+// half is reported as a SimulationCapExceeded violation.
+func ValidateGossipStream(net Network, k int, hub uint64, rounds iter.Seq[Round]) *GossipResult {
+	return ValidateMultiSourceStream(net, k, hub, nil, rounds)
 }
 
 // ValidateMultiSourceStream is ValidateGossipStream for multi-source
@@ -77,8 +93,8 @@ func ValidateGossipStream(net Network, k int, rounds iter.Seq[Round]) *GossipRes
 // ends up knowing every source's token. The narrower token axis is what
 // makes exact simulation feasible at orders where all-source gossip
 // exceeds the cell cap. Sources must be distinct and in range; offenders
-// are reported as violations and disable simulation.
-func ValidateMultiSourceStream(net Network, k int, sources []uint64, rounds iter.Seq[Round]) *GossipResult {
+// are reported as violations and disable the knowledge half.
+func ValidateMultiSourceStream(net Network, k int, hub uint64, sources []uint64, rounds iter.Seq[Round]) *GossipResult {
 	res := &GossipResult{}
 	order := net.Order()
 	if len(sources) == 0 {
@@ -88,29 +104,46 @@ func ValidateMultiSourceStream(net Network, k int, sources []uint64, rounds iter
 	simulate := srcOK && order > 0 &&
 		order <= MaxGossipSimulateVertices &&
 		uint64(m) <= MaxGossipSimulateCells/order
-	if srcOK && !simulate {
-		res.Violations = append(res.Violations, Violation{
-			Round: -1, Call: -1, Kind: SimulationCapExceeded,
-			Msg: fmt.Sprintf("order %d with %d tokens exceeds streamed simulation caps (order <= %d, order*tokens <= %d)",
-				order, m, MaxGossipSimulateVertices, MaxGossipSimulateCells),
-		})
-	}
+	// The certificate needs the same log; past the simulation caps it is
+	// the only use of the log, which is then held to
+	// MaxGossipCertifyExchanges.
+	certify := srcOK && hub < order && order <= MaxGossipSimulateVertices
+	keepLog := simulate || certify
 
 	// The gossip state holds bit sets only: Definition 1 storage caps.
+	// On slotted networks the structural pass resolves each hop's edge
+	// slot once — EdgeSlot is the edge check — and the round state
+	// consumes the resolved slots.
 	var st gossipRoundState = newGossipMapState()
-	if sn, ok := slottedFor(net, order, DefaultOptions()); ok {
+	sn, slotted := slottedFor(net, order, DefaultOptions())
+	if slotted {
 		st = newGossipCSRState(sn, order)
 	}
+	var hopSlots []int32 // left zero on the map engine, which ignores them
 
-	// Flat (from, to) exchange log for the simulation. Simulated orders
-	// are capped at MaxGossipSimulateVertices = 2^26, so ids fit 32 bits.
-	var pairs []uint32
+	// Flat (from, to) exchange log for the knowledge half, and the log
+	// length at the end of each round. Kept orders are capped at
+	// MaxGossipSimulateVertices = 2^26, so ids fit 32 bits.
+	var (
+		pairs    []uint32
+		ends     []int
+		logLimit = math.MaxInt
+	)
+	if !simulate {
+		logLimit = 2 * MaxGossipCertifyExchanges
+	}
 	nRounds := 0
 	for round := range rounds {
 		st.beginRound(round)
+		if keepLog {
+			pairs = growLog(pairs, 2*len(round), logLimit)
+		}
 		for ci, call := range round {
+			if len(call.Path) > len(hopSlots)+1 {
+				hopSlots = make([]int32, len(call.Path)-1)
+			}
 			var stage uint8
-			stage, res.Violations = checkGossipCall(net, k, order, nRounds, ci, call, res.Violations)
+			stage, res.Violations = checkGossipHops(net, sn, k, order, nRounds, ci, call, hopSlots, res.Violations)
 			if stage == gossipSkip {
 				continue
 			}
@@ -132,22 +165,36 @@ func ValidateMultiSourceStream(net Network, k int, sources []uint64, rounds iter
 				if a > b {
 					a, b = b, a
 				}
-				if st.edgeUse(a, b) {
+				if st.edgeUse(a, b, hopSlots[i-1]) {
 					res.Violations = append(res.Violations, Violation{nRounds, ci, EdgeConflict,
 						fmt.Sprintf("edge {%d,%d} reused", a, b)})
 				}
 			}
-			if simulate {
-				pairs = append(pairs, uint32(from), uint32(to))
+			if keepLog {
+				if len(pairs) == logLimit {
+					// Too long to certify, and too large to simulate: the
+					// knowledge half stays undecided.
+					pairs, ends, keepLog = nil, nil, false
+				} else {
+					pairs = append(pairs, uint32(from), uint32(to))
+				}
 			}
 		}
 		st.endRound()
+		if keepLog {
+			ends = append(ends, len(pairs)/2)
+		}
 		nRounds++
 	}
 	res.Rounds = nRounds
 
-	if simulate {
-		counts := simulateGossipTokens(order, sources, pairs)
+	switch {
+	case keepLog && certify && certifyGossip(order, hub, sources, pairs, ends):
+		// Every vertex knows every token: exactly what the simulation
+		// would count.
+		res.Simulated, res.Complete, res.MinKnown = true, true, m
+	case simulate:
+		counts := simulateTokens(order, sources, pairs)
 		res.Simulated = true
 		res.MinKnown = m
 		res.Complete = true
@@ -159,9 +206,124 @@ func ValidateMultiSourceStream(net Network, k int, sources []uint64, rounds iter
 				res.Complete = false
 			}
 		}
+	case srcOK:
+		res.Violations = slices.Insert(res.Violations, 0, Violation{
+			Round: -1, Call: -1, Kind: SimulationCapExceeded,
+			Msg: fmt.Sprintf("order %d with %d tokens exceeds streamed simulation caps (order <= %d, order*tokens <= %d)",
+				order, m, MaxGossipSimulateVertices, MaxGossipSimulateCells),
+		})
 	}
 	res.MinimumTime = res.Complete && nRounds == GossipMinimumRounds(order)
 	return res
+}
+
+// growLog makes room in the exchange log for more entries, doubling its
+// capacity up to limit. Append's own growth, 1.25x for large slices,
+// would allocate about five times the final log over its lifetime;
+// doubling allocates at most twice its final capacity.
+func growLog(pairs []uint32, more, limit int) []uint32 {
+	if cap(pairs)-len(pairs) >= more || cap(pairs) >= limit {
+		return pairs
+	}
+	c := min(max(2*cap(pairs), len(pairs)+more), limit)
+	return append(make([]uint32, 0, c), pairs...)
+}
+
+// certifyGossip is the hub certificate: a one-sided test, in a few
+// linear passes over the exchange log, that every vertex ends up knowing
+// every token. Round r of the log ends at exchange ends[r]. Exchanges apply in log order and
+// give both endpoints the union of their knowledge, as in the
+// simulation, so knowledge only grows and two replays decide it:
+//
+//   - gather: hub knows every token once the first t rounds are over
+//     iff replaying those rounds backwards from S = {hub}, where an
+//     exchange with one endpoint in S adds the other, ends with S
+//     holding every token's source. That is monotone in t, so a binary
+//     search over round boundaries finds the smallest t;
+//   - scatter: replaying the rest forwards from F = {hub} under the same
+//     rule, F is the set of vertices that end up knowing everything hub
+//     knew after round t.
+//
+// If F covers every vertex the certificate accepts, and every vertex
+// knows all tokens. Otherwise (a log with no hub, or an incomplete one)
+// it rejects and the caller simulates. The rule is exact on any log,
+// invalid ones included, so an accept never disagrees with the
+// simulation. Gather-scatter rooted at hub always passes: t is the end
+// of the gather phase.
+func certifyGossip(order, hub uint64, sources []uint64, pairs []uint32, ends []int) bool {
+	n := int(order)
+	words := (n + 63) / 64
+	has := func(set []uint64, v uint32) bool { return set[v>>6]&(1<<(v&63)) != 0 }
+	var isSource []uint64 // nil: every vertex holds a token
+	m := n
+	if sources != nil {
+		m = len(sources)
+		isSource = make([]uint64, words)
+		for _, v := range sources {
+			isSource[v>>6] |= 1 << (v & 63)
+		}
+	}
+	h := uint32(hub)
+	reached := make([]uint64, words)
+	reset := func() {
+		clear(reached)
+		reached[h>>6] |= 1 << (h & 63)
+	}
+	// boundary is the exchange index where round t begins.
+	boundary := func(t int) int {
+		if t == 0 {
+			return 0
+		}
+		return ends[t-1]
+	}
+
+	// gathered reports whether hub knows every token once the first t
+	// rounds are over: the backward replay reaches every source.
+	gathered := func(t int) bool {
+		reset()
+		got := 0
+		if isSource == nil || has(isSource, h) {
+			got++
+		}
+		for p := 2*boundary(t) - 2; p >= 0 && got < m; p -= 2 {
+			a, b := pairs[p], pairs[p+1]
+			ina, inb := has(reached, a), has(reached, b)
+			if ina == inb {
+				continue
+			}
+			v := a
+			if ina {
+				v = b
+			}
+			reached[v>>6] |= 1 << (v & 63)
+			if isSource == nil || has(isSource, v) {
+				got++
+			}
+		}
+		return got == m
+	}
+	t := sort.Search(len(ends)+1, gathered)
+	if t > len(ends) {
+		return false
+	}
+
+	// Scatter: the forward replay of the rest reaches every vertex.
+	reset()
+	got := 1
+	for p := 2 * boundary(t); p < len(pairs) && got < n; p += 2 {
+		a, b := pairs[p], pairs[p+1]
+		ina, inb := has(reached, a), has(reached, b)
+		if ina == inb {
+			continue
+		}
+		v := a
+		if ina {
+			v = b
+		}
+		reached[v>>6] |= 1 << (v & 63)
+		got++
+	}
+	return got == n
 }
 
 // countGossipTokens validates the source list and returns the token
@@ -203,10 +365,11 @@ type gossipRoundState interface {
 	// busyClaim registers call ci as occupying endpoint v. When v is
 	// already busy this round it reports the occupying call's index.
 	busyClaim(v uint64, ci int) (prev int, dup bool)
-	// edgeUse registers one use of edge {u,v} (u <= v canonical) and
-	// reports whether the edge was already used this round. Gossip
-	// reports every reuse, not just the first.
-	edgeUse(u, v uint64) bool
+	// edgeUse registers one use of edge {u,v} (u <= v canonical), whose
+	// slot the structural pass resolved on slotted networks, and reports
+	// whether the edge was already used this round. Gossip reports every
+	// reuse, not just the first.
+	edgeUse(u, v uint64, slot int32) bool
 	endRound()
 }
 
@@ -234,7 +397,7 @@ func (g *gossipMapState) busyClaim(v uint64, ci int) (int, bool) {
 	return 0, false
 }
 
-func (g *gossipMapState) edgeUse(u, v uint64) bool {
+func (g *gossipMapState) edgeUse(u, v uint64, _ int32) bool {
 	e := edgeKey{u, v}
 	used := g.edges[e]
 	g.edges[e] = true
@@ -269,6 +432,10 @@ const (
 	rowPartial
 	rowFull
 )
+
+// simulateTokens is the validator's call into the token simulation, a
+// variable so tests can tell which half decided a result.
+var simulateTokens = simulateGossipTokens
 
 // simulateGossipTokens replays the exchange log over the token matrix,
 // sharded along the token axis, and returns the per-vertex known-token

@@ -14,27 +14,32 @@ func gatherScatterQn(n int) *Schedule { return FromBroadcast(binomialSchedule(n)
 
 // TestGossipStreamShardWidths forces the sharded simulation through its
 // extreme shard layouts — one wide shard, word-wide shards (the scalar
-// fast path), and odd widths in between — and requires the identical
-// GossipResult from each.
+// fast path), and odd widths in between — and requires from each the
+// GossipResult the hub certificate gives.
 func TestGossipStreamShardWidths(t *testing.T) {
 	const n = 7
 	sched := gatherScatterQn(n)
 	net := GraphNetwork{G: topo.Hypercube(n)}
+	sims := CountSimulations(t)
 
-	want := ValidateGossipStream(net, 1, sched.Stream())
-	if !want.Complete || !want.Simulated || want.MinKnown != 1<<n {
-		t.Fatalf("base gather-scatter misjudged: %+v", want)
+	want := ValidateGossipStream(net, 1, sched.Source, sched.Stream())
+	if !want.Complete || !want.Simulated || want.MinKnown != 1<<n || *sims != 0 {
+		t.Fatalf("base gather-scatter misjudged (%d simulations): %+v", *sims, want)
 	}
 
 	defer func(b int) { gossipSimBudgetBytes = b }(gossipSimBudgetBytes)
 	// Budgets chosen to yield shardWords of 1 (scalar path), 2, and a
 	// handful, across any worker count.
-	for _, budget := range []int{1, 1 << 10, 1 << 14, 1 << 17} {
+	budgets := []int{1, 1 << 10, 1 << 14, 1 << 17}
+	for _, budget := range budgets {
 		gossipSimBudgetBytes = budget
-		got := ValidateGossipStream(net, 1, sched.Stream())
+		got := ValidateGossipStream(net, 1, NoHub, sched.Stream())
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("budget %d diverged:\nwant %+v\ngot  %+v", budget, want, got)
 		}
+	}
+	if *sims != len(budgets) {
+		t.Fatalf("%d simulations for %d budgets", *sims, len(budgets))
 	}
 }
 
@@ -83,7 +88,7 @@ func TestMultiSourceStreamSemantics(t *testing.T) {
 	sched := gatherScatterQn(n)
 	net := GraphNetwork{G: topo.Hypercube(n)}
 
-	res := ValidateMultiSourceStream(net, 1, []uint64{0, 7, 31}, sched.Stream())
+	res := ValidateMultiSourceStream(net, 1, sched.Source, []uint64{0, 7, 31}, sched.Stream())
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,20 +97,20 @@ func TestMultiSourceStreamSemantics(t *testing.T) {
 	}
 
 	// An empty (non-nil) source list means all-source, same as nil.
-	all := ValidateGossipStream(net, 1, sched.Stream())
-	if got := ValidateMultiSourceStream(net, 1, []uint64{}, sched.Stream()); !reflect.DeepEqual(all, got) {
+	all := ValidateGossipStream(net, 1, sched.Source, sched.Stream())
+	if got := ValidateMultiSourceStream(net, 1, sched.Source, []uint64{}, sched.Stream()); !reflect.DeepEqual(all, got) {
 		t.Fatalf("empty source list diverges from nil:\nnil:   %+v\nempty: %+v", all, got)
 	}
 
 	// An empty schedule leaves every non-source vertex with zero tokens.
-	res = ValidateMultiSourceStream(net, 1, []uint64{4}, (&Schedule{}).Stream())
+	res = ValidateMultiSourceStream(net, 1, 4, []uint64{4}, (&Schedule{}).Stream())
 	if res.Complete || res.MinKnown != 0 || !res.Simulated {
 		t.Fatalf("empty schedule with one source: %+v", res)
 	}
 
 	// A single exchange spreads source 4's token to exactly one peer.
 	one := &Schedule{Rounds: []Round{{{Path: []uint64{4, 5}}}}}
-	res = ValidateMultiSourceStream(net, 1, []uint64{4}, one.Stream())
+	res = ValidateMultiSourceStream(net, 1, 4, []uint64{4}, one.Stream())
 	if res.Complete || res.MinKnown != 0 {
 		t.Fatalf("one exchange cannot complete: %+v", res)
 	}
@@ -119,7 +124,7 @@ func TestMultiSourceStreamRejectsBadSources(t *testing.T) {
 	net := GraphNetwork{G: topo.Hypercube(n)}
 	sched := gatherScatterQn(n)
 
-	res := ValidateMultiSourceStream(net, 1, []uint64{3, 1 << n}, sched.Stream())
+	res := ValidateMultiSourceStream(net, 1, sched.Source, []uint64{3, 1 << n}, sched.Stream())
 	if res.Valid() || res.Simulated {
 		t.Fatalf("out-of-range source accepted: %+v", res)
 	}
@@ -130,7 +135,7 @@ func TestMultiSourceStreamRejectsBadSources(t *testing.T) {
 		t.Fatal("structural pass skipped on bad sources")
 	}
 
-	res = ValidateMultiSourceStream(net, 1, []uint64{3, 5, 3}, sched.Stream())
+	res = ValidateMultiSourceStream(net, 1, sched.Source, []uint64{3, 5, 3}, sched.Stream())
 	if res.Valid() || res.Simulated {
 		t.Fatalf("repeated source accepted: %+v", res)
 	}
@@ -153,7 +158,7 @@ func (hugeNet) HasEdge(u, v uint64) bool { return false }
 func TestGossipStreamCaps(t *testing.T) {
 	// Cell cap: order fits, order x order does not (2^42 > 2^40).
 	cells := hugeNet{order: 1 << 21}
-	res := ValidateGossipStream(cells, 1, (&Schedule{}).Stream())
+	res := ValidateGossipStream(cells, 1, 0, (&Schedule{}).Stream())
 	if res.Valid() || res.Simulated {
 		t.Fatalf("cell-cap instance simulated: %+v", res)
 	}
@@ -162,14 +167,14 @@ func TestGossipStreamCaps(t *testing.T) {
 	}
 
 	// The same order with a handful of sources is back under the cap.
-	res = ValidateMultiSourceStream(cells, 1, []uint64{0, 1}, (&Schedule{}).Stream())
+	res = ValidateMultiSourceStream(cells, 1, 0, []uint64{0, 1}, (&Schedule{}).Stream())
 	if !res.Valid() || !res.Simulated || res.Complete {
 		t.Fatalf("narrow sources at large order: %+v", res)
 	}
 
 	// Vertex cap: order alone is too large, sources cannot rescue it.
 	verts := hugeNet{order: MaxGossipSimulateVertices + 1}
-	res = ValidateMultiSourceStream(verts, 1, []uint64{0, 1}, (&Schedule{}).Stream())
+	res = ValidateMultiSourceStream(verts, 1, 0, []uint64{0, 1}, (&Schedule{}).Stream())
 	if res.Valid() || res.Simulated {
 		t.Fatalf("vertex-cap instance simulated: %+v", res)
 	}
