@@ -235,7 +235,7 @@ func TestParseDims(t *testing.T) {
 // TestGossipPlanReplayRoundTrip drives the gossip half of the
 // write-once/verify-many pair: a streamed 2^15-vertex gather-scatter plan
 // — past the old serial simulation cap — written to disk and replayed
-// through the sharded validator to full completion.
+// through the streamed gossip validator to full completion.
 func TestGossipPlanReplayRoundTrip(t *testing.T) {
 	cube, err := buildCube(2, 15, "")
 	if err != nil {

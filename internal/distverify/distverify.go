@@ -538,7 +538,7 @@ func (j *job) localRange(idx int) (*linecomm.Result, error) {
 		return nil, err
 	}
 	res := linecomm.ValidateStreamSeeded(j.cube, j.cube.K(), j.source,
-		seed, lo, rr.Rounds(), linecomm.DefaultOptions(), 0)
+		seed, lo, rr.Rounds(), linecomm.DefaultOptions())
 	return res, rr.Err()
 }
 

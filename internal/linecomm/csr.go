@@ -16,11 +16,13 @@ import (
 // which keeps the hops of one round on one dimension inside one
 // order-bit window of each set. Bit sets hold receivers, callers and
 // capacity-1 edges; small per-slot counters hold generalised capacities
-// (Options.EdgeCapacity/ReceiverCapacity > 1). Touched slots are
-// recorded and cleared between rounds — up to one recorded slot per word
-// of the set, past which the round resets the whole set instead (see
-// touchList) — so the engine allocates once per validation run and
-// nothing per round.
+// (Options.EdgeCapacity/ReceiverCapacity > 1). Everything a round sets
+// is cleared before the next: receivers and callers through the
+// per-call lists the round keeps anyway (its newly informed receivers,
+// its claiming calls), edge slots through a touch list of their own —
+// up to one recorded slot per word of the set, past which the round
+// resets the whole set instead (see touchList). So the engine allocates
+// once per validation run and nothing per round.
 //
 // mapState stays as the reference engine — it is what the differential
 // suite crosschecks csrState against, and the fallback for networks
@@ -116,15 +118,16 @@ type csrState struct {
 
 	callerUsed *bitvec.Set // order bits
 
-	round          Round
-	claimed        []int // call indices that registered a caller, in order
-	touchedEdges   touchList
-	touchedRecvs   touchList
-	touchedCallers touchList
-	newly          []uint64
+	round        Round
+	claimed      []int    // call indices that registered a caller, in order; clears callerUsed
+	newly        []uint64 // receivers, one per recvUse; clears the receiver storage
+	touchedEdges touchList
+	// dups records that the round set a dup-shadow bit, so endRound
+	// clears edgeDup and recvDup only after a round with a conflict.
+	dups bool
 }
 
-// touchList records the slots one round sets in a bit set (or a
+// touchList records the edge slots one round sets in a bit set (or a
 // counter array) so endRound can clear just those. Once the list holds
 // one slot per word of the set, clearing the whole set costs no more
 // than replaying the list, so the list stops growing and the round
@@ -179,14 +182,12 @@ func (t *touchList) clearCounts(cnt []int32) {
 
 func newCSRState(sn SlottedNetwork, order, source uint64, opts Options) *csrState {
 	st := &csrState{
-		net:            sn,
-		opts:           opts,
-		count:          1,
-		informed:       bitvec.New(int(order)),
-		callerUsed:     bitvec.New(int(order)),
-		touchedEdges:   newTouchList(sn.NumEdgeSlots()),
-		touchedRecvs:   newTouchList(int(order)),
-		touchedCallers: newTouchList(int(order)),
+		net:          sn,
+		opts:         opts,
+		count:        1,
+		informed:     bitvec.New(int(order)),
+		callerUsed:   bitvec.New(int(order)),
+		touchedEdges: newTouchList(sn.NumEdgeSlots()),
 	}
 	if opts.EdgeCapacity == 1 {
 		st.edgeUsed = bitvec.New(sn.NumEdgeSlots())
@@ -225,7 +226,6 @@ func (c *csrState) beginRound(r Round) {
 
 func (c *csrState) callerClaim(v uint64, ci int) (int, bool) {
 	if !c.callerUsed.TestAndSet(int(v)) {
-		c.touchedCallers.add(int32(v))
 		c.claimed = append(c.claimed, ci)
 		return 0, false
 	}
@@ -239,7 +239,7 @@ func (c *csrState) callerClaim(v uint64, ci int) (int, bool) {
 	return 0, true // unreachable: a set caller bit implies a claim
 }
 
-// edgeUseSlot is edgeUse for a slot the fill phase already resolved:
+// edgeUseSlot is edgeUse for a slot checkCall already resolved:
 // EdgeSlot doubles as the edge check there, so no hop is searched twice.
 func (c *csrState) edgeUseSlot(slot int) bool {
 	if c.edgeUsed != nil {
@@ -247,6 +247,7 @@ func (c *csrState) edgeUseSlot(slot int) bool {
 			c.touchedEdges.add(int32(slot))
 			return false
 		}
+		c.dups = true
 		return !c.edgeDup.TestAndSet(slot)
 	}
 	c.edgeCnt[slot]++
@@ -270,40 +271,55 @@ func (c *csrState) edgeUse(u, v uint64) bool {
 func (c *csrState) recvUse(v uint64) bool {
 	if c.recvUsed != nil {
 		if !c.recvUsed.TestAndSet(int(v)) {
-			c.touchedRecvs.add(int32(v))
 			return false
 		}
+		c.dups = true
 		return !c.recvDup.TestAndSet(int(v))
 	}
 	c.recvCnt[v]++
-	if c.recvCnt[v] == 1 {
-		c.touchedRecvs.add(int32(v))
-	}
 	return int(c.recvCnt[v]) == c.opts.ReceiverCapacity+1
 }
 
 func (c *csrState) inform(v uint64) { c.newly = append(c.newly, v) }
 
+// endRound applies the round's informs and clears what it set: every
+// receiver use belongs to a call that informs it, so newly clears the
+// receiver storage, and claimed the caller bits.
 func (c *csrState) endRound() uint64 {
 	for _, v := range c.newly {
 		if !c.informed.TestAndSet(int(v)) {
 			c.count++
 		}
 	}
-	if c.edgeUsed != nil {
-		c.touchedEdges.clearSets(c.edgeUsed, c.edgeDup)
-	} else {
-		c.touchedEdges.clearCounts(c.edgeCnt)
-	}
 	if c.recvUsed != nil {
-		c.touchedRecvs.clearSets(c.recvUsed, c.recvDup)
+		for _, v := range c.newly {
+			c.recvUsed.Clear(int(v))
+		}
+		if c.dups {
+			for _, v := range c.newly {
+				c.recvDup.Clear(int(v))
+			}
+		}
 	} else {
-		c.touchedRecvs.clearCounts(c.recvCnt)
+		for _, v := range c.newly {
+			c.recvCnt[v] = 0
+		}
 	}
-	c.touchedCallers.clearSets(c.callerUsed)
+	for _, idx := range c.claimed {
+		c.callerUsed.Clear(int(c.round[idx].Path[0]))
+	}
+	switch {
+	case c.edgeUsed == nil:
+		c.touchedEdges.clearCounts(c.edgeCnt)
+	case c.dups:
+		c.touchedEdges.clearSets(c.edgeUsed, c.edgeDup)
+	default:
+		c.touchedEdges.clearSets(c.edgeUsed)
+	}
 	c.newly = c.newly[:0]
 	c.claimed = c.claimed[:0]
 	c.round = nil
+	c.dups = false
 	return c.count
 }
 
@@ -318,9 +334,8 @@ type gossipCsrState struct {
 	busyUsed *bitvec.Set // order bits
 
 	round        Round
-	claimed      []int // calls that registered at least one endpoint, ascending
+	claimed      []int // calls that registered at least one endpoint, ascending; clears busyUsed
 	touchedEdges touchList
-	touchedBusy  touchList
 }
 
 func newGossipCSRState(sn SlottedNetwork, order uint64) *gossipCsrState {
@@ -328,7 +343,6 @@ func newGossipCSRState(sn SlottedNetwork, order uint64) *gossipCsrState {
 		edgeUsed:     bitvec.New(sn.NumEdgeSlots()),
 		busyUsed:     bitvec.New(int(order)),
 		touchedEdges: newTouchList(sn.NumEdgeSlots()),
-		touchedBusy:  newTouchList(int(order)),
 	}
 }
 
@@ -336,7 +350,6 @@ func (g *gossipCsrState) beginRound(r Round) { g.round = r }
 
 func (g *gossipCsrState) busyClaim(v uint64, ci int) (int, bool) {
 	if !g.busyUsed.TestAndSet(int(v)) {
-		g.touchedBusy.add(int32(v))
 		if len(g.claimed) == 0 || g.claimed[len(g.claimed)-1] != ci {
 			g.claimed = append(g.claimed, ci)
 		}
@@ -364,9 +377,16 @@ func (g *gossipCsrState) edgeUse(_, _ uint64, slot int32) bool {
 	return true
 }
 
+// endRound clears the round's sets. Every busy bit was set by an
+// endpoint of a claimed call, so clearing both endpoints of each claimed
+// call clears them all.
 func (g *gossipCsrState) endRound() {
 	g.touchedEdges.clearSets(g.edgeUsed)
-	g.touchedBusy.clearSets(g.busyUsed)
+	for _, idx := range g.claimed {
+		c := g.round[idx]
+		g.busyUsed.Clear(int(c.From()))
+		g.busyUsed.Clear(int(c.To()))
+	}
 	g.claimed = g.claimed[:0]
 	g.round = nil
 }

@@ -409,43 +409,48 @@ func TestTreeRoundsSchedule(t *testing.T) {
 }
 
 // TestCSRStateAllocations pins the per-round allocation behaviour of the
-// general-graph engines: validating a doubled schedule must allocate no
+// streaming engines: validating a doubled schedule must allocate no
 // more than validating it once (plus slack), i.e. rounds are processed
 // with cleared-and-reused state, not per-round allocation. The doubled
 // half re-informs every receiver, which AllowInformedReceiver makes
-// violation-free, so neither engine grows its informed set or records
-// violations there. fillShards is 1 to keep the fill phase on the
-// calling goroutine.
+// violation-free, so no engine grows its informed set or records
+// violations there. The workloads are a BFS-tree broadcast on a general
+// graph and the binomial broadcast of Q_12, whose last rounds have
+// 2,048 calls or more.
 func TestCSRStateAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow")
 	}
 	g := topo.RandomConnected(512, 256, 1)
-	base := treeSchedule(g, 0)
-	doubled := &Schedule{Source: 0, Rounds: append(append([]Round{}, base.Rounds...), base.Rounds...)}
-	opts := Options{EdgeCapacity: 1, ReceiverCapacity: 1, AllowInformedReceiver: true}
 	csrNet := GraphNetwork{G: g}
-	for _, net := range []struct {
+	q12 := engines(12)
+	opts := Options{EdgeCapacity: 1, ReceiverCapacity: 1, AllowInformedReceiver: true}
+	for _, tc := range []struct {
 		name string
 		net  Network
+		base *Schedule
 	}{
-		{"csr-engine", csrNet},
-		{"map-engine", plainNet{csrNet}},
+		{"csr-engine", csrNet, treeSchedule(g, 0)},
+		{"map-engine", plainNet{csrNet}, treeSchedule(g, 0)},
+		{"binomial12/csr-engine", q12["csr"], binomialSchedule(12)},
+		{"binomial12/dim-engine", q12["dim"], binomialSchedule(12)},
+		{"binomial12/map-engine", q12["map"], binomialSchedule(12)},
 	} {
-		t.Run(net.name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
+			doubled := &Schedule{Source: 0, Rounds: append(append([]Round{}, tc.base.Rounds...), tc.base.Rounds...)}
 			run := func(s *Schedule) {
 				// Seeded entry point: Complete is a merge-time judgement,
 				// so check the informed count directly.
-				res := ValidateStreamSeeded(net.net, 1, 0, nil, 0, s.Stream(), opts, 1)
-				if !res.Valid() || res.Informed != uint64(g.NumVertices()) {
+				res := ValidateStreamSeeded(tc.net, 1, 0, nil, 0, s.Stream(), opts)
+				if !res.Valid() || res.Informed != tc.net.Order() {
 					t.Fatalf("schedule rejected: %v (informed %d)", res.Err(), res.Informed)
 				}
 			}
-			allocs := testing.AllocsPerRun(5, func() { run(base) })
+			allocs := testing.AllocsPerRun(5, func() { run(tc.base) })
 			allocsDoubled := testing.AllocsPerRun(5, func() { run(doubled) })
 			if allocsDoubled > allocs+16 {
 				t.Fatalf("allocations scale with rounds: %v for %d rounds vs %v for %d",
-					allocsDoubled, len(doubled.Rounds), allocs, len(base.Rounds))
+					allocsDoubled, len(doubled.Rounds), allocs, len(tc.base.Rounds))
 			}
 		})
 	}

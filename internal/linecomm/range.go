@@ -107,12 +107,9 @@ func hasRepeatedVertex(path []uint64) bool {
 // false here; MergeRangeResults computes them. Informed is the count at
 // the end of the range (seed included), even when the range is empty.
 //
-// fillShards bounds the fill-phase goroutines of this one validator
-// (<= 0 means GOMAXPROCS, the serial entry points' behaviour). A
-// parallel caller already running one validator per range passes its
-// per-range share, so W ranges never pile W×GOMAXPROCS CPU-bound
-// goroutines onto GOMAXPROCS cores.
-func ValidateStreamSeeded(net Network, k int, source uint64, seed []uint64, startRound int, rounds iter.Seq[Round], opts Options, fillShards int) *Result {
+// The validator runs on the calling goroutine, one pass per call; a
+// parallel caller gets its parallelism from the range split.
+func ValidateStreamSeeded(net Network, k int, source uint64, seed []uint64, startRound int, rounds iter.Seq[Round], opts Options) *Result {
 	if opts.EdgeCapacity < 1 || opts.ReceiverCapacity < 1 {
 		panic("linecomm: capacities must be >= 1")
 	}
@@ -127,7 +124,7 @@ func ValidateStreamSeeded(net Network, k int, source uint64, seed []uint64, star
 	}
 	st := newRoundState(net, order, source, opts)
 	st.seedInformed(seed)
-	v := &streamValidator{net: net, k: k, order: order, opts: opts, st: st, res: res, fillShards: fillShards}
+	v := newStreamValidator(net, k, order, opts, st, res)
 	ri := startRound
 	for round := range rounds {
 		v.validateRound(ri, round)

@@ -35,7 +35,7 @@ func validateInRanges(net Network, k int, source uint64, s *Schedule, bounds []i
 	var seed []uint64
 	for w := range ranges {
 		parts[w] = ValidateStreamSeeded(net, k, source, seed, bounds[w],
-			rangeStream(s, bounds[w], bounds[w+1]), opts, 1)
+			rangeStream(s, bounds[w], bounds[w+1]), opts)
 		seed = append(seed, deltas[w]...)
 	}
 	return MergeRangeResults(net.Order(), parts)
@@ -158,7 +158,7 @@ func TestMergeRangeResultsEdgeCases(t *testing.T) {
 	}
 
 	// A single-range partition: one seeded validator over everything.
-	whole := ValidateStreamSeeded(net, 1, s.Source, nil, 0, s.Stream(), DefaultOptions(), 1)
+	whole := ValidateStreamSeeded(net, 1, s.Source, nil, 0, s.Stream(), DefaultOptions())
 	if got := MergeRangeResults(net.Order(), []*Result{whole}); !reflect.DeepEqual(serial, got) {
 		t.Fatalf("single-range merge diverges:\nserial: %+v\nmerged: %+v", serial, got)
 	}
@@ -168,7 +168,7 @@ func TestMergeRangeResultsEdgeCases(t *testing.T) {
 	// and the merge must still come out serial-identical.
 	delta := CollectInformedStream(net, s.Stream())
 	empty := ValidateStreamSeeded(net, 1, s.Source, delta, len(s.Rounds),
-		func(yield func(Round) bool) {}, DefaultOptions(), 1)
+		func(yield func(Round) bool) {}, DefaultOptions())
 	if len(empty.InformedPerRound) != 0 {
 		t.Fatalf("empty range reported rounds: %+v", empty)
 	}

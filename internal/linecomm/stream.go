@@ -3,8 +3,6 @@ package linecomm
 import (
 	"fmt"
 	"iter"
-	"runtime"
-	"sync"
 
 	"sparsehypercube/internal/graph"
 )
@@ -12,26 +10,22 @@ import (
 // This file is the streaming half of the validator: ValidateStream
 // consumes rounds as a producer (core.ScheduleRounds, a network feed, a
 // decoder) emits them, so a schedule never has to be materialised to be
-// checked. Per round it runs in two phases:
+// checked. Each call takes one pass, in call order: first the
+// structural checks that depend on the call alone (path shape, vertex
+// range, edge existence, length bound; checkCall), then the checks
+// against the state the round has built so far (caller knowledge,
+// duplicate callers, edge conflicts, receiver conflicts), so the
+// produced Result is byte-for-byte identical to the sequential Validate.
 //
-//  1. fill — the structural checks that are independent between calls
-//     (path shape, vertex range, edge existence, length bound, caller
-//     knowledge) are sharded across a pool of goroutines;
-//  2. merge — the cross-call disjointness checks (duplicate callers,
-//     edge conflicts, receiver conflicts) run serially over the phase-1
-//     records, in call order, so the produced Result is byte-for-byte
-//     identical to the sequential Validate.
-//
-// The merge phase picks one of two disjointness engines (newRoundState):
-// on any network with an edge-slot numbering, the flat slot-indexed
-// csrState in csr.go, generalised capacities included. Materialised
-// graphs (SlottedNetwork) bring their own numbering; hypercube-family
-// networks (DimensionedNetwork) get the dimension-major closed form
+// The state is one of two disjointness engines (newRoundState): on any
+// network with an edge-slot numbering, the flat slot-indexed csrState
+// in csr.go, generalised capacities included. Materialised graphs
+// (SlottedNetwork) bring their own numbering; hypercube-family networks
+// (DimensionedNetwork) get the dimension-major closed form
 // dim*order + lower, so a round's hops on one dimension share one
 // order-bit window of the edge sets. For everything else the same
 // per-round maps the sequential validator uses (mapState, the
-// differential suite's reference engine), still streamed and still
-// sharded in phase 1.
+// differential suite's reference engine), still streamed.
 
 // DimensionedNetwork is a Network whose vertices are n-bit addresses and
 // whose edges each connect vertices differing in exactly one bit:
@@ -46,27 +40,16 @@ type DimensionedNetwork interface {
 	N() int
 }
 
-const (
-	// maxStreamBits caps every bit-set universe of the flat engines
-	// (order bits, and NumEdgeSlots bits — order * n on dimensioned
-	// networks); larger instances use the map engine.
-	maxStreamBits = 1 << 31
-	// streamShardChunk is the minimum number of calls worth handing to a
-	// structural-check goroutine.
-	streamShardChunk = 1024
-)
+// maxStreamBits caps every bit-set universe of the flat engines (order
+// bits, and NumEdgeSlots bits — order * n on dimensioned networks);
+// larger instances use the map engine.
+const maxStreamBits = 1 << 31
 
-// streamBlock is the number of calls checked per fill/merge cycle. It
-// bounds the validator's extra memory at O(streamBlock) records
-// regardless of round width. A variable so tests can shrink it to cover
-// the multi-block merge path with narrow rounds.
-var streamBlock = 1 << 16
-
-// call stages decided by the fill phase, mirroring the sequential
+// call stages decided by checkCall, mirroring the sequential
 // validator's early-continue points.
 const (
 	stageSkip   uint8 = iota // too short or out of range: no further checks
-	stageCaller              // structurally bad: duplicate-caller check only
+	stageCaller              // structurally bad: caller checks only
 	stageFull                // all cross-call checks apply
 )
 
@@ -82,7 +65,7 @@ func ValidateStream(net Network, k int, source uint64, rounds iter.Seq[Round]) *
 // ValidateStreamOpts is ValidateStream under the generalised model of
 // ValidateOpts.
 func ValidateStreamOpts(net Network, k int, source uint64, rounds iter.Seq[Round], opts Options) *Result {
-	res := ValidateStreamSeeded(net, k, source, nil, 0, rounds, opts, 0)
+	res := ValidateStreamSeeded(net, k, source, nil, 0, rounds, opts)
 	order := net.Order()
 	// An order-0 network is never "complete" (the source-out-of-range
 	// violation is already in res), and the guard keeps MinimumRounds —
@@ -104,14 +87,14 @@ func newRoundState(net Network, order, source uint64, opts Options) roundState {
 }
 
 // roundState tracks the informed set and the per-round disjointness
-// constraints. All methods are called from the serial merge phase except
-// isInformed, which the fill phase reads concurrently; implementations
-// must not mutate state visible to isInformed between beginRound and
-// endRound.
+// constraints of one validation run, driven by one goroutine in call
+// order. isInformed answers for the informed set as of the round's
+// start: inform only buffers until endRound.
 type roundState interface {
 	isInformed(v uint64) bool
 	// beginRound resets per-round tracking; r is retained until endRound
-	// (the CSR engine scans it to recover duplicate-caller indices).
+	// (the CSR engine scans it to recover duplicate-caller indices and
+	// to clear its caller bits).
 	beginRound(r Round)
 	// callerClaim registers call ci as placed by v. When v already placed
 	// a call this round it reports that call's index instead.
@@ -120,6 +103,7 @@ type roundState interface {
 	// use is the first beyond capacity (true exactly once per edge).
 	edgeUse(u, v uint64) bool
 	// recvUse registers one call targeting v, same contract as edgeUse.
+	// Every recvUse is followed by inform(v) for the same call.
 	recvUse(v uint64) bool
 	// inform buffers v as newly informed; applied at endRound, matching
 	// the model's end-of-round knowledge update.
@@ -134,139 +118,135 @@ type roundState interface {
 	seedInformed(vs []uint64)
 }
 
-// streamValidator drives the fill/merge cycle and owns the reusable
-// buffers, so steady-state validation of a valid schedule allocates
-// (amortised) nothing per call.
+// streamValidator runs the per-call pass and owns the reusable buffers,
+// so steady-state validation of a valid schedule allocates (amortised)
+// nothing per call.
 type streamValidator struct {
-	net        Network
-	k          int
-	order      uint64
-	opts       Options
-	st         roundState
-	res        *Result
-	fillShards int // fill-phase goroutine budget; <= 0 means GOMAXPROCS
+	net   Network
+	k     int
+	order uint64
+	opts  Options
+	st    roundState
+	res   *Result
 
-	stages     []uint8
-	shardViols [][]Violation
-	violBuf    []Violation
-
-	// Slot-indexed fast path (csrState only): the fill phase resolves
-	// each hop's edge slot once — EdgeSlot doubles as the edge check, by
-	// the SlottedNetwork contract — and the merge phase consumes it.
-	// hopOff[i] indexes call i of the current block into slots.
-	slotInit bool
+	// Slot-indexed fast path: cs is st when st is the csrState, called
+	// directly rather than through the interface. checkCall resolves
+	// each hop's edge slot into hopSlots — EdgeSlot doubles as the edge
+	// check, by the SlottedNetwork contract — and the edge checks
+	// consume them.
 	cs       *csrState
 	gg       *graph.Graph // devirtualised slot source when cs.net is a GraphNetwork
-	hopOff   []int32
-	slots    []int32
+	hopSlots []int32
+}
+
+func newStreamValidator(net Network, k int, order uint64, opts Options, st roundState, res *Result) *streamValidator {
+	v := &streamValidator{net: net, k: k, order: order, opts: opts, st: st, res: res}
+	if cs, ok := st.(*csrState); ok {
+		v.cs = cs
+		if gn, ok := cs.net.(GraphNetwork); ok {
+			v.gg = gn.G
+		}
+	}
+	return v
 }
 
 func (v *streamValidator) validateRound(ri int, round Round) {
-	if !v.slotInit {
-		v.slotInit = true
-		if v.fillShards <= 0 {
-			// Resolved once: GOMAXPROCS takes a runtime lock, and this
-			// sits on the per-round path of many-round schedules.
-			v.fillShards = runtime.GOMAXPROCS(0)
-		}
-		if cs, ok := v.st.(*csrState); ok {
-			v.cs = cs
-			if gn, ok := cs.net.(GraphNetwork); ok {
-				v.gg = gn.G
-			}
-		}
-	}
 	v.st.beginRound(round)
-	for base := 0; base < len(round); base += streamBlock {
-		blk := round[base:min(base+streamBlock, len(round))]
-		stages, viols := v.fillBlock(ri, base, blk)
-		v.mergeBlock(ri, base, blk, stages, viols)
+	for ci, call := range round {
+		v.validateCall(ri, ci, call)
 	}
 	v.res.InformedPerRound = append(v.res.InformedPerRound, v.st.endRound())
 }
 
-// fillBlock runs the structural checks for one block of calls, sharded
-// across goroutines. It returns the per-call stages and the structural
-// violations sorted by call index (workers own contiguous ascending
-// chunks, so concatenating their buffers in worker order is sorted).
-func (v *streamValidator) fillBlock(ri, base int, blk Round) ([]uint8, []Violation) {
-	if cap(v.stages) < len(blk) {
-		v.stages = make([]uint8, len(blk))
+// validateCall checks one call: checkCall's structural section, then
+// the caller, edge and receiver checks against the round so far, in
+// Validate's violation order.
+func (v *streamValidator) validateCall(ri, ci int, call Call) {
+	var stage uint8
+	stage, v.res.Violations = v.checkCall(ri, ci, call, v.res.Violations)
+	if stage == stageSkip {
+		return
 	}
-	stages := v.stages[:len(blk)]
-
-	if v.cs != nil {
-		// Prefix-sum the hop counts so fill workers write resolved slots
-		// into disjoint regions of one flat buffer.
-		if cap(v.hopOff) < len(blk)+1 {
-			v.hopOff = make([]int32, len(blk)+1)
+	if l := call.Length(); l > v.res.MaxCallLength {
+		v.res.MaxCallLength = l
+	}
+	from := call.Path[0]
+	if !v.isInformed(from) {
+		v.res.Violations = append(v.res.Violations, Violation{ri, ci, CallerUninformed,
+			fmt.Sprintf("caller %d not informed", from)})
+	}
+	if prev, dup := v.callerClaim(from, ci); dup {
+		v.res.Violations = append(v.res.Violations, Violation{ri, ci, CallerDuplicate,
+			fmt.Sprintf("caller %d already placed call %d", from, prev)})
+	}
+	if stage != stageFull {
+		return
+	}
+	for h := 1; h < len(call.Path); h++ {
+		var over bool
+		if v.cs != nil {
+			over = v.cs.edgeUseSlot(int(v.hopSlots[h-1]))
+		} else {
+			over = v.st.edgeUse(call.Path[h-1], call.Path[h])
 		}
-		v.hopOff = v.hopOff[:len(blk)+1]
-		total := int32(0)
-		for i, c := range blk {
-			v.hopOff[i] = total
-			if h := len(c.Path) - 1; h > 0 {
-				total += int32(h)
-			}
+		if over {
+			e := mkEdge(call.Path[h-1], call.Path[h])
+			v.res.Violations = append(v.res.Violations, Violation{ri, ci, EdgeConflict,
+				fmt.Sprintf("edge {%d,%d} used %d times, capacity %d",
+					e.u, e.v, v.opts.EdgeCapacity+1, v.opts.EdgeCapacity)})
 		}
-		v.hopOff[len(blk)] = total
-		if cap(v.slots) < int(total) {
-			v.slots = make([]int32, total)
-		}
-		v.slots = v.slots[:total]
 	}
-
-	workers := v.fillShards
-	if w := (len(blk) + streamShardChunk - 1) / streamShardChunk; w < workers {
-		workers = w
+	to := call.Path[len(call.Path)-1]
+	if v.recvUse(to) {
+		v.res.Violations = append(v.res.Violations, Violation{ri, ci, ReceiverConflict,
+			fmt.Sprintf("receiver %d targeted %d times, capacity %d",
+				to, v.opts.ReceiverCapacity+1, v.opts.ReceiverCapacity)})
 	}
-	for len(v.shardViols) < max(workers, 1) {
-		v.shardViols = append(v.shardViols, nil)
+	if v.isInformed(to) && !v.opts.AllowInformedReceiver {
+		v.res.Violations = append(v.res.Violations, Violation{ri, ci, ReceiverInformed,
+			fmt.Sprintf("receiver %d already informed", to)})
 	}
-	if workers <= 1 {
-		v.shardViols[0] = v.checkCalls(ri, base, blk, 0, len(blk), stages, v.shardViols[0][:0])
-		return stages, v.shardViols[0]
-	}
-
-	chunk := (len(blk) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(blk))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			v.shardViols[w] = v.checkCalls(ri, base, blk, lo, hi, stages, v.shardViols[w][:0])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	v.violBuf = v.violBuf[:0]
-	for w := 0; w < workers; w++ {
-		v.violBuf = append(v.violBuf, v.shardViols[w]...)
-	}
-	return stages, v.violBuf
+	v.inform(to)
 }
 
-// checkCalls is the fill-phase worker body for calls [lo, hi) of blk.
-func (v *streamValidator) checkCalls(ri, base int, blk Round, lo, hi int, stages []uint8, out []Violation) []Violation {
-	for i := lo; i < hi; i++ {
-		var hopSlots []int32
-		if v.cs != nil {
-			hopSlots = v.slots[v.hopOff[i]:v.hopOff[i+1]]
-		}
-		stages[i], out = v.checkCall(ri, base+i, blk[i], hopSlots, out)
+// isInformed, callerClaim, recvUse and inform call the CSR engine
+// directly when it runs, and the interface otherwise.
+
+func (v *streamValidator) isInformed(u uint64) bool {
+	if v.cs != nil {
+		return v.cs.isInformed(u)
 	}
-	return out
+	return v.st.isInformed(u)
+}
+
+func (v *streamValidator) callerClaim(u uint64, ci int) (int, bool) {
+	if v.cs != nil {
+		return v.cs.callerClaim(u, ci)
+	}
+	return v.st.callerClaim(u, ci)
+}
+
+func (v *streamValidator) recvUse(u uint64) bool {
+	if v.cs != nil {
+		return v.cs.recvUse(u)
+	}
+	return v.st.recvUse(u)
+}
+
+func (v *streamValidator) inform(u uint64) {
+	if v.cs != nil {
+		v.cs.inform(u)
+		return
+	}
+	v.st.inform(u)
 }
 
 // checkCall mirrors the sequential validator's per-call structural
-// section, including its violation order and early-exit points. On
-// the CSR engine hopSlots receives each hop's resolved edge slot
-// (valid whenever the returned stage is stageFull).
-func (v *streamValidator) checkCall(ri, ci int, call Call, hopSlots []int32, out []Violation) (uint8, []Violation) {
+// section, including its violation order and early-exit points; it
+// depends on the call alone. On the CSR engine v.hopSlots receives each
+// hop's resolved edge slot (valid whenever the returned stage is
+// stageFull).
+func (v *streamValidator) checkCall(ri, ci int, call Call, out []Violation) (uint8, []Violation) {
 	if len(call.Path) < 2 {
 		return stageSkip, append(out, Violation{ri, ci, PathInvalid,
 			fmt.Sprintf("path has %d vertices", len(call.Path))})
@@ -285,8 +265,11 @@ func (v *streamValidator) checkCall(ri, ci int, call Call, hopSlots []int32, out
 	out, bad = appendRepeatViolations(out, ri, ci, call.Path)
 	if v.cs != nil {
 		// EdgeSlot is the edge-existence check on slotted networks; the
-		// resolved slot is kept for the merge phase. Path vertices are
+		// resolved slot is kept for the edge checks. Path vertices are
 		// already known in range, so the devirtualised graph call is safe.
+		if len(call.Path) > len(v.hopSlots)+1 {
+			v.hopSlots = make([]int32, len(call.Path)-1)
+		}
 		for i := 1; i < len(call.Path); i++ {
 			var s int
 			var ok bool
@@ -301,7 +284,7 @@ func (v *streamValidator) checkCall(ri, ci int, call Call, hopSlots []int32, out
 				bad = true
 				continue
 			}
-			hopSlots[i-1] = int32(s)
+			v.hopSlots[i-1] = int32(s)
 		}
 	} else {
 		for i := 1; i < len(call.Path); i++ {
@@ -315,10 +298,6 @@ func (v *streamValidator) checkCall(ri, ci int, call Call, hopSlots []int32, out
 	if call.Length() > v.k {
 		out = append(out, Violation{ri, ci, PathTooLong,
 			fmt.Sprintf("length %d > k = %d", call.Length(), v.k)})
-	}
-	if !v.st.isInformed(call.Path[0]) {
-		out = append(out, Violation{ri, ci, CallerUninformed,
-			fmt.Sprintf("caller %d not informed", call.Path[0])})
 	}
 	if bad {
 		return stageCaller, out
@@ -354,63 +333,6 @@ func appendRepeatViolations(out []Violation, ri, ci int, path []uint64) ([]Viola
 		seen[u] = true
 	}
 	return out, bad
-}
-
-// mergeBlock interleaves the fill-phase violations with the cross-call
-// disjointness checks, in call order, reproducing Validate's sequence.
-func (v *streamValidator) mergeBlock(ri, base int, blk Round, stages []uint8, viols []Violation) {
-	vi := 0
-	for i, call := range blk {
-		ci := base + i
-		for vi < len(viols) && viols[vi].Call == ci {
-			v.res.Violations = append(v.res.Violations, viols[vi])
-			vi++
-		}
-		if stages[i] == stageSkip {
-			continue
-		}
-		if l := call.Length(); l > v.res.MaxCallLength {
-			v.res.MaxCallLength = l
-		}
-		if prev, dup := v.st.callerClaim(call.Path[0], ci); dup {
-			v.res.Violations = append(v.res.Violations, Violation{ri, ci, CallerDuplicate,
-				fmt.Sprintf("caller %d already placed call %d", call.Path[0], prev)})
-		}
-		if stages[i] != stageFull {
-			continue
-		}
-		if v.cs != nil {
-			hs := v.slots[v.hopOff[i]:v.hopOff[i+1]]
-			for h := 1; h < len(call.Path); h++ {
-				if v.cs.edgeUseSlot(int(hs[h-1])) {
-					e := mkEdge(call.Path[h-1], call.Path[h])
-					v.res.Violations = append(v.res.Violations, Violation{ri, ci, EdgeConflict,
-						fmt.Sprintf("edge {%d,%d} used %d times, capacity %d",
-							e.u, e.v, v.opts.EdgeCapacity+1, v.opts.EdgeCapacity)})
-				}
-			}
-		} else {
-			for h := 1; h < len(call.Path); h++ {
-				if v.st.edgeUse(call.Path[h-1], call.Path[h]) {
-					e := mkEdge(call.Path[h-1], call.Path[h])
-					v.res.Violations = append(v.res.Violations, Violation{ri, ci, EdgeConflict,
-						fmt.Sprintf("edge {%d,%d} used %d times, capacity %d",
-							e.u, e.v, v.opts.EdgeCapacity+1, v.opts.EdgeCapacity)})
-				}
-			}
-		}
-		to := call.Path[len(call.Path)-1]
-		if v.st.recvUse(to) {
-			v.res.Violations = append(v.res.Violations, Violation{ri, ci, ReceiverConflict,
-				fmt.Sprintf("receiver %d targeted %d times, capacity %d",
-					to, v.opts.ReceiverCapacity+1, v.opts.ReceiverCapacity)})
-		}
-		if v.st.isInformed(to) && !v.opts.AllowInformedReceiver {
-			v.res.Violations = append(v.res.Violations, Violation{ri, ci, ReceiverInformed,
-				fmt.Sprintf("receiver %d already informed", to)})
-		}
-		v.st.inform(to)
-	}
 }
 
 // mapState is the general-purpose round state: the same per-round hash

@@ -3,9 +3,10 @@ package linecomm
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
+	"slices"
 	"testing"
 
+	"sparsehypercube/internal/graph"
 	"sparsehypercube/internal/topo"
 )
 
@@ -50,16 +51,20 @@ func mustMatchSerial(t *testing.T, net Network, k int, s *Schedule) {
 	}
 }
 
+// TestValidateStreamMatchesSerialOnValidSchedule: intact binomial
+// broadcasts, up to n = 12, whose last rounds have 2,048 calls.
 func TestValidateStreamMatchesSerialOnValidSchedule(t *testing.T) {
-	const n = 8
-	base := binomialSchedule(n)
-	for name, net := range engines(n) {
+	for _, name := range []string{"map", "csr", "dim"} {
 		t.Run(name, func(t *testing.T) {
-			res := ValidateStream(net, 1, base.Source, base.Stream())
-			if !res.Valid() || !res.MinimumTime || res.Informed != 1<<n {
-				t.Fatalf("valid schedule rejected: %v", res.Err())
+			for _, n := range []int{8, 12} {
+				net := engines(n)[name]
+				base := binomialSchedule(n)
+				res := ValidateStream(net, 1, base.Source, base.Stream())
+				if !res.Valid() || !res.MinimumTime || res.Informed != 1<<n {
+					t.Fatalf("n=%d: valid schedule rejected: %v", n, res.Err())
+				}
+				mustMatchSerial(t, net, 1, base)
 			}
-			mustMatchSerial(t, net, 1, base)
 		})
 	}
 }
@@ -82,6 +87,15 @@ func TestValidateStreamMatchesSerialOnMutations(t *testing.T) {
 					mustMatchSerial(t, net, 1, s)
 				}
 			}
+			// Duplicate callers and shared receivers planted far apart
+			// in the widest round.
+			s := cloneSchedule(base)
+			wide := s.Rounds[len(s.Rounds)-1]
+			wide[9] = Call{Path: append([]uint64(nil), wide[1].Path...)} // dup caller+receiver
+			wide[17].Path[len(wide[17].Path)-1] = wide[3].To()           // shared receiver
+			wide[21] = Call{Path: append([]uint64(nil), wide[21].Path...)}
+			wide[21].Path[0] = wide[5].Path[0] // dup caller
+			mustMatchSerial(t, net, 1, s)
 		})
 	}
 }
@@ -125,43 +139,6 @@ func TestValidateStreamMatchesSerialRandomCorruption(t *testing.T) {
 		for name, net := range nets {
 			t.Run("", func(t *testing.T) { _ = name; mustMatchSerial(t, net, 1, s) })
 		}
-	}
-}
-
-// TestValidateStreamMultiBlock shrinks streamBlock so rounds span many
-// fill/merge cycles, then re-runs the mutation catalogue and checks the
-// cross-block state (violation interleaving, duplicate-caller recovery,
-// capacity tracking) still matches serial byte for byte on every engine.
-func TestValidateStreamMultiBlock(t *testing.T) {
-	prev := streamBlock
-	streamBlock = 4
-	defer func() { streamBlock = prev }()
-	const n = 6 // final round: 32 calls = 8 blocks
-	base := binomialSchedule(n)
-	for name, net := range engines(n) {
-		t.Run(name, func(t *testing.T) {
-			mustMatchSerial(t, net, 1, base)
-			for _, m := range mutationsForQn(n) {
-				rng := rand.New(rand.NewSource(99))
-				for trial := 0; trial < 10; trial++ {
-					s := cloneSchedule(base)
-					if !m.mut(rng, s) {
-						continue
-					}
-					mustMatchSerial(t, net, 1, s)
-				}
-			}
-			// Violations straddling block boundaries: duplicate callers
-			// and shared receivers planted in distinct blocks of the
-			// widest round.
-			s := cloneSchedule(base)
-			wide := s.Rounds[len(s.Rounds)-1]
-			wide[9] = Call{Path: append([]uint64(nil), wide[1].Path...)} // dup caller+receiver, blocks 0 vs 2
-			wide[17].Path[len(wide[17].Path)-1] = wide[3].To()           // shared receiver, blocks 0 vs 4
-			wide[21] = Call{Path: append([]uint64(nil), wide[21].Path...)}
-			wide[21].Path[0] = wide[5].Path[0] // dup caller, blocks 1 vs 5
-			mustMatchSerial(t, net, 1, s)
-		})
 	}
 }
 
@@ -225,18 +202,114 @@ func TestValidateStreamOptsGeneralisedCapacities(t *testing.T) {
 	}
 }
 
-// TestValidateStreamSharded forces the parallel fill phase (frontiers
-// above streamShardChunk with GOMAXPROCS > 1) and checks serial equality;
-// under -race this also exercises the worker pool for data races.
-func TestValidateStreamSharded(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	const n = 12 // final rounds have 2048+ calls
-	base := binomialSchedule(n)
-	for name, net := range engines(n) {
-		t.Run(name, func(t *testing.T) {
-			mustMatchSerial(t, net, 1, base)
-		})
+// TestCallerCheckOrder pins where the caller-knowledge check sits in a
+// call's violations: after the structural ones, before the duplicate
+// caller, and for structurally bad calls too. Round 1 opens with a call
+// that is too long (k = 1, two hops) from an uninformed caller, then the
+// same call again (same caller, edges and receiver), then a call with
+// no edge from another uninformed caller and a repeated-vertex call from
+// that caller, then valid calls. The stream, and seeded ranges cut at
+// each round, must equal Validate on every engine.
+func TestCallerCheckOrder(t *testing.T) {
+	s := &Schedule{Source: 0, Rounds: []Round{
+		{{Path: []uint64{0, 1}}},
+		{
+			{Path: []uint64{2, 3, 7}}, // too long, caller 2 uninformed
+			{Path: []uint64{2, 3, 7}}, // and again: duplicate caller, edge and receiver
+			{Path: []uint64{5, 6}},    // no edge, caller 5 uninformed
+			{Path: []uint64{5, 5}},    // repeated vertex, duplicate caller 5
+			{Path: []uint64{0, 4}},
+			{Path: []uint64{1, 3}},
+		},
+		{{Path: []uint64{3, 2}}, {Path: []uint64{4, 6}}},
+	}}
+	want := Validate(engines(3)["csr"], 1, s)
+	var kinds []ViolationKind
+	for _, v := range want.Violations {
+		if v.Round == 1 && v.Call == 1 {
+			kinds = append(kinds, v.Kind)
+		}
+	}
+	if !reflect.DeepEqual(kinds, []ViolationKind{PathTooLong, CallerUninformed, CallerDuplicate,
+		EdgeConflict, EdgeConflict, ReceiverConflict}) {
+		t.Fatalf("serial violations of the repeated call: %v", kinds)
+	}
+	for name, net := range engines(3) {
+		if got := ValidateStream(net, 1, s.Source, s.Stream()); !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: stream diverges from serial:\nserial: %+v\nstream: %+v", name, want, got)
+		}
+		for _, bounds := range [][]int{{0, 1, 3}, {0, 2, 3}, {0, 1, 2, 3}} {
+			if got := validateInRanges(net, 1, s.Source, s, bounds, DefaultOptions()); !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s, ranges %v: seeded result diverges from serial:\nserial: %+v\nranged: %+v",
+					name, bounds, want, got)
+			}
+		}
+	}
+}
+
+// TestRoundStateCleared checks that no per-round state survives its
+// round. Each conflict round holds an edge conflict, a receiver conflict
+// and calls from a duplicate caller to a receiver no other call of the
+// round targets; the clean round after it reuses those slots, receivers
+// and callers validly, and must report nothing. The pair then repeats,
+// so a dup-shadow bit left over from the first conflict would hide the
+// second. A narrow pair runs first (per-slot clears), then a pair built
+// on the binomial broadcast's last round, which touches more edge slots
+// than the edge sets have words (wholesale resets). Informed receivers
+// are allowed, so only the reuse is judged.
+func TestRoundStateCleared(t *testing.T) {
+	const n = 7
+	bin := binomialSchedule(n)
+	wide := bin.Rounds[n-1] // w -> w^1 for every w with bit 0 clear
+	for _, opts := range []Options{
+		{EdgeCapacity: 1, ReceiverCapacity: 1, AllowInformedReceiver: true},
+		{EdgeCapacity: 1, ReceiverCapacity: 2, AllowInformedReceiver: true},
+		{EdgeCapacity: 2, ReceiverCapacity: 2, AllowInformedReceiver: true},
+	} {
+		over := max(opts.EdgeCapacity, opts.ReceiverCapacity) // extra copies that overflow both
+		// conflict returns r plus over copies of its first call (edge and
+		// receiver conflicts, duplicate caller) and over calls from that
+		// caller to fresh, a receiver only they target.
+		conflict := func(r Round, fresh uint64) Round {
+			out := cloneSchedule(&Schedule{Rounds: []Round{r}}).Rounds[0]
+			for range over {
+				out = append(out, Call{Path: []uint64{r[0].From(), r[0].To()}},
+					Call{Path: []uint64{r[0].From(), fresh}})
+			}
+			return out
+		}
+		narrowHit := conflict(Round{{Path: []uint64{0, 64}}}, 1)
+		narrowClean := Round{{Path: []uint64{0, 64}}, {Path: []uint64{64, 65, 1}}}
+		wideHit := conflict(wide, 2)
+		wideClean := cloneSchedule(&Schedule{Rounds: []Round{wide}}).Rounds[0]
+		six := slices.IndexFunc(wideClean, func(c Call) bool { return c.From() == 6 })
+		wideClean[six] = Call{Path: []uint64{6, 2}} // was 6 -> 7
+
+		s := &Schedule{Source: 0, Rounds: []Round{narrowHit, narrowClean, narrowHit, narrowClean}}
+		s.Rounds = append(s.Rounds, bin.Rounds[:n-1]...)
+		s.Rounds = append(s.Rounds, wideHit, wideClean, wideHit, wideClean)
+		hits := map[int]bool{0: true, 2: true, n + 3: true, n + 5: true}
+
+		g := GraphNetwork{G: topo.Hypercube(n)}
+		if len(wideHit) <= (g.NumEdgeSlots()+63)/64 {
+			t.Fatalf("wide round has %d calls: too narrow to reset the edge sets wholesale", len(wideHit))
+		}
+		want := ValidateOpts(g, 2, s, opts)
+		for _, v := range want.Violations {
+			if !hits[v.Round] {
+				t.Fatalf("%+v: serial reports %v in clean round %d", opts, v, v.Round)
+			}
+		}
+		for _, r := range []int{0, n + 3} {
+			if !slices.ContainsFunc(want.Violations, func(v Violation) bool { return v.Round == r }) {
+				t.Fatalf("%+v: conflict round %d reports nothing", opts, r)
+			}
+		}
+		for name, net := range engines(n) {
+			if got := ValidateStreamOpts(net, 2, s.Source, s.Stream(), opts); !reflect.DeepEqual(want, got) {
+				t.Fatalf("%+v %s: stream diverges from serial:\nserial: %+v\nstream: %+v", opts, name, want, got)
+			}
+		}
 	}
 }
 
@@ -254,5 +327,33 @@ func TestValidateStreamEarlyRounds(t *testing.T) {
 		if len(res.InformedPerRound) != 3 || res.Informed != 8 {
 			t.Fatalf("informed accounting wrong: %+v", res)
 		}
+	}
+}
+
+// BenchmarkValidateStreamGraph validates TreeRounds broadcasts on
+// 2^14-vertex random general graphs, materialised in set-up so only the
+// validator is timed: /regular8 (random 8-regular, a few wide rounds)
+// and /ktree8 (random 8-tree, thousands of narrow rounds).
+func BenchmarkValidateStreamGraph(b *testing.B) {
+	const order = 1 << 14
+	for _, fam := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"regular8", topo.RandomRegular(order, 8, 1)},
+		{"ktree8", topo.RandomKTree(order, 8, 1)},
+	} {
+		b.Run(fam.name, func(b *testing.B) {
+			s := treeSchedule(fam.g, 0)
+			net := GraphNetwork{G: fam.g}
+			if res := ValidateStream(net, 1, s.Source, s.Stream()); !res.Valid() || !res.Complete {
+				b.Fatalf("tree broadcast rejected: %v", res.Err())
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				ValidateStream(net, 1, s.Source, s.Stream())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(s.Rounds)), "ns/round")
+		})
 	}
 }

@@ -244,7 +244,7 @@ func TestEvictMidRangeCompletesThenUnmaps(t *testing.T) {
 	}
 	cube := sp.plan.Cube()
 	res := linecomm.ValidateStreamSeeded(cube, cube.K(), sp.info.Source, nil, 0,
-		rr.Rounds(), linecomm.DefaultOptions(), 0)
+		rr.Rounds(), linecomm.DefaultOptions())
 	// Complete is a whole-schedule judgement the range validator leaves
 	// false; a full-cube informed count says the same thing here.
 	if !res.Valid() || res.Informed != cube.Order() {

@@ -323,7 +323,7 @@ func referenceRange(at *schedio.PlanAt, id string, req *distverify.RangeRequest)
 	if err != nil {
 		return nil, 0, false
 	}
-	res := linecomm.ValidateStreamSeeded(cube, cube.K(), h.Source, seed, lo, rr.Rounds(), linecomm.DefaultOptions(), 0)
+	res := linecomm.ValidateStreamSeeded(cube, cube.K(), h.Source, seed, lo, rr.Rounds(), linecomm.DefaultOptions())
 	if rr.Err() != nil {
 		return nil, 0, false
 	}

@@ -110,7 +110,7 @@ func (s *Server) handleRangeVerify(w http.ResponseWriter, r *http.Request) {
 	release := s.acquireVerify()
 	start := time.Now()
 	res := linecomm.ValidateStreamSeeded(cube, cube.K(), source, seed, lo,
-		rr.Rounds(), linecomm.DefaultOptions(), 0)
+		rr.Rounds(), linecomm.DefaultOptions())
 	s.observeVerify(start)
 	release()
 	// The decode is trusted no further than the bytes deserve: the range

@@ -82,7 +82,7 @@ func newRangeFixture(t *testing.T, k, n int, source uint64, lo, hi int) *rangeFi
 		t.Fatal(err)
 	}
 	f.want = linecomm.ValidateStreamSeeded(cube, k, source, f.seed, lo,
-		rr.Rounds(), linecomm.DefaultOptions(), 0)
+		rr.Rounds(), linecomm.DefaultOptions())
 	return f
 }
 
@@ -228,7 +228,7 @@ func TestRangeVerifyViolationsTravel(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.want = linecomm.ValidateStreamSeeded(f.cube, f.cube.K(), 0, nil, f.lo,
-		rr.Rounds(), linecomm.DefaultOptions(), 0)
+		rr.Rounds(), linecomm.DefaultOptions())
 	if f.want.Valid() {
 		t.Fatal("unseeded middle range produced no violations")
 	}

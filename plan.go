@@ -416,9 +416,8 @@ func (p *Plan) verifyParallel() (Report, bool) {
 	// Pass 2: full validation per range, seeded with its boundary set,
 	// largest range first so the heavy last round starts at once while
 	// the other workers take the rest. The range split is the
-	// parallelism; each validator gets its share of the cores for
-	// fill-phase sharding rather than GOMAXPROCS each.
-	fillShards := max(1, runtime.GOMAXPROCS(0)/workers)
+	// parallelism: each validator runs one pass per call on its pool
+	// goroutine.
 	parts := make([]*linecomm.Result, nr)
 	if !runRanges(workers, bySize, func(w, i int) error {
 		rr := ranges[i]
@@ -427,7 +426,7 @@ func (p *Plan) verifyParallel() (Report, bool) {
 			rr.DisableCRC() // pass 1 already pinned this span's checksum
 		}
 		parts[i] = linecomm.ValidateStreamSeeded(p.cube.inner, p.cube.K(), source,
-			seeds[i], bounds[i], rr.Rounds(), linecomm.DefaultOptions(), fillShards)
+			seeds[i], bounds[i], rr.Rounds(), linecomm.DefaultOptions())
 		if i == last {
 			return pinCRC(i, rr)
 		}
