@@ -3,6 +3,7 @@ package linecomm
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -51,20 +52,16 @@ func mustMatchSerial(t *testing.T, net Network, k int, s *Schedule) {
 	}
 }
 
-// TestValidateStreamMatchesSerialOnValidSchedule: intact binomial
-// broadcasts, up to n = 12, whose last rounds have 2,048 calls.
 func TestValidateStreamMatchesSerialOnValidSchedule(t *testing.T) {
-	for _, name := range []string{"map", "csr", "dim"} {
+	const n = 8
+	base := binomialSchedule(n)
+	for name, net := range engines(n) {
 		t.Run(name, func(t *testing.T) {
-			for _, n := range []int{8, 12} {
-				net := engines(n)[name]
-				base := binomialSchedule(n)
-				res := ValidateStream(net, 1, base.Source, base.Stream())
-				if !res.Valid() || !res.MinimumTime || res.Informed != 1<<n {
-					t.Fatalf("n=%d: valid schedule rejected: %v", n, res.Err())
-				}
-				mustMatchSerial(t, net, 1, base)
+			res := ValidateStream(net, 1, base.Source, base.Stream())
+			if !res.Valid() || !res.MinimumTime || res.Informed != 1<<n {
+				t.Fatalf("valid schedule rejected: %v", res.Err())
 			}
+			mustMatchSerial(t, net, 1, base)
 		})
 	}
 }
@@ -87,14 +84,37 @@ func TestValidateStreamMatchesSerialOnMutations(t *testing.T) {
 					mustMatchSerial(t, net, 1, s)
 				}
 			}
-			// Duplicate callers and shared receivers planted far apart
-			// in the widest round.
+		})
+	}
+}
+
+// TestValidateStreamMultiBlock re-runs the mutation catalogue at a second
+// seed and plants duplicate callers and shared receivers far apart in the
+// widest round, so the round state carried across many calls (violation
+// interleaving, duplicate-caller recovery, capacity tracking) must still
+// match serial byte for byte on every engine.
+func TestValidateStreamMultiBlock(t *testing.T) {
+	const n = 6 // final round: 32 calls
+	base := binomialSchedule(n)
+	for name, net := range engines(n) {
+		t.Run(name, func(t *testing.T) {
+			mustMatchSerial(t, net, 1, base)
+			for _, m := range mutationsForQn(n) {
+				rng := rand.New(rand.NewSource(99))
+				for trial := 0; trial < 10; trial++ {
+					s := cloneSchedule(base)
+					if !m.mut(rng, s) {
+						continue
+					}
+					mustMatchSerial(t, net, 1, s)
+				}
+			}
 			s := cloneSchedule(base)
 			wide := s.Rounds[len(s.Rounds)-1]
-			wide[9] = Call{Path: append([]uint64(nil), wide[1].Path...)} // dup caller+receiver
-			wide[17].Path[len(wide[17].Path)-1] = wide[3].To()           // shared receiver
+			wide[9] = Call{Path: append([]uint64(nil), wide[1].Path...)} // dup caller+receiver, calls 1 vs 9
+			wide[17].Path[len(wide[17].Path)-1] = wide[3].To()           // shared receiver, calls 3 vs 17
 			wide[21] = Call{Path: append([]uint64(nil), wide[21].Path...)}
-			wide[21].Path[0] = wide[5].Path[0] // dup caller
+			wide[21].Path[0] = wide[5].Path[0] // dup caller, calls 5 vs 21
 			mustMatchSerial(t, net, 1, s)
 		})
 	}
@@ -310,6 +330,25 @@ func TestRoundStateCleared(t *testing.T) {
 				t.Fatalf("%+v %s: stream diverges from serial:\nserial: %+v\nstream: %+v", opts, name, want, got)
 			}
 		}
+	}
+}
+
+// TestValidateStreamSharded validates binomial n = 12, whose final rounds
+// have 2,048+ calls, at GOMAXPROCS 4 and 1: each run must match serial, so
+// the result cannot depend on the processor count, and under -race the
+// wide rounds run with several Ps available.
+func TestValidateStreamSharded(t *testing.T) {
+	const n = 12
+	base := binomialSchedule(n)
+	for name, net := range engines(n) {
+		t.Run(name, func(t *testing.T) {
+			for _, procs := range []int{4, 1} {
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					mustMatchSerial(t, net, 1, base)
+				}()
+			}
+		})
 	}
 }
 
