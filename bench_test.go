@@ -200,7 +200,9 @@ func BenchmarkThm4StreamValidateN20(b *testing.B) {
 // verified through ReadPlanAt, split into byte-balanced round ranges
 // across at least two workers, and in one serial pass. The parallel
 // sub-benchmark pins two or more workers, so the range-split path runs
-// even on a one-core host.
+// even on a one-core host. read-B/op counts the plan bytes each Verify
+// reads, a deterministic figure: every range is decoded once, so both
+// paths read about the plan's size (1.3 MB).
 func BenchmarkPlanVerifyIndexedN18(b *testing.B) {
 	cube, err := sparsehypercube.New(2, 18)
 	if err != nil {
@@ -219,19 +221,22 @@ func BenchmarkPlanVerifyIndexedN18(b *testing.B) {
 		{"serial", 1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			plan, err := sparsehypercube.ReadPlanAt(bytes.NewReader(data), int64(len(data)),
+			cr := &sparsehypercube.CountingReaderAt{R: bytes.NewReader(data)}
+			plan, err := sparsehypercube.ReadPlanAt(cr, int64(len(data)),
 				sparsehypercube.WithVerifyWorkers(bc.workers))
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
+			cr.Swap()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if rep := plan.Verify(); !rep.Valid || !rep.MinimumTime {
 					b.Fatalf("invalid: %+v", rep)
 				}
 			}
+			b.ReportMetric(float64(cr.Swap())/float64(b.N), "read-B/op")
 		})
 	}
 }

@@ -36,7 +36,7 @@ func allocBytes(f func()) uint64 {
 // to (length and CRC-32), that a stream decode consumes exactly that
 // many bytes, and ceilings on the heap bytes each layer allocates:
 // generation alone, generation plus encode (Plan.WriteIndexedTo), and
-// serial and two-worker parallel Plan.Verify.
+// serial, two-worker and 2^20-worker parallel Plan.Verify.
 // The allocation ceilings were set from measurement (linux/amd64, Go
 // 1.24) with about 15% headroom, except generation's, which is the
 // storage bound ScheduleRounds documents: 1.3x its final round's round,
@@ -56,11 +56,13 @@ func TestCodecGateN16(t *testing.T) {
 		planCalls = 1<<n - 1
 		planHops  = 67287
 
-		// Measured: 2,442,672 (generation included), 4,978,352 and
-		// 7,825,672 bytes.
+		// Measured: 2,442,672 (generation included), 4,192,760 and
+		// 5,963,904 bytes. A two-worker Verify decodes every round range
+		// once (TestParallelVerifyReadsOnce), and a worker count far
+		// beyond the range count must cost no more than two workers.
 		encodeCeiling         = 2_810_000
 		verifySerialCeiling   = 5_730_000
-		verifyParallelCeiling = 9_000_000
+		verifyParallelCeiling = 6_860_000
 	)
 	// The final round of a k = 2 broadcast has 2^(n-1) calls: a Call
 	// header, three arena words and two frontier words for each.
@@ -127,7 +129,7 @@ func TestCodecGateN16(t *testing.T) {
 	for _, c := range []struct {
 		workers int
 		ceiling uint64
-	}{{1, verifySerialCeiling}, {2, verifyParallelCeiling}} {
+	}{{1, verifySerialCeiling}, {2, verifyParallelCeiling}, {1 << 20, verifyParallelCeiling}} {
 		p, err := sparsehypercube.ReadPlanAt(bytes.NewReader(data), int64(len(data)),
 			sparsehypercube.WithVerifyWorkers(c.workers))
 		if err != nil {

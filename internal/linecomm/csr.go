@@ -109,7 +109,9 @@ type csrState struct {
 
 	informed *bitvec.Set // order bits
 
-	// Capacity-1 storage (nil when the capacity is generalised).
+	// Capacity-1 storage (nil when the capacity is generalised). The
+	// dup shadows stay nil until the run's first conflict (markDups): a
+	// valid schedule never needs them.
 	edgeUsed, edgeDup *bitvec.Set // NumEdgeSlots bits each
 	recvUsed, recvDup *bitvec.Set // order bits each
 	// Generalised-capacity storage (nil under capacity 1).
@@ -191,13 +193,11 @@ func newCSRState(sn SlottedNetwork, order, source uint64, opts Options) *csrStat
 	}
 	if opts.EdgeCapacity == 1 {
 		st.edgeUsed = bitvec.New(sn.NumEdgeSlots())
-		st.edgeDup = bitvec.New(sn.NumEdgeSlots())
 	} else {
 		st.edgeCnt = make([]int32, sn.NumEdgeSlots())
 	}
 	if opts.ReceiverCapacity == 1 {
 		st.recvUsed = bitvec.New(int(order))
-		st.recvDup = bitvec.New(int(order))
 	} else {
 		st.recvCnt = make([]int32, int(order))
 	}
@@ -247,7 +247,7 @@ func (c *csrState) edgeUseSlot(slot int) bool {
 			c.touchedEdges.add(int32(slot))
 			return false
 		}
-		c.dups = true
+		c.markDups()
 		return !c.edgeDup.TestAndSet(slot)
 	}
 	c.edgeCnt[slot]++
@@ -255,6 +255,18 @@ func (c *csrState) edgeUseSlot(slot int) bool {
 		c.touchedEdges.add(int32(slot))
 	}
 	return int(c.edgeCnt[slot]) == c.opts.EdgeCapacity+1
+}
+
+// markDups notes a conflict in the round, allocating the capacity-1 dup
+// shadows on the run's first.
+func (c *csrState) markDups() {
+	c.dups = true
+	if c.edgeUsed != nil && c.edgeDup == nil {
+		c.edgeDup = bitvec.New(c.edgeUsed.Len())
+	}
+	if c.recvUsed != nil && c.recvDup == nil {
+		c.recvDup = bitvec.New(c.recvUsed.Len())
+	}
 }
 
 func (c *csrState) edgeUse(u, v uint64) bool {
@@ -273,7 +285,7 @@ func (c *csrState) recvUse(v uint64) bool {
 		if !c.recvUsed.TestAndSet(int(v)) {
 			return false
 		}
-		c.dups = true
+		c.markDups()
 		return !c.recvDup.TestAndSet(int(v))
 	}
 	c.recvCnt[v]++
@@ -324,6 +336,8 @@ func (c *csrState) endRound() uint64 {
 }
 
 func (c *csrState) informedCount() uint64 { return c.count }
+
+func (c *csrState) informedSet(uint64) *bitvec.Set { return c.informed }
 
 // gossipCsrState is the slot-indexed telephone-model round state. Gossip
 // reports every edge reuse (not just the first), so a plain bit per slot

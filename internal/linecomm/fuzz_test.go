@@ -60,7 +60,9 @@ func FuzzValidate(f *testing.F) {
 		// graph's own slots, per-slot counters once a capacity exceeds 1)
 		// and, on Q_4 only, via the dimensioned wrapper (closed-form
 		// slots). So must the same schedule cut into seeded round ranges
-		// and merged.
+		// and merged; cut into open round ranges, the merge must agree
+		// whenever it accepts, and accept whenever the serial Result
+		// shows no false boundary assumption.
 		nets := map[string]Network{"map": plainNet{net}, "csr": net}
 		if netRaw%5 == 0 {
 			nets["dim"] = dimNet{plainNet{net}, 4}
@@ -75,6 +77,7 @@ func FuzzValidate(f *testing.F) {
 			if !reflect.DeepEqual(res, rres) {
 				t.Fatalf("%s ranges %v on network %d diverge from serial under %+v:\nserial: %+v\nmerged: %+v", name, bounds, netRaw, opts, res, rres)
 			}
+			checkOpenRanges(t, streamNet, k, s, bounds, opts, res)
 		}
 	})
 }

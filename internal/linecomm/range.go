@@ -5,28 +5,46 @@ package linecomm
 // independent workers and merged back into the exact Result the serial
 // ValidateStream produces.
 //
-// The informed set is the only state that crosses a round boundary, and
-// its evolution is purely structural: a call informs its receiver
-// exactly when the call itself is well formed (two or more vertices,
-// all in range, no repeats, every hop an edge) — whether the caller was
-// informed, the call too long, or a disjointness constraint violated
-// never changes that. So a parallel verification runs in two passes:
+// The informed set is the only state that crosses a round boundary. A
+// range needs it for two decisions only: whether a caller was informed
+// (CallerUninformed) and whether a receiver already was
+// (ReceiverInformed); every other check depends on the round alone.
+// Local verification (Plan.Verify) runs one pass per range and checks
+// the boundary afterwards:
+//
+//  1. ValidateStreamOpen runs the full validator on each range without
+//     a seed. A range starting after round 0 has an open boundary: a
+//     caller it has not itself informed is assumed informed earlier
+//     (and recorded), a receiver it has not itself informed is assumed
+//     fresh (its own informed set records those);
+//  2. MergeOpenRanges walks the ranges in order with S, the union of
+//     the informed sets before each, checks every assumption against S
+//     with word-wide set operations, shifts the informed counts by |S|
+//     and concatenates the Results — or reports that an assumption
+//     failed, and the caller validates serially instead.
+//
+// A distributed coordinator cannot ship informed sets back cheaply, so
+// it seeds its remote ranges instead, in two passes:
 //
 //  1. CollectInformedStream scans each range and returns the receivers
-//     its rounds inform — no seed needed, ranges are independent;
+//     its rounds inform — informing is purely structural (a call
+//     informs its receiver exactly when it is well formed), so no seed
+//     is needed and ranges are independent;
 //  2. prefix-union those deltas to get the informed set at each range
 //     boundary, then ValidateStreamSeeded runs the full validator on
 //     each range seeded with its boundary set;
 //
 // and MergeRangeResults concatenates the per-range Results in order.
-// Violations, counts, and messages come out identical to one serial
-// pass because every per-round decision sees exactly the state the
-// serial validator would have seen.
+// Either way violations, counts, and messages come out identical to one
+// serial pass, because every per-round decision sees — or is checked
+// against — exactly the state the serial validator would have seen.
 
 import (
 	"fmt"
 	"iter"
 	"slices"
+
+	"sparsehypercube/internal/bitvec"
 )
 
 // CollectInformedStream scans a round stream and returns the receivers
@@ -110,6 +128,16 @@ func hasRepeatedVertex(path []uint64) bool {
 // The validator runs on the calling goroutine, one pass per call; a
 // parallel caller gets its parallelism from the range split.
 func ValidateStreamSeeded(net Network, k int, source uint64, seed []uint64, startRound int, rounds iter.Seq[Round], opts Options) *Result {
+	res, _, _ := validateRange(net, k, source, seed, startRound, rounds, opts, false)
+	return res
+}
+
+// validateRange is the body of ValidateStreamSeeded and
+// ValidateStreamOpen: one stream validator over rounds, from seed, in
+// open mode when open. It returns the run's state and assumed set (nil
+// when not open) for the merge; the state is nil when source is out of
+// range, which res then reports.
+func validateRange(net Network, k int, source uint64, seed []uint64, startRound int, rounds iter.Seq[Round], opts Options, open bool) (*Result, roundState, *bitvec.Set) {
 	if opts.EdgeCapacity < 1 || opts.ReceiverCapacity < 1 {
 		panic("linecomm: capacities must be >= 1")
 	}
@@ -120,18 +148,92 @@ func ValidateStreamSeeded(net Network, k int, source uint64, seed []uint64, star
 			Round: -1, Call: -1, Kind: VertexOutOfRange,
 			Msg: fmt.Sprintf("source %d outside [0,%d)", source, order),
 		})
-		return res
+		return res, nil, nil
 	}
 	st := newRoundState(net, order, source, opts)
 	st.seedInformed(seed)
 	v := newStreamValidator(net, k, order, opts, st, res)
+	if open {
+		v.assumed = bitvec.New(int(order))
+	}
 	ri := startRound
 	for round := range rounds {
 		v.validateRound(ri, round)
 		ri++
 	}
 	res.Informed = st.informedCount()
-	return res
+	return res, st, v.assumed
+}
+
+// OpenRange is one range's share of a one-pass range validation
+// (ValidateStreamOpen), consumed by MergeOpenRanges.
+type OpenRange struct {
+	res      *Result     // counts local to the range: source plus its own informs
+	informed *bitvec.Set // the range's own informed set, source included; nil: unmergeable
+	assumed  *bitvec.Set // callers assumed informed by earlier ranges; nil at round 0
+}
+
+// ValidateStreamOpen validates rounds as the contiguous slice of a
+// larger streamed schedule that starts at round index startRound,
+// without knowing what the earlier rounds informed. From round 0 it is
+// ValidateStreamSeeded with no seed. Later, the boundary is open: a
+// caller the range has not itself informed is assumed informed by the
+// earlier rounds, and a receiver it has not itself informed is assumed
+// fresh. MergeOpenRanges checks both assumptions once every range has
+// run; when they hold, the range's violations are exactly those
+// ValidateStreamSeeded would report from the true boundary set.
+//
+// Violations carry absolute round indices. The range needs order bits
+// of its own for the assumed callers; on networks beyond 2^31 vertices,
+// or from a source out of range, it consumes nothing and returns a part
+// MergeOpenRanges rejects.
+func ValidateStreamOpen(net Network, k int, source uint64, startRound int, rounds iter.Seq[Round], opts Options) *OpenRange {
+	order := net.Order()
+	if order > maxStreamBits || source >= order {
+		return &OpenRange{}
+	}
+	res, st, assumed := validateRange(net, k, source, nil, startRound, rounds, opts, startRound > 0)
+	return &OpenRange{res: res, informed: st.informedSet(order), assumed: assumed}
+}
+
+// MergeOpenRanges stitches the parts of ValidateStreamOpen — contiguous
+// ranges covering the whole schedule from source, in order, at least
+// one — into the Result serial ValidateStream returns on the full
+// stream, and reports true. Walking the ranges in order with S, the
+// vertices informed before range i (the source and every earlier
+// range's informed set), it checks that every caller range i assumed
+// informed is in S, and that no vertex range i informed but the source
+// is: the exact conditions under which each of the range's caller and
+// receiver decisions matches the seeded validator's. Then the range's
+// informed counts are its own plus |S| - 1. When a check fails, or a
+// part is unmergeable, it reports false and the schedule needs a
+// seeded or serial validation instead. The parts are consumed.
+func MergeOpenRanges(order, source uint64, parts []*OpenRange) (*Result, bool) {
+	if len(parts) == 0 || source >= order {
+		return nil, false
+	}
+	before := bitvec.New(int(order))
+	before.Set(int(source))
+	known := uint64(1) // |before|
+	results := make([]*Result, len(parts))
+	for i, p := range parts {
+		if p.informed == nil || (p.assumed != nil && !before.ContainsAll(p.assumed)) {
+			return nil, false
+		}
+		p.informed.Clear(int(source))
+		if before.Intersects(p.informed) {
+			return nil, false
+		}
+		before.UnionWith(p.informed)
+		shift := known - 1
+		for r := range p.res.InformedPerRound {
+			p.res.InformedPerRound[r] += shift
+		}
+		p.res.Informed += shift
+		known = p.res.Informed
+		results[i] = p.res
+	}
+	return MergeRangeResults(order, results), true
 }
 
 // MergeRangeResults stitches the per-range Results of ValidateStreamSeeded

@@ -4,6 +4,7 @@ import (
 	"iter"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sparsehypercube/internal/topo"
@@ -41,6 +42,41 @@ func validateInRanges(net Network, k int, source uint64, s *Schedule, bounds []i
 	return MergeRangeResults(net.Order(), parts)
 }
 
+// validateOpenRanges is the one-pass pipeline over the same cuts:
+// validate each range with an open boundary, then merge, checking the
+// boundary assumptions.
+func validateOpenRanges(net Network, k int, source uint64, s *Schedule, bounds []int, opts Options) (*Result, bool) {
+	parts := make([]*OpenRange, len(bounds)-1)
+	for w := range parts {
+		parts[w] = ValidateStreamOpen(net, k, source, bounds[w],
+			rangeStream(s, bounds[w], bounds[w+1]), opts)
+	}
+	return MergeOpenRanges(net.Order(), source, parts)
+}
+
+// checkOpenRanges holds the open merge to its contract on one cut of s:
+// whenever it accepts, its Result is the serial one, and it accepts
+// whenever the serial Result has no caller-knowledge or
+// receiver-informed violation (the only decisions an open boundary
+// assumes) under the strict receiver model. It reports whether the
+// merge accepted.
+func checkOpenRanges(t testing.TB, net Network, k int, s *Schedule, bounds []int, opts Options, serial *Result) bool {
+	t.Helper()
+	got, ok := validateOpenRanges(net, k, s.Source, s, bounds, opts)
+	if ok && !reflect.DeepEqual(serial, got) {
+		t.Fatalf("open ranges %v on %T accepted a diverging Result under %+v:\nserial: %+v\nmerged: %+v",
+			bounds, net, opts, serial, got)
+	}
+	mustAccept := !opts.AllowInformedReceiver && !slices.ContainsFunc(serial.Violations, func(v Violation) bool {
+		return v.Kind == CallerUninformed || v.Kind == ReceiverInformed
+	})
+	if mustAccept && !ok {
+		t.Fatalf("open ranges %v on %T rejected a schedule whose serial Result assumes nothing false:\n%+v",
+			bounds, net, serial)
+	}
+	return ok
+}
+
 // evenBounds cuts rounds into workers ranges of about equal round count.
 func evenBounds(rounds, workers int) []int {
 	bounds := make([]int, workers+1)
@@ -54,7 +90,9 @@ func evenBounds(rounds, workers int) []int {
 // round ranges and merging must reproduce the serial ValidateStream
 // Result exactly — on the intact schedule and on every catalogue
 // mutation, on the map engine and on the CSR engine under both slot
-// numberings.
+// numberings. The open merge is held to its contract on the same
+// schedules at every single cut and at the even splits, and the
+// catalogue must make it reject somewhere, so the check is not vacuous.
 func TestRangeValidationMatchesSerial(t *testing.T) {
 	const n = 6
 	g := topo.Hypercube(n)
@@ -76,15 +114,30 @@ func TestRangeValidationMatchesSerial(t *testing.T) {
 					schedules = append(schedules, s)
 				}
 			}
+			rejected := 0
 			for si, s := range schedules {
 				serial := ValidateStream(net.net, 1, s.Source, s.Stream())
+				var cuts [][]int
 				for _, workers := range []int{2, 3, len(s.Rounds)} {
-					got := validateInRanges(net.net, 1, s.Source, s, evenBounds(len(s.Rounds), workers), DefaultOptions())
+					bounds := evenBounds(len(s.Rounds), workers)
+					cuts = append(cuts, bounds)
+					got := validateInRanges(net.net, 1, s.Source, s, bounds, DefaultOptions())
 					if !reflect.DeepEqual(serial, got) {
 						t.Fatalf("schedule %d, %d workers: merged range Result diverges\nserial: %+v\nmerged: %+v",
 							si, workers, serial, got)
 					}
 				}
+				for c := 1; c < len(s.Rounds); c++ {
+					cuts = append(cuts, []int{0, c, len(s.Rounds)})
+				}
+				for _, bounds := range cuts {
+					if !checkOpenRanges(t, net.net, 1, s, bounds, DefaultOptions(), serial) {
+						rejected++
+					}
+				}
+			}
+			if rejected == 0 {
+				t.Error("the open merge accepted every cut of every mutation")
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 
+	"sparsehypercube/internal/bitvec"
 	"sparsehypercube/internal/graph"
 )
 
@@ -116,6 +117,9 @@ type roundState interface {
 	// validator's way of entering mid-schedule. Duplicates (and the
 	// source) are fine; counting stays exact.
 	seedInformed(vs []uint64)
+	// informedSet returns the informed set as an order-bit set, for the
+	// open-range merge; the caller may modify it.
+	informedSet(order uint64) *bitvec.Set
 }
 
 // streamValidator runs the per-call pass and owns the reusable buffers,
@@ -137,6 +141,11 @@ type streamValidator struct {
 	cs       *csrState
 	gg       *graph.Graph // devirtualised slot source when cs.net is a GraphNetwork
 	hopSlots []int32
+
+	// assumed is non-nil in open mode (ValidateStreamOpen): a caller the
+	// run has not itself informed is recorded here, assumed informed by
+	// earlier rounds, instead of reported as CallerUninformed.
+	assumed *bitvec.Set
 }
 
 func newStreamValidator(net Network, k int, order uint64, opts Options, st roundState, res *Result) *streamValidator {
@@ -172,8 +181,12 @@ func (v *streamValidator) validateCall(ri, ci int, call Call) {
 	}
 	from := call.Path[0]
 	if !v.isInformed(from) {
-		v.res.Violations = append(v.res.Violations, Violation{ri, ci, CallerUninformed,
-			fmt.Sprintf("caller %d not informed", from)})
+		if v.assumed != nil {
+			v.assumed.Set(int(from))
+		} else {
+			v.res.Violations = append(v.res.Violations, Violation{ri, ci, CallerUninformed,
+				fmt.Sprintf("caller %d not informed", from)})
+		}
 	}
 	if prev, dup := v.callerClaim(from, ci); dup {
 		v.res.Violations = append(v.res.Violations, Violation{ri, ci, CallerDuplicate,
@@ -404,3 +417,11 @@ func (m *mapState) endRound() uint64 {
 }
 
 func (m *mapState) informedCount() uint64 { return uint64(len(m.informed)) }
+
+func (m *mapState) informedSet(order uint64) *bitvec.Set {
+	set := bitvec.New(int(order))
+	for v := range m.informed {
+		set.Set(int(v))
+	}
+	return set
+}

@@ -167,10 +167,13 @@ func WithCopiedRounds() PlanOption {
 // WithVerifyWorkers sets how many round-range workers Verify may use on
 // an indexed random-access plan: 1 (or any negative value) forces the
 // serial streamed pass, 0 (the default) picks GOMAXPROCS, anything
-// larger pins the worker count. Only plans that replay through
-// ReadPlanAt (or OpenPlanFile) from a file carrying the per-round index
-// (WriteIndexedTo) can be split; every other plan verifies serially
-// regardless of this option.
+// larger pins the worker count, which splits the plan into up to two
+// ranges per worker. Counts beyond the number of ranges (never more
+// than the rounds) add nothing, and at most GOMAXPROCS ranges — two on
+// one core — are checked at once, so a huge count costs no more than
+// that. Only plans that replay through ReadPlanAt (or OpenPlanFile)
+// from a file carrying the per-round index (WriteIndexedTo) can be
+// split; every other plan verifies serially regardless of this option.
 func WithVerifyWorkers(w int) PlanOption {
 	return func(p *Plan) {
 		if w < 0 {
@@ -287,12 +290,15 @@ func (p *Plan) Materialize() *Schedule {
 // On an indexed random-access plan (ReadPlanAt or OpenPlanFile over a
 // WriteIndexedTo file) Verify is automatically parallel: the round
 // stream is split by index into contiguous ranges of about equal byte
-// length, checked by WithVerifyWorkers workers (GOMAXPROCS by default),
-// and the merged Report is identical — violation for violation, byte
-// for byte — to the serial pass. Any decode or checksum anomaly on the
-// fast path falls back to the authoritative serial pass, so corrupted
-// files report exactly as they always did. Every other plan verifies in
-// one streamed serial pass.
+// length, each decoded and checked once by one of WithVerifyWorkers
+// workers (GOMAXPROCS by default; counts beyond the number of ranges
+// add nothing), and the merged Report is identical — violation for
+// violation, byte for byte — to the serial pass. Any decode or checksum
+// anomaly on the fast path, or a plan whose ranges disagree at a
+// boundary (a caller not yet informed, a receiver informed twice),
+// falls back to the authoritative serial pass, so such files report
+// exactly as they always did. Every other plan verifies in one streamed
+// serial pass.
 func (p *Plan) Verify() Report {
 	if rep, ok := p.verifyParallel(); ok {
 		return rep
@@ -317,15 +323,19 @@ func (p *Plan) Verify() Report {
 }
 
 // verifyParallel is the indexed fast path of Verify: split the round
-// stream into contiguous ranges of about equal byte length, scan them
-// in parallel for the receivers they inform (the only state crossing a
-// range boundary) and their span CRCs, then run one seeded stream
-// validator per range and merge. ok is false when the plan is not
-// eligible — not random-access, not indexed, a custom-verifier scheme,
-// fewer than two rounds or workers — or when any worker sees a
-// decode/integrity anomaly; the caller then runs the serial pass, whose
+// stream into contiguous ranges of about equal byte length and verify
+// each once, in parallel, with an open boundary — the informed set at
+// its start, the only state crossing a range boundary, is assumed, not
+// computed — pinning its span CRC during that one decode. The merge
+// then checks every range's assumptions against the ranges before it.
+// ok is false when the plan is not eligible — not random-access, not
+// indexed, a custom-verifier scheme, fewer than two rounds or workers —
+// or when any range sees a decode/integrity anomaly or a failed
+// boundary assumption; the caller then runs the serial pass, whose
 // Report is authoritative (and, for clean plans, identical to the
-// merged one by construction).
+// merged one by construction). Workers beyond the number of ranges
+// would have nothing to do, and beyond GOMAXPROCS (or two) could not
+// run at once, so the pool is clamped to both before anything is sized.
 func (p *Plan) verifyParallel() (Report, bool) {
 	if p.at == nil || !p.at.Indexed() {
 		return Report{}, false
@@ -337,7 +347,8 @@ func (p *Plan) verifyParallel() (Report, bool) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers < 2 || p.at.NumRounds() < 2 {
+	rounds := p.at.NumRounds()
+	if workers < 2 || rounds < 2 {
 		return Report{}, false
 	}
 	order := p.cube.Order()
@@ -348,13 +359,16 @@ func (p *Plan) verifyParallel() (Report, bool) {
 	// Up to two ranges per worker, balanced by bytes: broadcast doubles
 	// its calls every round, so the last round alone is about half the
 	// plan, and the finer split lets the earlier ranges share the other
-	// worker in both passes.
-	bounds, err := p.at.SplitRounds(2 * workers)
+	// worker. There are never more ranges than rounds.
+	bounds, err := p.at.SplitRounds(2 * min(workers, rounds))
 	if err != nil {
 		return Report{}, false
 	}
 	nr := len(bounds) - 1
-	last := nr - 1
+	// A pool slot holds decode scratch and validator state: no more
+	// slots than ranges, nor than can run at once (two on one core, so
+	// a pinned count still splits).
+	workers = min(workers, nr, max(2, runtime.GOMAXPROCS(0)))
 	ranges := make([]*schedio.RoundRange, nr)
 	for i := range nr {
 		if ranges[i], err = p.at.Range(bounds[i], bounds[i+1]); err != nil {
@@ -369,75 +383,35 @@ func (p *Plan) verifyParallel() (Report, bool) {
 		return cmp.Compare(ranges[b].Bytes(), ranges[a].Bytes())
 	})
 
-	// Pass 1: per range, the receivers its calls inform and the CRC of
-	// its byte span. Informing is purely structural, so ranges are
-	// independent here. The last range's delta seeds nothing, so it
-	// skips this pass; its CRC comes from its pass-2 decode instead.
-	//
-	// Each pool slot decodes all its ranges, in both passes, into one
+	// Largest range first, so the heavy last round starts at once while
+	// the other workers take the rest. The range split is the
+	// parallelism: each validator runs one pass per call on its pool
+	// goroutine, and each pool slot decodes all its ranges into one
 	// scratch, so the decode storage grows once per slot, not per range.
 	scratch := make([]schedio.RoundScratch, workers)
-	deltas := make([][]uint64, nr)
+	parts := make([]*linecomm.OpenRange, nr)
 	crcs := make([]schedio.RangeCRC, nr)
-	pinCRC := func(i int, rr *schedio.RoundRange) error {
+	if !runRanges(workers, bySize, func(w, i int) error {
+		rr := ranges[i]
+		rr.UseScratch(&scratch[w])
+		parts[i] = linecomm.ValidateStreamOpen(p.cube.inner, p.cube.K(), source,
+			bounds[i], rr.Rounds(), linecomm.DefaultOptions())
 		crc, err := rr.CRC()
 		if err != nil {
 			return err
 		}
 		crcs[i] = schedio.RangeCRC{CRC: crc, Bytes: rr.Bytes()}
 		return nil
-	}
-	pass1 := slices.DeleteFunc(slices.Clone(bySize), func(i int) bool { return i == last })
-	if !runRanges(workers, pass1, func(w, i int) error {
-		rr, err := p.at.Range(bounds[i], bounds[i+1])
-		if err != nil {
-			return err
-		}
-		rr.UseScratch(&scratch[w])
-		deltas[i] = linecomm.CollectInformedStream(p.cube.inner, rr.Rounds())
-		return pinCRC(i, rr)
-	}) {
-		return Report{}, false
-	}
-	// Prefix-union the deltas: range i's seed is everything informed by
-	// ranges [0, i). One backing array, sized exactly, so the seed
-	// slices stay aliases of stable storage.
-	total := 0
-	for _, d := range deltas {
-		total += len(d)
-	}
-	all := make([]uint64, 0, total)
-	seeds := make([][]uint64, nr)
-	for i := range nr {
-		seeds[i] = all
-		all = append(all, deltas[i]...)
-	}
-
-	// Pass 2: full validation per range, seeded with its boundary set,
-	// largest range first so the heavy last round starts at once while
-	// the other workers take the rest. The range split is the
-	// parallelism: each validator runs one pass per call on its pool
-	// goroutine.
-	parts := make([]*linecomm.Result, nr)
-	if !runRanges(workers, bySize, func(w, i int) error {
-		rr := ranges[i]
-		rr.UseScratch(&scratch[w])
-		if i != last {
-			rr.DisableCRC() // pass 1 already pinned this span's checksum
-		}
-		parts[i] = linecomm.ValidateStreamSeeded(p.cube.inner, p.cube.K(), source,
-			seeds[i], bounds[i], rr.Rounds(), linecomm.DefaultOptions())
-		if i == last {
-			return pinCRC(i, rr)
-		}
-		return rr.Err()
 	}) {
 		return Report{}, false
 	}
 	if err := p.at.CheckRangeCRCs(crcs); err != nil {
 		return Report{}, false
 	}
-	res := linecomm.MergeRangeResults(order, parts)
+	res, ok := linecomm.MergeOpenRanges(order, source, parts)
+	if !ok {
+		return Report{}, false
+	}
 	return reportFrom(res, len(res.InformedPerRound)), true
 }
 

@@ -2,10 +2,13 @@ package sparsehypercube
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -87,6 +90,27 @@ func mutateSchedule(name string, s *Schedule, order uint64) {
 	case "out-of-range-vertex":
 		c := &s.Rounds[last/2][0]
 		c.Path[len(c.Path)-1] = order + 7
+	case "reinform-earlier-vertex":
+		// Retarget a last-round call back along the edge that informed
+		// its caller in one hop, to that informant (not the source): a
+		// receiver informed rounds earlier, so in another range whenever
+		// the last round has a range of its own. Only a boundary check
+		// can see it.
+		informant := map[uint64]uint64{}
+		for _, r := range s.Rounds[:last] {
+			for _, c := range r {
+				if len(c.Path) == 2 && c.Path[0] != s.Source {
+					informant[c.Path[1]] = c.Path[0]
+				}
+			}
+		}
+		for i, c := range s.Rounds[last] {
+			if p, ok := informant[c.Path[0]]; ok {
+				s.Rounds[last][i].Path = []uint64{c.Path[0], p}
+				return
+			}
+		}
+		panic("reinform-earlier-vertex: no last-round caller was informed in one hop")
 	case "uninformed-early-caller":
 		// Hoist the last round's first call to round 0: its caller
 		// cannot know yet, and every receiver it fed stays dark longer —
@@ -130,6 +154,100 @@ func TestParallelVerifyMutatedPlans(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestParallelVerifyOpenMergeRejects: a plan whose last range re-informs
+// a vertex an earlier range informed is caught only when the ranges
+// merge — the last range alone assumes its receiver fresh. The merge
+// must reject it, and Verify, falling back to the serial pass, must
+// report exactly the serial Report.
+func TestParallelVerifyOpenMergeRejects(t *testing.T) {
+	for _, kn := range [][2]int{{1, 6}, {2, 9}, {3, 12}} {
+		k, n := kn[0], kn[1]
+		cube, err := New(k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const src = 1
+		s := cube.Plan(BroadcastScheme{Source: src}).Materialize()
+		mutateSchedule("reinform-earlier-vertex", s, cube.Order())
+		var buf bytes.Buffer
+		h := schedio.Header{K: cube.K(), Dims: cube.Dims(), Scheme: "broadcast", Source: src}
+		if _, err := schedio.EncodeIndexed(&buf, h, toInner(s)); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		serial := verifyAt(t, data, 1)
+		if !slices.ContainsFunc(serial.Violations, func(v string) bool {
+			return strings.Contains(v, "already informed")
+		}) {
+			t.Fatalf("k=%d: serial Report shows no re-informed receiver: %+v", k, serial)
+		}
+		for _, w := range []int{2, 4, 8} {
+			plan, err := ReadPlanAt(bytes.NewReader(data), int64(len(data)), WithVerifyWorkers(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := plan.verifyParallel(); ok {
+				t.Fatalf("k=%d workers=%d: the open merge accepted a re-informed vertex", k, w)
+			}
+			if got := plan.Verify(); !reflect.DeepEqual(serial, got) {
+				t.Fatalf("k=%d workers=%d: Report diverged:\nserial:   %+v\nparallel: %+v", k, w, serial, got)
+			}
+		}
+	}
+}
+
+// TestParallelVerifyHugeWorkerCounts: worker counts far beyond the
+// number of ranges add nothing and must cost nothing — they verify
+// like any parallel count, to the serial Report (the allocation side is
+// gated by TestCodecGateN16).
+func TestParallelVerifyHugeWorkerCounts(t *testing.T) {
+	cube, err := New(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := indexedPlanBytes(t, cube, 3)
+	serial := verifyAt(t, data, 1)
+	for _, w := range []int{math.MaxInt, 1 << 20} {
+		plan, err := ReadPlanAt(bytes.NewReader(data), int64(len(data)), WithVerifyWorkers(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := plan.verifyParallel(); !ok {
+			t.Fatalf("workers=%d: the parallel path refused an intact plan", w)
+		}
+		if got := plan.Verify(); !reflect.DeepEqual(serial, got) {
+			t.Fatalf("workers=%d: Report diverged:\nserial:   %+v\nparallel: %+v", w, serial, got)
+		}
+	}
+}
+
+// TestParallelVerifyReadsOnce: a two-worker Verify of the k = 2,
+// n = 16 plan of TestCodecGateN16 decodes every round range once, so it
+// reads no more than the plan's size — and the fast path, not a serial
+// fallback behind it, produced the Report.
+func TestParallelVerifyReadsOnce(t *testing.T) {
+	cube, err := New(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := indexedPlanBytes(t, cube, 5)
+	cr := &CountingReaderAt{R: bytes.NewReader(data)}
+	plan, err := ReadPlanAt(cr, int64(len(data)), WithVerifyWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr.Swap()
+	if rep := plan.Verify(); !rep.Valid || !rep.MinimumTime {
+		t.Fatalf("intact plan did not verify: %+v", rep)
+	}
+	if got := cr.Swap(); got > int64(len(data)) {
+		t.Errorf("two-worker Verify read %d bytes of a %d-byte plan", got, len(data))
+	}
+	if _, ok := plan.verifyParallel(); !ok {
+		t.Error("the parallel path refused an intact plan")
 	}
 }
 
@@ -318,10 +436,10 @@ func TestParallelVerifyMoreRangesThanWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelVerifyLastRangeCRC: the last range skips pass 1, so a
-// corruption that decodes cleanly and lies only in its bytes is caught
-// by the CRC of its pass-2 decode alone. The parallel path must then
-// defer to the serial pass, Report for Report.
+// TestParallelVerifyLastRangeCRC: every range is decoded once, so a
+// corruption that decodes cleanly and lies only in the last range's
+// bytes is caught by the CRC of that one decode alone. The parallel
+// path must then defer to the serial pass, Report for Report.
 func TestParallelVerifyLastRangeCRC(t *testing.T) {
 	cube, err := New(2, 10)
 	if err != nil {
