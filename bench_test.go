@@ -202,7 +202,9 @@ func BenchmarkThm4StreamValidateN20(b *testing.B) {
 // sub-benchmark pins two or more workers, so the range-split path runs
 // even on a one-core host. read-B/op counts the plan bytes each Verify
 // reads, a deterministic figure: every range is decoded once, so both
-// paths read about the plan's size (1.3 MB).
+// paths read about the plan's size (1.3 MB). exact-calls/op counts the
+// calls the validator's clean-call kernel declined to its exact path:
+// 0 on this valid plan.
 func BenchmarkPlanVerifyIndexedN18(b *testing.B) {
 	cube, err := sparsehypercube.New(2, 18)
 	if err != nil {
@@ -230,6 +232,7 @@ func BenchmarkPlanVerifyIndexedN18(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			cr.Swap()
+			count := sparsehypercube.CountCallPaths()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if rep := plan.Verify(); !rep.Valid || !rep.MinimumTime {
@@ -237,6 +240,8 @@ func BenchmarkPlanVerifyIndexedN18(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(cr.Swap())/float64(b.N), "read-B/op")
+			_, exact := count()
+			b.ReportMetric(float64(exact)/float64(b.N), "exact-calls/op")
 		})
 	}
 }

@@ -36,7 +36,10 @@ func allocBytes(f func()) uint64 {
 // to (length and CRC-32), that a stream decode consumes exactly that
 // many bytes, and ceilings on the heap bytes each layer allocates:
 // generation alone, generation plus encode (Plan.WriteIndexedTo), and
-// serial, two-worker and 2^20-worker parallel Plan.Verify.
+// serial, two-worker and 2^20-worker parallel Plan.Verify. Each Verify
+// must also run every call through the validator's clean-call kernel
+// and none on its exact path, so a kernel that silently declines calls
+// fails here rather than only slowing the benchmarks.
 // The allocation ceilings were set from measurement (linux/amd64, Go
 // 1.24) with about 15% headroom, except generation's, which is the
 // storage bound ScheduleRounds documents: 1.3x its final round's round,
@@ -135,11 +138,20 @@ func TestCodecGateN16(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := allocBytes(func() {
+		verify := func() {
 			if rep := p.Verify(); !rep.Valid || !rep.MinimumTime {
 				t.Fatalf("verify with %d workers: %+v", c.workers, rep)
 			}
-		}); got > c.ceiling && !raceEnabled {
+		}
+		// Every call of the valid plan is clean, so the validator's
+		// kernel must take all of them, and the exact path none.
+		count := sparsehypercube.CountCallPaths()
+		verify()
+		if kernel, exact := count(); kernel != planCalls || exact != 0 {
+			t.Errorf("Plan.Verify with %d workers: %d calls through the kernel and %d on the exact path; want %d and 0",
+				c.workers, kernel, exact, planCalls)
+		}
+		if got := allocBytes(verify); got > c.ceiling && !raceEnabled {
 			t.Errorf("Plan.Verify with %d workers allocated %d bytes, ceiling %d", c.workers, got, c.ceiling)
 		}
 	}

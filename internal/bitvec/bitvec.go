@@ -27,10 +27,21 @@ func New(n int) *Set {
 // Len returns the universe size.
 func (s *Set) Len() int { return s.n }
 
+// check panics unless i is in the universe. It panics with an
+// indexError value rather than a formatted string, which keeps check,
+// and the one-bit accessors that call it, cheap enough to inline into
+// hot loops; the message is built only if the panic is printed.
 func (s *Set) check(i int) {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, s.n))
+	if uint(i) >= uint(s.n) {
+		panic(indexError{i, s.n})
 	}
+}
+
+// indexError is the panic value of an out-of-universe index.
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("bitvec: index %d out of range [0,%d)", e.i, e.n)
 }
 
 // Get reports whether bit i is set.
@@ -127,6 +138,18 @@ func (s *Set) UnionWith(t *Set) {
 	for i := range s.words {
 		s.words[i] |= t.words[i]
 	}
+}
+
+// UnionWithCount sets s = s | t and returns the number of bits t added
+// to s, a popcount of the new bits word by word.
+func (s *Set) UnionWithCount(t *Set) int {
+	s.sameSize(t)
+	added := 0
+	for i, w := range t.words {
+		added += bits.OnesCount64(w &^ s.words[i])
+		s.words[i] |= w
+	}
+	return added
 }
 
 // IntersectWith sets s = s & t.

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,18 +40,23 @@ func TestBasicOps(t *testing.T) {
 
 func TestOutOfRangePanics(t *testing.T) {
 	s := New(10)
-	for _, fn := range []func(){
-		func() { s.Get(10) },
-		func() { s.Set(-1) },
-		func() { s.Clear(11) },
+	for _, c := range []struct {
+		fn  func()
+		msg string
+	}{
+		{func() { s.Get(10) }, "bitvec: index 10 out of range [0,10)"},
+		{func() { s.Set(-1) }, "bitvec: index -1 out of range [0,10)"},
+		{func() { s.Clear(11) }, "bitvec: index 11 out of range [0,10)"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				if r := recover(); r == nil {
 					t.Error("expected panic")
+				} else if got := fmt.Sprint(r); got != c.msg {
+					t.Errorf("panic %q, want %q", got, c.msg)
 				}
 			}()
-			fn()
+			c.fn()
 		}()
 	}
 }
@@ -236,4 +242,23 @@ func TestTestAndSet(t *testing.T) {
 		}
 	}()
 	s.TestAndSet(130)
+}
+
+// TestUnionWithCount: the word-wide union-and-count agrees with a
+// per-bit loop, on universes that end mid-word and on the empty one.
+func TestUnionWithCount(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		for seed := int64(0); seed < 4; seed++ {
+			s, u := randSet(seed, n), randSet(seed+100, n)
+			want, wantAdded := s.Clone(), 0
+			for i := 0; i < n; i++ {
+				if u.Get(i) && !want.TestAndSet(i) {
+					wantAdded++
+				}
+			}
+			if got := s.UnionWithCount(u); got != wantAdded || !s.Equal(want) {
+				t.Fatalf("n=%d seed=%d: added %d (want %d), union %v (want %v)", n, seed, got, wantAdded, s, want)
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"sparsehypercube/internal/bitvec"
+	"sparsehypercube/internal/graph"
 )
 
 // This file is the flat engine of the streaming validators: csrState for
@@ -17,12 +18,16 @@ import (
 // order-bit window of each set. Bit sets hold receivers, callers and
 // capacity-1 edges; small per-slot counters hold generalised capacities
 // (Options.EdgeCapacity/ReceiverCapacity > 1). Everything a round sets
-// is cleared before the next: receivers and callers through the
-// per-call lists the round keeps anyway (its newly informed receivers,
-// its claiming calls), edge slots through a touch list of their own —
-// up to one recorded slot per word of the set, past which the round
-// resets the whole set instead (see touchList). So the engine allocates
-// once per validation run and nothing per round.
+// is cleared before the next, by the round's size: a round with at
+// least one call per word of the order-bit vertex sets is dense, and
+// ends word-wide — its receiver set is unioned into the informed set
+// with a popcount of the new bits, and the receiver and caller sets
+// reset whole — while a sparser round (a k-tree broadcast's rounds of
+// a few calls) clears element by element through its receiver list and
+// its calls. Edge slots follow a touch list of their own by the same
+// rule: up to one recorded slot per word of the set, past which the
+// round resets the whole set instead (see touchList). So the engine
+// allocates once per validation run and nothing per round.
 //
 // mapState stays as the reference engine — it is what the differential
 // suite crosschecks csrState against, and the fallback for networks
@@ -101,19 +106,29 @@ func (d dimSlots) EdgeSlot(u, v uint64) (int, bool) {
 // reproduces mapState's report-once-at-capacity+1 contract), and under
 // generalised capacities they are per-slot counters with the same
 // contract. Callers are a bit set; the rare duplicate recovers the first
-// claimer's index by scanning the registered claims.
+// claimer's index by scanning the round's earlier calls.
+//
+// The validator's clean-call kernel (streamValidator.cleanCall) reads
+// and writes these sets directly; everything else goes through the
+// roundState methods.
 type csrState struct {
 	net   SlottedNetwork
+	gg    *graph.Graph // devirtualised slot source when net is a GraphNetwork
 	opts  Options
+	order uint64
 	count uint64
 
 	informed *bitvec.Set // order bits
 
+	// recvUsed holds the round's receivers (order bits) under every
+	// model: the capacity-1 use set, and beside the generalised
+	// counters the set a dense round folds into informed.
+	recvUsed *bitvec.Set
 	// Capacity-1 storage (nil when the capacity is generalised). The
 	// dup shadows stay nil until the run's first conflict (markDups): a
 	// valid schedule never needs them.
 	edgeUsed, edgeDup *bitvec.Set // NumEdgeSlots bits each
-	recvUsed, recvDup *bitvec.Set // order bits each
+	recvDup           *bitvec.Set // order bits
 	// Generalised-capacity storage (nil under capacity 1).
 	edgeCnt []int32 // NumEdgeSlots counters
 	recvCnt []int32 // order counters
@@ -121,12 +136,12 @@ type csrState struct {
 	callerUsed *bitvec.Set // order bits
 
 	round        Round
-	claimed      []int    // call indices that registered a caller, in order; clears callerUsed
-	newly        []uint64 // receivers, one per recvUse; clears the receiver storage
 	touchedEdges touchList
 	// dups records that the round set a dup-shadow bit, so endRound
 	// clears edgeDup and recvDup only after a round with a conflict.
 	dups bool
+
+	hopSlots []int32 // the kernel's resolved edge slots for one call
 }
 
 // touchList records the edge slots one round sets in a bit set (or a
@@ -186,19 +201,22 @@ func newCSRState(sn SlottedNetwork, order, source uint64, opts Options) *csrStat
 	st := &csrState{
 		net:          sn,
 		opts:         opts,
+		order:        order,
 		count:        1,
 		informed:     bitvec.New(int(order)),
+		recvUsed:     bitvec.New(int(order)),
 		callerUsed:   bitvec.New(int(order)),
 		touchedEdges: newTouchList(sn.NumEdgeSlots()),
+	}
+	if gn, ok := sn.(GraphNetwork); ok {
+		st.gg = gn.G
 	}
 	if opts.EdgeCapacity == 1 {
 		st.edgeUsed = bitvec.New(sn.NumEdgeSlots())
 	} else {
 		st.edgeCnt = make([]int32, sn.NumEdgeSlots())
 	}
-	if opts.ReceiverCapacity == 1 {
-		st.recvUsed = bitvec.New(int(order))
-	} else {
+	if opts.ReceiverCapacity > 1 {
 		st.recvCnt = make([]int32, int(order))
 	}
 	st.informed.Set(int(source))
@@ -215,33 +233,46 @@ func (c *csrState) seedInformed(vs []uint64) {
 	}
 }
 
-// beginRound sizes the per-call lists for the whole round up front:
-// rounds double in a broadcast, and growing the lists call by call
-// would allocate several times their final size.
-func (c *csrState) beginRound(r Round) {
-	c.round = r
-	c.claimed = slices.Grow(c.claimed, len(r))
-	c.newly = slices.Grow(c.newly, len(r))
+func (c *csrState) beginRound(r Round) { c.round = r }
+
+// denseRound reports whether a round of the given number of calls sets
+// at least one bit per word of a vertex set over universe: then ending
+// it word-wide costs no more than clearing its bits one by one.
+func denseRound(calls int, universe uint64) bool {
+	return uint64(calls) >= (universe+63)/64
 }
 
 func (c *csrState) callerClaim(v uint64, ci int) (int, bool) {
 	if !c.callerUsed.TestAndSet(int(v)) {
-		c.claimed = append(c.claimed, ci)
 		return 0, false
 	}
-	// Duplicate: recover the first claiming call's index by scanning the
-	// registered claims (rare — only on an actual violation).
-	for _, idx := range c.claimed {
-		if c.round[idx].Path[0] == v {
+	// Duplicate (rare — only on an actual violation): the first claimer
+	// is the first earlier call from v that reached the caller checks,
+	// which every call with two or more in-range vertices does.
+	for idx, call := range c.round[:ci] {
+		if len(call.Path) >= 2 && call.Path[0] == v && !slices.ContainsFunc(call.Path, func(u uint64) bool { return u >= c.order }) {
 			return idx, true
 		}
 	}
 	return 0, true // unreachable: a set caller bit implies a claim
 }
 
-// edgeUseSlot is edgeUse for a slot checkCall already resolved:
-// EdgeSlot doubles as the edge check there, so no hop is searched twice.
-func (c *csrState) edgeUseSlot(slot int) bool {
+// edgeSlot resolves the edge {a, b}, both in range, calling the graph
+// directly when the network is a GraphNetwork.
+func (c *csrState) edgeSlot(a, b uint64) (int, bool) {
+	if c.gg != nil {
+		return c.gg.EdgeSlot(int(a), int(b))
+	}
+	return c.net.EdgeSlot(a, b)
+}
+
+func (c *csrState) edgeUse(u, v uint64) bool {
+	// Only well-formed hops reach here, so EdgeSlot succeeds by the
+	// SlottedNetwork contract.
+	slot, ok := c.edgeSlot(u, v)
+	if !ok {
+		return false
+	}
 	if c.edgeUsed != nil {
 		if !c.edgeUsed.TestAndSet(slot) {
 			c.touchedEdges.add(int32(slot))
@@ -264,61 +295,63 @@ func (c *csrState) markDups() {
 	if c.edgeUsed != nil && c.edgeDup == nil {
 		c.edgeDup = bitvec.New(c.edgeUsed.Len())
 	}
-	if c.recvUsed != nil && c.recvDup == nil {
+	if c.recvCnt == nil && c.recvDup == nil {
 		c.recvDup = bitvec.New(c.recvUsed.Len())
 	}
 }
 
-func (c *csrState) edgeUse(u, v uint64) bool {
-	// Interface completeness: the validator prefers edgeUseSlot, but any
-	// caller without a resolved slot (only stageFull hops reach here, so
-	// EdgeSlot succeeds by the SlottedNetwork contract) still works.
-	slot, ok := c.net.EdgeSlot(u, v)
-	if !ok {
+func (c *csrState) recvUse(v uint64) bool {
+	used := c.recvUsed.TestAndSet(int(v))
+	if c.recvCnt != nil {
+		c.recvCnt[v]++
+		return int(c.recvCnt[v]) == c.opts.ReceiverCapacity+1
+	}
+	if !used {
 		return false
 	}
-	return c.edgeUseSlot(slot)
+	c.markDups()
+	return !c.recvDup.TestAndSet(int(v))
 }
 
-func (c *csrState) recvUse(v uint64) bool {
-	if c.recvUsed != nil {
-		if !c.recvUsed.TestAndSet(int(v)) {
-			return false
-		}
-		c.markDups()
-		return !c.recvDup.TestAndSet(int(v))
-	}
-	c.recvCnt[v]++
-	return int(c.recvCnt[v]) == c.opts.ReceiverCapacity+1
-}
-
-func (c *csrState) inform(v uint64) { c.newly = append(c.newly, v) }
-
-// endRound applies the round's informs and clears what it set: every
-// receiver use belongs to a call that informs it, so newly clears the
-// receiver storage, and claimed the caller bits.
+// endRound informs the round's receivers and clears what the round
+// set. recvUsed holds exactly the vertices the round informs (only a
+// call that informs its receiver registers it). A dense round unions
+// it into informed word-wide, counting the new bits, and resets the
+// vertex sets whole. A sparse round walks its calls instead, clearing
+// each caller and each receiver it registered, and informing the
+// latter. Edge slots follow their own touch list either way.
 func (c *csrState) endRound() uint64 {
-	for _, v := range c.newly {
-		if !c.informed.TestAndSet(int(v)) {
-			c.count++
+	if denseRound(len(c.round), c.order) {
+		c.count += uint64(c.informed.UnionWithCount(c.recvUsed))
+		c.recvUsed.Reset()
+		if c.recvCnt != nil {
+			clear(c.recvCnt)
+		} else if c.dups {
+			c.recvDup.Reset()
 		}
-	}
-	if c.recvUsed != nil {
-		for _, v := range c.newly {
-			c.recvUsed.Clear(int(v))
-		}
-		if c.dups {
-			for _, v := range c.newly {
-				c.recvDup.Clear(int(v))
+		c.callerUsed.Reset()
+	} else {
+		for _, call := range c.round {
+			if len(call.Path) == 0 {
+				continue
+			}
+			if from := call.Path[0]; from < c.order {
+				c.callerUsed.Clear(int(from))
+			}
+			to := call.Path[len(call.Path)-1]
+			if to >= c.order || !c.recvUsed.Get(int(to)) {
+				continue
+			}
+			c.recvUsed.Clear(int(to))
+			if !c.informed.TestAndSet(int(to)) {
+				c.count++
+			}
+			if c.recvCnt != nil {
+				c.recvCnt[to] = 0
+			} else if c.dups {
+				c.recvDup.Clear(int(to))
 			}
 		}
-	} else {
-		for _, v := range c.newly {
-			c.recvCnt[v] = 0
-		}
-	}
-	for _, idx := range c.claimed {
-		c.callerUsed.Clear(int(c.round[idx].Path[0]))
 	}
 	switch {
 	case c.edgeUsed == nil:
@@ -328,8 +361,6 @@ func (c *csrState) endRound() uint64 {
 	default:
 		c.touchedEdges.clearSets(c.edgeUsed)
 	}
-	c.newly = c.newly[:0]
-	c.claimed = c.claimed[:0]
 	c.round = nil
 	c.dups = false
 	return c.count
@@ -348,7 +379,7 @@ type gossipCsrState struct {
 	busyUsed *bitvec.Set // order bits
 
 	round        Round
-	claimed      []int // calls that registered at least one endpoint, ascending; clears busyUsed
+	claimed      []int // calls that registered at least one endpoint, ascending; clears busyUsed in a sparse round
 	touchedEdges touchList
 }
 
@@ -393,13 +424,18 @@ func (g *gossipCsrState) edgeUse(_, _ uint64, slot int32) bool {
 
 // endRound clears the round's sets. Every busy bit was set by an
 // endpoint of a claimed call, so clearing both endpoints of each claimed
-// call clears them all.
+// call clears them all; a round with at least one call per word of the
+// set resets it whole instead, as csrState does.
 func (g *gossipCsrState) endRound() {
 	g.touchedEdges.clearSets(g.edgeUsed)
-	for _, idx := range g.claimed {
-		c := g.round[idx]
-		g.busyUsed.Clear(int(c.From()))
-		g.busyUsed.Clear(int(c.To()))
+	if denseRound(len(g.round), uint64(g.busyUsed.Len())) {
+		g.busyUsed.Reset()
+	} else {
+		for _, idx := range g.claimed {
+			c := g.round[idx]
+			g.busyUsed.Clear(int(c.From()))
+			g.busyUsed.Clear(int(c.To()))
+		}
 	}
 	g.claimed = g.claimed[:0]
 	g.round = nil

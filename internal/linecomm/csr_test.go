@@ -568,3 +568,113 @@ func TestCSRDenseRoundReset(t *testing.T) {
 		}
 	}
 }
+
+// thresholdOrder is the order of the dense-threshold schedules: Q_10,
+// whose order-bit vertex sets are 16 words long.
+const thresholdOrder = 1 << 10
+
+// thresholdSchedule is a broadcast on Q_10 from vertex 0 whose later
+// rounds have m calls: around the 16 words of the vertex sets, so a
+// round of 15 calls clears element by element and one of 16 or more
+// word-wide, in csrState and in gossipCsrState alike. After the five
+// binomial rounds that inform [0, 32) come round A (caller j to
+// j|32, j < m), round B (j|32 to j|96), a 3-call sparse round C (j|96
+// to j|224) and round D (j|32 to j|160 for j < m-1, then 0 to 32
+// again): B, C and D reuse A's and each other's callers, receivers and
+// edges, so state a reset left behind shows up as a stale conflict.
+// conflict plants one in round A: "edge" routes calls 1 and 2 over
+// call 0's edge to fresh receivers, "receiver" sends calls 1 and 2 to
+// call 0's receiver (a third use: over capacity 2 as well), "caller"
+// gives the last call call 0's caller; "" plants none. The edge and receiver conflicts recur in round D, over the
+// edge and to the receiver of the last call, so a conflict shadow a
+// reset left behind would hide the second report.
+func thresholdSchedule(m int, conflict string) *Schedule {
+	s := &Schedule{Source: 0}
+	for r := range 5 {
+		var round Round
+		for v := uint64(0); v < 1<<r; v++ {
+			round = append(round, Call{Path: []uint64{v, v | 1<<r}})
+		}
+		s.Rounds = append(s.Rounds, round)
+	}
+	var a, b, c, d Round
+	for j := uint64(0); j < uint64(m); j++ {
+		a = append(a, Call{Path: []uint64{j, j | 32}})
+		b = append(b, Call{Path: []uint64{j | 32, j | 96}})
+		if j < 3 {
+			c = append(c, Call{Path: []uint64{j | 96, j | 224}})
+		}
+		if j < uint64(m-1) {
+			d = append(d, Call{Path: []uint64{j | 32, j | 160}})
+		}
+	}
+	d = append(d, Call{Path: []uint64{0, 32}})
+	switch conflict {
+	case "edge":
+		a[1].Path = []uint64{1, 0, 32, 32 | 512}
+		a[2].Path = []uint64{2, 0, 32, 32 | 256}
+		d[1].Path = []uint64{33, 32, 0, 256}
+	case "receiver":
+		a[1].Path = []uint64{1, 33, 32}
+		a[2].Path = []uint64{2, 34, 32}
+		d[1].Path = []uint64{33, 32}
+	case "caller":
+		a[m-1].Path = []uint64{0, 256}
+	}
+	s.Rounds = append(s.Rounds, a, b, c, d)
+	return s
+}
+
+// TestCSRDenseThreshold puts both sides of the dense-round threshold
+// under the differential oracle: rounds of 15, 16 and 17 calls on Q_10,
+// clean and with each planted conflict, under Definition 1, each
+// generalised capacity, both, and AllowInformedReceiver, on the map
+// engine and the CSR engine under both slot numberings, streamed,
+// in seeded ranges and in open ranges, must all equal Validate.
+func TestCSRDenseThreshold(t *testing.T) {
+	for m, dense := range map[int]bool{15: false, 16: true, 17: true} {
+		if denseRound(m, thresholdOrder) != dense {
+			t.Fatalf("a %d-call round on order %d: dense = %v", m, thresholdOrder, !dense)
+		}
+	}
+	nets := engines(10)
+	const k = 3
+	wantKind := map[string]ViolationKind{"edge": EdgeConflict, "receiver": ReceiverConflict, "caller": CallerDuplicate}
+	for _, m := range []int{15, 16, 17} {
+		for _, conflict := range []string{"", "edge", "receiver", "caller"} {
+			s := thresholdSchedule(m, conflict)
+			for _, opts := range []Options{
+				DefaultOptions(),
+				{EdgeCapacity: 2, ReceiverCapacity: 1},
+				{EdgeCapacity: 1, ReceiverCapacity: 2},
+				{EdgeCapacity: 2, ReceiverCapacity: 2},
+				{EdgeCapacity: 1, ReceiverCapacity: 1, AllowInformedReceiver: true},
+			} {
+				want := ValidateOpts(nets["csr"], k, s, opts)
+				if opts == DefaultOptions() {
+					kinds := map[ViolationKind]bool{}
+					for _, v := range want.Violations {
+						kinds[v.Kind] = true
+					}
+					if conflict == "" && !kinds[ReceiverInformed] || conflict != "" && !kinds[wantKind[conflict]] {
+						t.Fatalf("m=%d %q: the oracle does not see the planted case: %+v", m, conflict, want.Violations)
+					}
+				}
+				if conflict == "" && opts.AllowInformedReceiver && !want.Valid() {
+					t.Fatalf("m=%d: the clean schedule is rejected: %v", m, want.Err())
+				}
+				for name, net := range nets {
+					if got := ValidateStreamOpts(net, k, s.Source, s.Stream(), opts); !reflect.DeepEqual(want, got) {
+						t.Fatalf("m=%d %q %+v %s: stream diverges:\nserial: %+v\nstream: %+v", m, conflict, opts, name, want, got)
+					}
+					for _, bounds := range [][]int{{0, 5, 7, 9}, {0, 6, 8, 9}} {
+						if got := validateInRanges(net, k, s.Source, s, bounds, opts); !reflect.DeepEqual(want, got) {
+							t.Fatalf("m=%d %q %+v %s: seeded ranges %v diverge:\nserial: %+v\nranged: %+v", m, conflict, opts, name, bounds, want, got)
+						}
+						checkOpenRanges(t, net, k, s, bounds, opts, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -27,3 +27,7 @@ func CountSimulations(tb testing.TB) *int {
 	tb.Cleanup(func() { simulateTokens = orig })
 	return runs
 }
+
+// ThresholdSchedule exposes thresholdSchedule to the gossip crosschecks
+// of the external test package.
+var ThresholdSchedule = thresholdSchedule

@@ -29,6 +29,12 @@ func FuzzValidate(f *testing.F) {
 		1, 0, 4, 12, 0, 5, 13}
 	f.Add(binomial, uint8(0), uint8(0), uint16(0b10100), uint8(0))
 	f.Add(binomial, uint8(1), uint8(0x15), uint16(0xffff), uint8(0))
+	// Mixed models: per-slot edge counters beside a capacity-1 receiver
+	// set (optRaw 1), and a capacity-1 edge set beside receiver
+	// counters (optRaw 4); the irregular families below take the two
+	// in turn.
+	f.Add(binomial, uint8(1), uint8(1), uint16(0b10100), uint8(0))
+	f.Add(binomial, uint8(1), uint8(4), uint16(0b10100), uint8(0))
 	// Edges called both ways at once on every network, and valid
 	// tree-broadcast prefixes on each irregular family, plain and
 	// relaxed, whole and cut.
@@ -39,6 +45,7 @@ func FuzzValidate(f *testing.F) {
 			seed := treeSeed(g)
 			f.Add(seed, uint8(0), uint8(0), uint16(0), netRaw)
 			f.Add(seed, uint8(1), uint8(0x15), uint16(0b110), netRaw)
+			f.Add(seed, uint8(1), uint8(1+3*(netRaw&1)), uint16(0b110), netRaw)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, optRaw uint8, splitMask uint16, netRaw uint8) {

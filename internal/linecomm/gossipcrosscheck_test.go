@@ -251,3 +251,20 @@ func TestGossipStreamMatchesSerialOnForeignSchedules(t *testing.T) {
 	}
 	mustMatchSerialGossip(t, s, 1, bc)
 }
+
+// TestGossipStreamMatchesSerialAtDenseThreshold runs the broadcast
+// dense-threshold schedules through the gossip validators: rounds of
+// 15, 16 and 17 calls on Q_10 sit on both sides of the word count of
+// the CSR engine's busy set (16 words), past which a round resets it
+// whole, clean and with each planted conflict.
+func TestGossipStreamMatchesSerialAtDenseThreshold(t *testing.T) {
+	s, err := core.New(core.HypercubeParams(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{15, 16, 17} {
+		for _, conflict := range []string{"", "edge", "receiver", "caller"} {
+			mustMatchSerialGossip(t, s, 3, linecomm.ThresholdSchedule(m, conflict))
+		}
+	}
+}

@@ -69,7 +69,8 @@ func CollectInformedStream(net Network, rounds iter.Seq[Round]) []uint64 {
 
 // callInforms reports whether a call reaches its receiver under the
 // model: the exact condition for the streaming validator's full stage
-// (checkCall returning stageFull), which is the only stage that informs.
+// (checkCall returning stageFull), which is the only stage that informs
+// (the clean-call kernel takes only calls that reach it).
 func callInforms(net Network, order uint64, c Call) bool {
 	if len(c.Path) < 2 {
 		return false
@@ -161,6 +162,7 @@ func validateRange(net Network, k int, source uint64, seed []uint64, startRound 
 		v.validateRound(ri, round)
 		ri++
 	}
+	v.finish()
 	res.Informed = st.informedCount()
 	return res, st, v.assumed
 }

@@ -3,20 +3,28 @@ package linecomm
 import (
 	"fmt"
 	"iter"
+	"sync/atomic"
 
 	"sparsehypercube/internal/bitvec"
-	"sparsehypercube/internal/graph"
 )
 
 // This file is the streaming half of the validator: ValidateStream
 // consumes rounds as a producer (core.ScheduleRounds, a network feed, a
 // decoder) emits them, so a schedule never has to be materialised to be
-// checked. Each call takes one pass, in call order: first the
-// structural checks that depend on the call alone (path shape, vertex
-// range, edge existence, length bound; checkCall), then the checks
-// against the state the round has built so far (caller knowledge,
-// duplicate callers, edge conflicts, receiver conflicts), so the
-// produced Result is byte-for-byte identical to the sequential Validate.
+// checked. Each call takes one pass, in call order. On the CSR engine
+// it first meets the clean-call kernel (cleanCall): one straight-line
+// function that runs every check against the call and the round so far
+// and, when none fails, commits the call's state changes directly.
+// Every other call — the kernel declines any that would report
+// something, and the map engine has no kernel — takes the exact path
+// (validateCall): first the structural checks that depend on the call
+// alone (path shape, vertex range, edge existence, length bound;
+// checkCall), then the checks against the state the round has built so
+// far (caller knowledge, duplicate callers, edge conflicts, receiver
+// conflicts), so the produced Result is byte-for-byte identical to the
+// sequential Validate. The exact path is the only source of
+// violations, and the kernel commits exactly what it would on a clean
+// call, so the split cannot change a Result.
 //
 // The state is one of two disjointness engines (newRoundState): on any
 // network with an edge-slot numbering, the flat slot-indexed csrState
@@ -90,7 +98,7 @@ func newRoundState(net Network, order, source uint64, opts Options) roundState {
 // roundState tracks the informed set and the per-round disjointness
 // constraints of one validation run, driven by one goroutine in call
 // order. isInformed answers for the informed set as of the round's
-// start: inform only buffers until endRound.
+// start: a round's receivers are informed only at endRound.
 type roundState interface {
 	isInformed(v uint64) bool
 	// beginRound resets per-round tracking; r is retained until endRound
@@ -104,13 +112,12 @@ type roundState interface {
 	// use is the first beyond capacity (true exactly once per edge).
 	edgeUse(u, v uint64) bool
 	// recvUse registers one call targeting v, same contract as edgeUse.
-	// Every recvUse is followed by inform(v) for the same call.
+	// Only a call that informs v registers it, so the round's receivers
+	// are exactly the vertices it informs.
 	recvUse(v uint64) bool
-	// inform buffers v as newly informed; applied at endRound, matching
-	// the model's end-of-round knowledge update.
-	inform(v uint64)
-	// endRound applies buffered informs, clears round state and returns
-	// the informed count.
+	// endRound informs the round's receivers, matching the model's
+	// end-of-round knowledge update, clears round state and returns the
+	// informed count.
 	endRound() uint64
 	informedCount() uint64
 	// seedInformed marks vs informed before any round runs — the range
@@ -133,14 +140,12 @@ type streamValidator struct {
 	st    roundState
 	res   *Result
 
-	// Slot-indexed fast path: cs is st when st is the csrState, called
-	// directly rather than through the interface. checkCall resolves
-	// each hop's edge slot into hopSlots — EdgeSlot doubles as the edge
-	// check, by the SlottedNetwork contract — and the edge checks
-	// consume them.
-	cs       *csrState
-	gg       *graph.Graph // devirtualised slot source when cs.net is a GraphNetwork
-	hopSlots []int32
+	// cs is st when st is the csrState: the engine the clean-call
+	// kernel (cleanCall) runs on. Calls the kernel declines, and every
+	// call on the map engine, take the exact path (validateCall).
+	cs *csrState
+	// kernelCalls and exactCalls count the calls each path took.
+	kernelCalls, exactCalls int
 
 	// assumed is non-nil in open mode (ValidateStreamOpen): a caller the
 	// run has not itself informed is recorded here, assumed informed by
@@ -148,26 +153,135 @@ type streamValidator struct {
 	assumed *bitvec.Set
 }
 
+// callPaths accumulates kernelCalls and exactCalls over every finished
+// validation run in the process; see CallPaths.
+var callPaths [2]atomic.Int64
+
+// CallPaths returns how many calls, over every broadcast validation run
+// the process has finished, the CSR engine's clean-call kernel accepted
+// and how many took the exact path (declined calls, and every call on
+// the map engine). The split never changes a Result; it is what the
+// kernel-coverage gates pin, since a kernel that declines everything
+// only runs slower.
+func CallPaths() (kernel, exact int64) {
+	return callPaths[0].Load(), callPaths[1].Load()
+}
+
 func newStreamValidator(net Network, k int, order uint64, opts Options, st roundState, res *Result) *streamValidator {
 	v := &streamValidator{net: net, k: k, order: order, opts: opts, st: st, res: res}
-	if cs, ok := st.(*csrState); ok {
-		v.cs = cs
-		if gn, ok := cs.net.(GraphNetwork); ok {
-			v.gg = gn.G
-		}
-	}
+	v.cs, _ = st.(*csrState)
 	return v
 }
 
 func (v *streamValidator) validateRound(ri int, round Round) {
 	v.st.beginRound(round)
 	for ci, call := range round {
+		if v.cs != nil && v.cleanCall(call) {
+			v.kernelCalls++
+			continue
+		}
+		v.exactCalls++
 		v.validateCall(ri, ci, call)
 	}
 	v.res.InformedPerRound = append(v.res.InformedPerRound, v.st.endRound())
 }
 
-// validateCall checks one call: checkCall's structural section, then
+// finish adds the run's call counts to CallPaths.
+func (v *streamValidator) finish() {
+	callPaths[0].Add(int64(v.kernelCalls))
+	callPaths[1].Add(int64(v.exactCalls))
+}
+
+// maxKernelPath bounds the paths the kernel takes: its repeated-vertex
+// scan is quadratic, as appendRepeatViolations' is up to this length.
+const maxKernelPath = 32
+
+// cleanCall is the clean-call kernel on the CSR engine: in one
+// straight-line pass, every read-only check of validateCall — path
+// shape and length, vertex range, distinct vertices, each hop's edge
+// slot (EdgeSlot is the edge check), a free slot under the edge
+// capacity, an unclaimed caller, a receiver under its capacity and, by
+// default, uninformed, and an informed caller (or, in open mode, one to
+// assume). Only when every check passes does it commit the mutations
+// validateCall makes on such a call, in the same order, and report
+// true. A declined call has changed nothing: validateCall, the only
+// source of violations, takes it.
+func (v *streamValidator) cleanCall(call Call) bool {
+	c := v.cs
+	p := call.Path
+	if len(p) < 2 || len(p)-1 > v.k || len(p) > maxKernelPath {
+		return false
+	}
+	for i, u := range p {
+		if u >= v.order {
+			return false
+		}
+		for _, w := range p[:i] {
+			if w == u {
+				return false
+			}
+		}
+	}
+	if len(p) > len(c.hopSlots)+1 {
+		c.hopSlots = make([]int32, len(p)-1)
+	}
+	hops := c.hopSlots[:len(p)-1]
+	for i := range hops {
+		s, ok := c.edgeSlot(p[i], p[i+1])
+		if !ok {
+			return false
+		}
+		if c.edgeUsed != nil {
+			if c.edgeUsed.Get(s) {
+				return false
+			}
+		} else if int(c.edgeCnt[s]) >= v.opts.EdgeCapacity {
+			return false
+		}
+		hops[i] = int32(s)
+	}
+	from, to := p[0], p[len(p)-1]
+	if c.callerUsed.Get(int(from)) {
+		return false
+	}
+	if c.recvCnt == nil {
+		if c.recvUsed.Get(int(to)) {
+			return false
+		}
+	} else if int(c.recvCnt[to]) >= v.opts.ReceiverCapacity {
+		return false
+	}
+	if !v.opts.AllowInformedReceiver && c.informed.Get(int(to)) {
+		return false
+	}
+	callerKnown := c.informed.Get(int(from))
+	if !callerKnown && v.assumed == nil {
+		return false
+	}
+
+	if l := len(p) - 1; l > v.res.MaxCallLength {
+		v.res.MaxCallLength = l
+	}
+	if !callerKnown {
+		v.assumed.Set(int(from))
+	}
+	c.callerUsed.Set(int(from))
+	for _, s := range hops {
+		if c.edgeUsed != nil {
+			c.edgeUsed.Set(int(s))
+			c.touchedEdges.add(s)
+		} else if c.edgeCnt[s]++; c.edgeCnt[s] == 1 {
+			c.touchedEdges.add(s)
+		}
+	}
+	c.recvUsed.Set(int(to))
+	if c.recvCnt != nil {
+		c.recvCnt[to]++
+	}
+	return true
+}
+
+// validateCall is the exact path: checkCall's structural section, then
 // the caller, edge and receiver checks against the round so far, in
 // Validate's violation order.
 func (v *streamValidator) validateCall(ri, ci int, call Call) {
@@ -180,7 +294,7 @@ func (v *streamValidator) validateCall(ri, ci int, call Call) {
 		v.res.MaxCallLength = l
 	}
 	from := call.Path[0]
-	if !v.isInformed(from) {
+	if !v.st.isInformed(from) {
 		if v.assumed != nil {
 			v.assumed.Set(int(from))
 		} else {
@@ -188,7 +302,7 @@ func (v *streamValidator) validateCall(ri, ci int, call Call) {
 				fmt.Sprintf("caller %d not informed", from)})
 		}
 	}
-	if prev, dup := v.callerClaim(from, ci); dup {
+	if prev, dup := v.st.callerClaim(from, ci); dup {
 		v.res.Violations = append(v.res.Violations, Violation{ri, ci, CallerDuplicate,
 			fmt.Sprintf("caller %d already placed call %d", from, prev)})
 	}
@@ -196,13 +310,7 @@ func (v *streamValidator) validateCall(ri, ci int, call Call) {
 		return
 	}
 	for h := 1; h < len(call.Path); h++ {
-		var over bool
-		if v.cs != nil {
-			over = v.cs.edgeUseSlot(int(v.hopSlots[h-1]))
-		} else {
-			over = v.st.edgeUse(call.Path[h-1], call.Path[h])
-		}
-		if over {
+		if v.st.edgeUse(call.Path[h-1], call.Path[h]) {
 			e := mkEdge(call.Path[h-1], call.Path[h])
 			v.res.Violations = append(v.res.Violations, Violation{ri, ci, EdgeConflict,
 				fmt.Sprintf("edge {%d,%d} used %d times, capacity %d",
@@ -210,55 +318,20 @@ func (v *streamValidator) validateCall(ri, ci int, call Call) {
 		}
 	}
 	to := call.Path[len(call.Path)-1]
-	if v.recvUse(to) {
+	if v.st.recvUse(to) {
 		v.res.Violations = append(v.res.Violations, Violation{ri, ci, ReceiverConflict,
 			fmt.Sprintf("receiver %d targeted %d times, capacity %d",
 				to, v.opts.ReceiverCapacity+1, v.opts.ReceiverCapacity)})
 	}
-	if v.isInformed(to) && !v.opts.AllowInformedReceiver {
+	if v.st.isInformed(to) && !v.opts.AllowInformedReceiver {
 		v.res.Violations = append(v.res.Violations, Violation{ri, ci, ReceiverInformed,
 			fmt.Sprintf("receiver %d already informed", to)})
 	}
-	v.inform(to)
-}
-
-// isInformed, callerClaim, recvUse and inform call the CSR engine
-// directly when it runs, and the interface otherwise.
-
-func (v *streamValidator) isInformed(u uint64) bool {
-	if v.cs != nil {
-		return v.cs.isInformed(u)
-	}
-	return v.st.isInformed(u)
-}
-
-func (v *streamValidator) callerClaim(u uint64, ci int) (int, bool) {
-	if v.cs != nil {
-		return v.cs.callerClaim(u, ci)
-	}
-	return v.st.callerClaim(u, ci)
-}
-
-func (v *streamValidator) recvUse(u uint64) bool {
-	if v.cs != nil {
-		return v.cs.recvUse(u)
-	}
-	return v.st.recvUse(u)
-}
-
-func (v *streamValidator) inform(u uint64) {
-	if v.cs != nil {
-		v.cs.inform(u)
-		return
-	}
-	v.st.inform(u)
 }
 
 // checkCall mirrors the sequential validator's per-call structural
 // section, including its violation order and early-exit points; it
-// depends on the call alone. On the CSR engine v.hopSlots receives each
-// hop's resolved edge slot (valid whenever the returned stage is
-// stageFull).
+// depends on the call alone.
 func (v *streamValidator) checkCall(ri, ci int, call Call, out []Violation) (uint8, []Violation) {
 	if len(call.Path) < 2 {
 		return stageSkip, append(out, Violation{ri, ci, PathInvalid,
@@ -276,36 +349,11 @@ func (v *streamValidator) checkCall(ri, ci int, call Call, out []Violation) (uin
 		return stageSkip, out
 	}
 	out, bad = appendRepeatViolations(out, ri, ci, call.Path)
-	if v.cs != nil {
-		// EdgeSlot is the edge-existence check on slotted networks; the
-		// resolved slot is kept for the edge checks. Path vertices are
-		// already known in range, so the devirtualised graph call is safe.
-		if len(call.Path) > len(v.hopSlots)+1 {
-			v.hopSlots = make([]int32, len(call.Path)-1)
-		}
-		for i := 1; i < len(call.Path); i++ {
-			var s int
-			var ok bool
-			if v.gg != nil {
-				s, ok = v.gg.EdgeSlot(int(call.Path[i-1]), int(call.Path[i]))
-			} else {
-				s, ok = v.cs.net.EdgeSlot(call.Path[i-1], call.Path[i])
-			}
-			if !ok {
-				out = append(out, Violation{ri, ci, PathInvalid,
-					fmt.Sprintf("no edge {%d,%d}", call.Path[i-1], call.Path[i])})
-				bad = true
-				continue
-			}
-			v.hopSlots[i-1] = int32(s)
-		}
-	} else {
-		for i := 1; i < len(call.Path); i++ {
-			if !v.net.HasEdge(call.Path[i-1], call.Path[i]) {
-				out = append(out, Violation{ri, ci, PathInvalid,
-					fmt.Sprintf("no edge {%d,%d}", call.Path[i-1], call.Path[i])})
-				bad = true
-			}
+	for i := 1; i < len(call.Path); i++ {
+		if !v.net.HasEdge(call.Path[i-1], call.Path[i]) {
+			out = append(out, Violation{ri, ci, PathInvalid,
+				fmt.Sprintf("no edge {%d,%d}", call.Path[i-1], call.Path[i])})
+			bad = true
 		}
 	}
 	if call.Length() > v.k {
@@ -360,7 +408,6 @@ type mapState struct {
 	edges    map[edgeKey]int
 	recvs    map[uint64]int
 	callers  map[uint64]int
-	newly    []uint64
 }
 
 func newMapState(source uint64, opts Options) *mapState {
@@ -385,7 +432,6 @@ func (m *mapState) beginRound(r Round) {
 	clear(m.edges)
 	clear(m.recvs)
 	clear(m.callers)
-	m.newly = m.newly[:0]
 }
 
 func (m *mapState) callerClaim(v uint64, ci int) (int, bool) {
@@ -407,10 +453,8 @@ func (m *mapState) recvUse(v uint64) bool {
 	return m.recvs[v] == m.opts.ReceiverCapacity+1
 }
 
-func (m *mapState) inform(v uint64) { m.newly = append(m.newly, v) }
-
 func (m *mapState) endRound() uint64 {
-	for _, v := range m.newly {
+	for v := range m.recvs {
 		m.informed[v] = true
 	}
 	return uint64(len(m.informed))

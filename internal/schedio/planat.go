@@ -98,8 +98,7 @@ func readIndexTrailer(r io.ReaderAt, size int64) (offs []int64, planSize int64, 
 	// Parse the varints through the one canonical-form decoder, so the
 	// random-access and streaming paths can never disagree on what a
 	// valid index is.
-	d := &Decoder{}
-	d.src.r = bytes.NewReader(body[len(indexMagic):])
+	d := spanDecoder(Header{}, bytes.NewReader(body[len(indexMagic):]), int64(len(body)-len(indexMagic)))
 	nr, err := d.uvarint("index round count")
 	if err != nil {
 		return nil, 0, err
@@ -167,8 +166,7 @@ func (p *PlanAt) Round(i int) (linecomm.Round, error) {
 		return nil, fmt.Errorf("schedio: round %d outside [0,%d)", i, len(p.offs)-1)
 	}
 	lo, hi := p.offs[i], p.offs[i+1]
-	d := &Decoder{h: p.h}
-	d.src.r = io.NewSectionReader(p.r, lo, hi-lo)
+	d := spanDecoder(p.h, io.NewSectionReader(p.r, lo, hi-lo), hi-lo)
 	var sc RoundScratch
 	round, done, err := d.readRound(&sc)
 	if err != nil {

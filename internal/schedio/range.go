@@ -149,8 +149,7 @@ func (r *RoundRange) Rounds() iter.Seq[linecomm.Round] {
 			return
 		}
 		r.claimed = true
-		d := &Decoder{h: r.h}
-		d.src.r = io.NewSectionReader(r.r, r.start, r.end-r.start)
+		d := spanDecoder(r.h, io.NewSectionReader(r.r, r.start, r.end-r.start), r.end-r.start)
 		if r.noCRC {
 			d.src.stopCRC() // every later fold no-ops: no checksum work
 		}

@@ -323,7 +323,8 @@ func (e *encoder) offset() int64 { return e.n + int64(len(e.buf)) }
 // called from any goroutine, and a second (even concurrent) Rounds call
 // fails with a clean error instead of racing on the underlying reader.
 //
-// Rounds decode through a 32 KiB read buffer. Calls wholly inside it
+// Rounds decode through a read buffer of 32 KiB, or of the span's
+// length for a shorter round range. Calls wholly inside it
 // take the fast path (decodeCalls); the rest — a call crossing the
 // refill edge, or one the fast path finds anything wrong with — take
 // the byte-at-a-time reference path (uvarint), so how the reader
@@ -346,7 +347,7 @@ type Decoder struct {
 // NewDecoder reads and validates the header from r. The returned decoder
 // reads from r incrementally; r must not be read from concurrently.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	d := &Decoder{src: byteSource{r: r}}
+	d := spanDecoder(Header{}, r, readBufSize)
 	var m [4]byte
 	if err := d.src.readFull(m[:]); err != nil {
 		return nil, fmt.Errorf("schedio: reading magic: %w", err)
@@ -793,12 +794,23 @@ func (d *Decoder) uvarint(what string) (uint64, error) {
 	return 0, fmt.Errorf("schedio: reading %s: varint overflows uint64", what)
 }
 
+// readBufSize is a decoder's read buffer size; decoders over a known,
+// shorter span size theirs to the span (spanDecoder).
+const readBufSize = 32 << 10
+
+// spanDecoder returns a decoder with header h over r, which holds size
+// bytes: its read buffer is readBufSize, or size when the span is
+// shorter, so decoding a short range allocates no more than it reads.
+func spanDecoder(h Header, r io.Reader, size int64) *Decoder {
+	return &Decoder{h: h, src: byteSource{r: r, buf: make([]byte, min(readBufSize, max(size, 1)))}}
+}
+
 // byteSource is a buffered reader that tracks the bytes actually
 // consumed and folds them into a running CRC lazily (at refill and stop
 // points), so per-byte reads stay cheap.
 type byteSource struct {
 	r        io.Reader
-	buf      [32 << 10]byte
+	buf      []byte // never empty
 	pos, lim int
 	crcdPos  int // buf[crcdPos:pos] has not been folded into crc yet
 	crcDone  bool
@@ -833,7 +845,7 @@ func (s *byteSource) fill() error {
 	s.fold()
 	s.pos, s.lim, s.crcdPos = 0, 0, 0
 	for {
-		n, err := s.r.Read(s.buf[:])
+		n, err := s.r.Read(s.buf)
 		if n > 0 {
 			s.lim = n
 			return nil

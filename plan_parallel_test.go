@@ -124,7 +124,9 @@ func mutateSchedule(name string, s *Schedule, order uint64) {
 // TestParallelVerifyMutatedPlans: structurally valid but semantically
 // broken plans (violations, incompleteness) must produce byte-identical
 // Reports from the parallel and serial paths — the violations
-// themselves, their order, and their messages included.
+// themselves, their order, and their messages included. Each mutation
+// must also send at least one call past the validator's clean-call
+// kernel to its exact path, the only source of violations.
 func TestParallelVerifyMutatedPlans(t *testing.T) {
 	names := []string{"drop-middle-call", "duplicate-call", "retarget-receiver",
 		"overlong-call", "out-of-range-vertex", "uninformed-early-caller"}
@@ -143,9 +145,13 @@ func TestParallelVerifyMutatedPlans(t *testing.T) {
 			if _, err := schedio.EncodeIndexed(&buf, h, toInner(s)); err != nil {
 				t.Fatal(err)
 			}
+			count := CountCallPaths()
 			serial := verifyAt(t, buf.Bytes(), 1)
 			if serial.Valid && serial.Complete && serial.MinimumTime {
 				t.Fatalf("k=%d %s: mutation went undetected", k, name)
+			}
+			if _, exact := count(); exact == 0 {
+				t.Fatalf("k=%d %s: no call reached the validator's exact path", k, name)
 			}
 			for _, w := range []int{2, 4, 8} {
 				if got := verifyAt(t, buf.Bytes(), w); !reflect.DeepEqual(serial, got) {
@@ -178,7 +184,11 @@ func TestParallelVerifyOpenMergeRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
+		count := CountCallPaths()
 		serial := verifyAt(t, data, 1)
+		if _, exact := count(); exact == 0 {
+			t.Fatalf("k=%d: no call reached the validator's exact path", k)
+		}
 		if !slices.ContainsFunc(serial.Violations, func(v string) bool {
 			return strings.Contains(v, "already informed")
 		}) {
