@@ -45,15 +45,6 @@
 //	                   # (timing experiment, skipped under -exp all; the
 //	                   # curve defaults to BENCH_distverify.json)
 //
-//	benchtab -exp csr [-csr-n 16] [-json BENCH_csr.json]
-//	                   # general-graph validation: the same BFS-tree
-//	                   # broadcast on random regular and random k-tree
-//	                   # graphs validated through the hash-map engine and
-//	                   # the CSR edge-slot engine, with every Report pair
-//	                   # checked identical (timing experiment, skipped
-//	                   # under -exp all; the curve defaults to
-//	                   # BENCH_csr.json)
-//
 // Experiment ids match DESIGN.md's per-experiment index.
 package main
 
@@ -85,8 +76,7 @@ func main() {
 	serveOps := flag.Int("serve-ops", 60, "per-worker operations for the -exp serve churn phase")
 	mmapN := flag.Int("mmap-n", 20, "cube dimension for -exp mmap")
 	distN := flag.Int("distverify-n", 16, "cube dimension for -exp distverify")
-	csrN := flag.Int("csr-n", 16, "largest log2 vertex count for -exp csr")
-	jsonOut := flag.String("json", "", "also write the multicore/serve/mmap/distverify/csr trajectory as JSON to this file")
+	jsonOut := flag.String("json", "", "also write the multicore/serve/mmap/distverify trajectory as JSON to this file")
 	flag.Parse()
 
 	procList, err := parseProcs(*procs)
@@ -106,8 +96,6 @@ func main() {
 			*jsonOut = "BENCH_mmap.json"
 		case "distverify", "exp-distverify":
 			*jsonOut = "BENCH_distverify.json"
-		case "csr", "exp-csr":
-			*jsonOut = "BENCH_csr.json"
 		}
 	}
 
@@ -194,16 +182,6 @@ func main() {
 				}
 			}
 		}},
-		{"csr", func(t bool) {
-			tb, res := analysis.RunCSR(*csrN, 3)
-			emit(tb, t)
-			if *jsonOut != "" {
-				if err := writeCSRJSON(*jsonOut, res); err != nil {
-					fmt.Fprintln(os.Stderr, "benchtab:", err)
-					os.Exit(1)
-				}
-			}
-		}},
 	}
 
 	found := false
@@ -212,7 +190,7 @@ func main() {
 		// (GOMAXPROCS churn, repeated million-vertex runs, wall-clock
 		// measurement): meaningful only in isolation, so they never ride
 		// along with -exp all.
-		if want == "all" && (e.id == "multicore" || e.id == "serve" || e.id == "mmap" || e.id == "distverify" || e.id == "csr") {
+		if want == "all" && (e.id == "multicore" || e.id == "serve" || e.id == "mmap" || e.id == "distverify") {
 			continue
 		}
 		if want == "all" || want == e.id || "exp-"+e.id == want {
@@ -275,10 +253,6 @@ func writeMmapJSON(path string, res *analysis.MmapResult) error {
 }
 
 func writeDistVerifyJSON(path string, res *analysis.DistVerifyResult) error {
-	return writeJSONFile(path, res.WriteJSON)
-}
-
-func writeCSRJSON(path string, res *analysis.CSRResult) error {
 	return writeJSONFile(path, res.WriteJSON)
 }
 

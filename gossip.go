@@ -30,6 +30,8 @@ import (
 // (full gossip at n = 20; far larger cubes with sampled sources). When
 // neither can decide, Verify still performs every structural check and
 // reports a simulation-cap-exceeded violation for the knowledge half.
+// On a cube past the validator's edge-slot caps (n >= 27) that
+// violation is all it reports, and the rounds are never consumed.
 type MultiSourceScheme struct {
 	Root uint64
 	// Sources lists the token-holding vertices; nil or empty means every

@@ -1,6 +1,7 @@
 package linecomm
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 
@@ -8,7 +9,7 @@ import (
 	"sparsehypercube/internal/graph"
 )
 
-// This file is the flat engine of the streaming validators: csrState for
+// This file is the one engine of the streaming validators: csrState for
 // broadcast and gossipCsrState for gossip. Every per-round disjointness
 // set is indexed by an edge-slot id the network supplies
 // (SlottedNetwork.EdgeSlot — for materialised graphs, backed by the CSR
@@ -29,9 +30,10 @@ import (
 // round resets the whole set instead (see touchList). So the engine
 // allocates once per validation run and nothing per round.
 //
-// mapState stays as the reference engine — it is what the differential
-// suite crosschecks csrState against, and the fallback for networks
-// that carry no slot numbering or exceed the size caps.
+// The serial validators, Validate and ValidateGossip, stay as the
+// independent references the differential suites crosscheck both
+// engines against. A network slottedFor rejects is refused
+// (streamRefusal), never validated another way on the stream.
 
 // maxCSRSlots caps the universes held as per-slot counters (generalised
 // capacities). Counters are 4 bytes per slot where bit sets are 1 bit,
@@ -45,7 +47,8 @@ const maxCSRSlots = maxStreamBits / 32
 // capacities. net must carry a slot numbering — its own, or the closed
 // form of a DimensionedNetwork — and each universe must fit the cap of
 // the storage opts selects for it: maxStreamBits for bit sets,
-// maxCSRSlots for counters.
+// maxCSRSlots for counters. Streaming entry points refuse every other
+// network (streamRefusal).
 func slottedFor(net Network, order uint64, opts Options) (SlottedNetwork, bool) {
 	sn, ok := net.(SlottedNetwork)
 	if !ok {
@@ -70,6 +73,28 @@ func slottedFor(net Network, order uint64, opts Options) (SlottedNetwork, bool) 
 		return nil, false
 	}
 	return sn, true
+}
+
+// numbered reports whether net carries an edge-slot numbering, its own
+// or the closed form of a DimensionedNetwork, whatever its size.
+func numbered(net Network) bool {
+	switch net.(type) {
+	case SlottedNetwork, DimensionedNetwork:
+		return true
+	}
+	return false
+}
+
+// streamRefusal is what a streaming entry point reports, before it
+// consumes a round, for a network slottedFor rejects: the schedule is
+// not judged invalid, it cannot be checked on the stream.
+func streamRefusal(net Network, order uint64) Violation {
+	msg := "network carries no edge-slot numbering to stream on"
+	if numbered(net) {
+		msg = fmt.Sprintf("order %d exceeds the streamed validator's edge-slot caps (bit sets <= %d bits, counters <= %d slots, order <= 2^N)",
+			order, maxStreamBits, maxCSRSlots)
+	}
+	return Violation{Round: -1, Call: -1, Kind: SimulationCapExceeded, Msg: msg}
 }
 
 // dimSlots numbers the edges of a DimensionedNetwork in closed form:
@@ -103,14 +128,15 @@ func (d dimSlots) EdgeSlot(u, v uint64) (int, bool) {
 // capacities included. Under the default capacity-1 model
 // edge and receiver uses are used/dup bit-set pairs (two bits per slot,
 // cache-resident even for million-edge graphs; the dup shadow
-// reproduces mapState's report-once-at-capacity+1 contract), and under
-// generalised capacities they are per-slot counters with the same
-// contract. Callers are a bit set; the rare duplicate recovers the first
+// reproduces the serial validator's report-once-at-capacity+1
+// contract), and under generalised capacities they are per-slot
+// counters with the same contract. Callers are a bit set; the rare duplicate recovers the first
 // claimer's index by scanning the round's earlier calls.
 //
 // The validator's clean-call kernel (streamValidator.cleanCall) reads
-// and writes these sets directly; everything else goes through the
-// roundState methods.
+// and writes these sets directly; the exact path goes through the
+// methods below. isInformed answers for the informed set as of the
+// round's start: a round's receivers are informed only at endRound.
 type csrState struct {
 	net   SlottedNetwork
 	gg    *graph.Graph // devirtualised slot source when net is a GraphNetwork
@@ -225,6 +251,9 @@ func newCSRState(sn SlottedNetwork, order, source uint64, opts Options) *csrStat
 
 func (c *csrState) isInformed(v uint64) bool { return c.informed.Get(int(v)) }
 
+// seedInformed marks vs informed before any round runs — the range
+// validator's way of entering mid-schedule. Duplicates (and the
+// source) are fine; counting stays exact.
 func (c *csrState) seedInformed(vs []uint64) {
 	for _, v := range vs {
 		if !c.informed.TestAndSet(int(v)) {
@@ -233,6 +262,9 @@ func (c *csrState) seedInformed(vs []uint64) {
 	}
 }
 
+// beginRound retains r until endRound, which clears a sparse round's
+// callers and receivers through it; callerClaim scans it to recover a
+// duplicate caller's first call.
 func (c *csrState) beginRound(r Round) { c.round = r }
 
 // denseRound reports whether a round of the given number of calls sets
@@ -242,6 +274,8 @@ func denseRound(calls int, universe uint64) bool {
 	return uint64(calls) >= (universe+63)/64
 }
 
+// callerClaim registers call ci as placed by v. When v already placed a
+// call this round it reports that call's index instead.
 func (c *csrState) callerClaim(v uint64, ci int) (int, bool) {
 	if !c.callerUsed.TestAndSet(int(v)) {
 		return 0, false
@@ -266,6 +300,8 @@ func (c *csrState) edgeSlot(a, b uint64) (int, bool) {
 	return c.net.EdgeSlot(a, b)
 }
 
+// edgeUse registers one use of edge {u,v} and reports whether this use
+// is the first beyond capacity (true exactly once per edge and round).
 func (c *csrState) edgeUse(u, v uint64) bool {
 	// Only well-formed hops reach here, so EdgeSlot succeeds by the
 	// SlottedNetwork contract.
@@ -300,6 +336,9 @@ func (c *csrState) markDups() {
 	}
 }
 
+// recvUse registers one call targeting v, same contract as edgeUse.
+// Only a call that informs v registers it, so the round's receivers are
+// exactly the vertices it informs.
 func (c *csrState) recvUse(v uint64) bool {
 	used := c.recvUsed.TestAndSet(int(v))
 	if c.recvCnt != nil {
@@ -314,12 +353,13 @@ func (c *csrState) recvUse(v uint64) bool {
 }
 
 // endRound informs the round's receivers and clears what the round
-// set. recvUsed holds exactly the vertices the round informs (only a
-// call that informs its receiver registers it). A dense round unions
-// it into informed word-wide, counting the new bits, and resets the
-// vertex sets whole. A sparse round walks its calls instead, clearing
-// each caller and each receiver it registered, and informing the
-// latter. Edge slots follow their own touch list either way.
+// set, and returns the informed count. recvUsed holds exactly the
+// vertices the round informs (only a call that informs its receiver
+// registers it). A dense round unions it into informed word-wide,
+// counting the new bits, and resets the vertex sets whole. A sparse
+// round walks its calls instead, clearing each caller and each receiver
+// it registered, and informing the latter. Edge slots follow their own
+// touch list either way.
 func (c *csrState) endRound() uint64 {
 	if denseRound(len(c.round), c.order) {
 		c.count += uint64(c.informed.UnionWithCount(c.recvUsed))
@@ -366,55 +406,66 @@ func (c *csrState) endRound() uint64 {
 	return c.count
 }
 
-func (c *csrState) informedCount() uint64 { return c.count }
-
-func (c *csrState) informedSet(uint64) *bitvec.Set { return c.informed }
-
 // gossipCsrState is the slot-indexed telephone-model round state. Gossip
 // reports every edge reuse (not just the first), so a plain bit per slot
-// suffices; endpoint occupancy is a bit per vertex with the same
-// first-claim recovery scan.
+// suffices; endpoint occupancy is a bit per vertex, and the rare
+// duplicate endpoint recovers the first occupying call by rescanning the
+// round, as csrState does for callers.
 type gossipCsrState struct {
+	sn    SlottedNetwork
+	k     int
+	order uint64
+
 	edgeUsed *bitvec.Set // NumEdgeSlots bits
 	busyUsed *bitvec.Set // order bits
 
 	round        Round
-	claimed      []int // calls that registered at least one endpoint, ascending; clears busyUsed in a sparse round
 	touchedEdges touchList
+	scanSlots    []int32 // checkGossipCall scratch for the duplicate rescan
 }
 
-func newGossipCSRState(sn SlottedNetwork, order uint64) *gossipCsrState {
+func newGossipCSRState(sn SlottedNetwork, k int, order uint64) *gossipCsrState {
 	return &gossipCsrState{
+		sn:           sn,
+		k:            k,
+		order:        order,
 		edgeUsed:     bitvec.New(sn.NumEdgeSlots()),
 		busyUsed:     bitvec.New(int(order)),
 		touchedEdges: newTouchList(sn.NumEdgeSlots()),
 	}
 }
 
+// beginRound retains r until endRound, as csrState.beginRound does.
 func (g *gossipCsrState) beginRound(r Round) { g.round = r }
 
+// busyClaim registers call ci as occupying endpoint v. When v is already
+// busy this round it reports the occupying call's index.
 func (g *gossipCsrState) busyClaim(v uint64, ci int) (int, bool) {
 	if !g.busyUsed.TestAndSet(int(v)) {
-		if len(g.claimed) == 0 || g.claimed[len(g.claimed)-1] != ci {
-			g.claimed = append(g.claimed, ci)
-		}
 		return 0, false
 	}
-	// Duplicate: recover the first occupying call by scanning the calls
-	// that registered endpoints, in order (rare — only on a violation).
-	// The first claimed call whose endpoint matches v is the occupier: any
-	// non-claiming match would itself have been preceded by the claimer.
-	for _, idx := range g.claimed {
-		if c := g.round[idx]; c.From() == v || c.To() == v {
+	// Duplicate (rare — only on a violation): only calls that pass the
+	// structural checks claim endpoints, both of theirs, so the occupier
+	// is the first earlier such call with v as an endpoint.
+	for idx, call := range g.round[:ci] {
+		if call.From() != v && call.To() != v {
+			continue
+		}
+		if len(call.Path) > len(g.scanSlots)+1 {
+			g.scanSlots = make([]int32, len(call.Path)-1)
+		}
+		if stage, _ := checkGossipCall(nil, g.sn, g.k, g.order, 0, idx, call, g.scanSlots, nil); stage == gossipFull {
 			return idx, true
 		}
 	}
-	return 0, true // unreachable: a set busy bit implies a registered claim
+	return 0, true // unreachable: a set busy bit implies an earlier claim
 }
 
-// edgeUse takes the slot the structural pass resolved: EdgeSlot doubled
-// as the edge check there, so no hop is looked up twice.
-func (g *gossipCsrState) edgeUse(_, _ uint64, slot int32) bool {
+// edgeUse registers one use of the edge in slot, which the structural
+// pass resolved (EdgeSlot doubled as the edge check there, so no hop is
+// looked up twice), and reports whether the edge was already used this
+// round. Gossip reports every reuse, not just the first.
+func (g *gossipCsrState) edgeUse(slot int32) bool {
 	if !g.edgeUsed.TestAndSet(int(slot)) {
 		g.touchedEdges.add(slot)
 		return false
@@ -423,20 +474,21 @@ func (g *gossipCsrState) edgeUse(_, _ uint64, slot int32) bool {
 }
 
 // endRound clears the round's sets. Every busy bit was set by an
-// endpoint of a claimed call, so clearing both endpoints of each claimed
-// call clears them all; a round with at least one call per word of the
-// set resets it whole instead, as csrState does.
+// endpoint of one of the round's calls, so a sparse round clears both
+// in-range endpoints of each call; a round with at least one call per
+// word of the set resets it whole instead, as csrState does.
 func (g *gossipCsrState) endRound() {
 	g.touchedEdges.clearSets(g.edgeUsed)
-	if denseRound(len(g.round), uint64(g.busyUsed.Len())) {
+	if denseRound(len(g.round), g.order) {
 		g.busyUsed.Reset()
 	} else {
-		for _, idx := range g.claimed {
-			c := g.round[idx]
-			g.busyUsed.Clear(int(c.From()))
-			g.busyUsed.Clear(int(c.To()))
+		for _, c := range g.round {
+			for _, v := range [2]uint64{c.From(), c.To()} {
+				if v < g.order {
+					g.busyUsed.Clear(int(v))
+				}
+			}
 		}
 	}
-	g.claimed = g.claimed[:0]
 	g.round = nil
 }

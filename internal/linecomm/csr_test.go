@@ -12,10 +12,9 @@ import (
 )
 
 // Differential suite for the CSR engine: on arbitrary (non-hypercube)
-// graphs the same schedule is validated three ways — the serial
-// reference, the streaming map engine (via plainNet, which conceals the
-// slot numbering), and the streaming CSR engine (bare GraphNetwork) —
-// and every Result must agree exactly, down to the JSON bytes. The
+// graphs the same schedule is validated by the serial reference and by
+// the streaming CSR engine (bare GraphNetwork), and the Results must
+// agree exactly, down to the JSON bytes. The
 // workloads are BFS-tree broadcasts (TreeRounds) on random graph
 // families, intact and under a general-graph mutation catalogue
 // mirroring mutationsForQn, plus unstructured random corruption,
@@ -49,23 +48,18 @@ func generalFamilies(seed int64) []struct {
 	}
 }
 
-// mustAgreeGeneral validates s on g under all engines that apply to a
-// general graph and requires exact agreement: serial vs map-stream vs
-// CSR-stream DeepEqual, and map vs CSR byte-identical JSON.
+// mustAgreeGeneral validates s on g serially and on the streaming CSR
+// engine and requires exact agreement: DeepEqual Results and
+// byte-identical JSON.
 func mustAgreeGeneral(t *testing.T, g *graph.Graph, k int, s *Schedule, opts Options) *Result {
 	t.Helper()
-	csrNet := GraphNetwork{G: g}
-	mapNet := plainNet{csrNet}
-	serial := ValidateOpts(csrNet, k, s, opts)
-	mapRes := ValidateStreamOpts(mapNet, k, s.Source, s.Stream(), opts)
-	csrRes := ValidateStreamOpts(csrNet, k, s.Source, s.Stream(), opts)
-	if !reflect.DeepEqual(serial, mapRes) {
-		t.Fatalf("map stream diverges from serial:\nserial: %+v\nmap:    %+v", serial, mapRes)
+	net := GraphNetwork{G: g}
+	serial := ValidateOpts(net, k, s, opts)
+	csrRes := ValidateStreamOpts(net, k, s.Source, s.Stream(), opts)
+	if !reflect.DeepEqual(serial, csrRes) {
+		t.Fatalf("csr stream diverges from serial:\nserial: %+v\ncsr:    %+v", serial, csrRes)
 	}
-	if !reflect.DeepEqual(mapRes, csrRes) {
-		t.Fatalf("csr stream diverges from map stream:\nmap: %+v\ncsr: %+v", mapRes, csrRes)
-	}
-	mj, err := json.Marshal(mapRes)
+	sj, err := json.Marshal(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,15 +67,15 @@ func mustAgreeGeneral(t *testing.T, g *graph.Graph, k int, s *Schedule, opts Opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mj, cj) {
-		t.Fatalf("map and csr reports differ as JSON:\nmap: %s\ncsr: %s", mj, cj)
+	if !bytes.Equal(sj, cj) {
+		t.Fatalf("serial and csr reports differ as JSON:\nserial: %s\ncsr:    %s", sj, cj)
 	}
 	return csrRes
 }
 
 // TestCSRDifferentialIntact: intact BFS-tree broadcasts across the
 // family zoo, k in {1,2,3}, several seeds. On connected graphs the
-// schedule must be accepted as complete by every engine.
+// schedule must be accepted as complete.
 func TestCSRDifferentialIntact(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		for _, fam := range generalFamilies(seed) {
@@ -232,8 +226,8 @@ func generalMutations(g *graph.Graph) []scheduleMutation {
 }
 
 // TestCSRDifferentialMutations runs the general mutation catalogue over
-// the zoo: every applicable mutation must be rejected, with all engines
-// in exact agreement on the Report.
+// the zoo: every applicable mutation must be rejected, with the engine
+// in exact agreement with the serial Report.
 func TestCSRDifferentialMutations(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		for _, fam := range generalFamilies(seed) {
@@ -305,8 +299,8 @@ func TestCSRDifferentialRandomCorruption(t *testing.T) {
 
 // TestCSRSeededRangeGeneral: the seeded-range pipeline
 // (CollectInformedStream + ValidateStreamSeeded + MergeRangeResults)
-// must reproduce the serial stream Result on general networks under
-// both the map and CSR engines — intact and mutated.
+// must reproduce the serial Result on general networks — intact and
+// mutated.
 func TestCSRSeededRangeGeneral(t *testing.T) {
 	g := topo.RandomConnected(48, 24, 5)
 	base := treeSchedule(g, 0)
@@ -318,32 +312,27 @@ func TestCSRSeededRangeGeneral(t *testing.T) {
 			schedules = append(schedules, s)
 		}
 	}
-	csrNet := GraphNetwork{G: g}
-	for _, net := range []struct {
-		name string
-		net  Network
-	}{
-		{"map-engine", plainNet{csrNet}},
-		{"csr-engine", csrNet},
-	} {
-		t.Run(net.name, func(t *testing.T) {
-			for si, s := range schedules {
-				serial := ValidateStream(net.net, 1, s.Source, s.Stream())
-				for _, workers := range []int{2, 3} {
-					got := validateInRanges(net.net, 1, s.Source, s, evenBounds(len(s.Rounds), workers), DefaultOptions())
-					if !reflect.DeepEqual(serial, got) {
-						t.Fatalf("schedule %d, %d workers: range result diverges:\nserial: %+v\nranged: %+v",
-							si, workers, serial, got)
-					}
+	net := GraphNetwork{G: g}
+	t.Run("csr-engine", func(t *testing.T) {
+		for si, s := range schedules {
+			serial := Validate(net, 1, s)
+			for _, workers := range []int{2, 3} {
+				got := validateInRanges(net, 1, s.Source, s, evenBounds(len(s.Rounds), workers), DefaultOptions())
+				if !reflect.DeepEqual(serial, got) {
+					t.Fatalf("schedule %d, %d workers: range result diverges:\nserial: %+v\nranged: %+v",
+						si, workers, serial, got)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
-// TestCSRGossipDifferential: the gossip and multi-source validators must
-// agree between the map and CSR engines on general graphs, intact and
-// corrupted.
+// TestCSRGossipDifferential: the streamed gossip and multi-source
+// validators must agree with the serial ValidateGossip on general
+// graphs, intact and corrupted, with the certificate's hub and without
+// one. Multi-source with every vertex listed is gossip by another
+// route; with two sources the token axis narrows, so only the
+// structural half (every violation) must match.
 func TestCSRGossipDifferential(t *testing.T) {
 	g := topo.RandomConnected(40, 30, 3)
 	base := treeSchedule(g, 0)
@@ -355,19 +344,25 @@ func TestCSRGossipDifferential(t *testing.T) {
 			schedules = append(schedules, s)
 		}
 	}
-	csrNet := GraphNetwork{G: g}
-	mapNet := plainNet{csrNet}
-	sources := []uint64{0, uint64(g.NumVertices() / 2)}
+	net := GraphNetwork{G: g}
+	all := make([]uint64, g.NumVertices())
+	for v := range all {
+		all[v] = uint64(v)
+	}
+	two := []uint64{0, uint64(g.NumVertices() / 2)}
 	for si, s := range schedules {
-		gm := ValidateGossipStream(mapNet, 2, s.Source, s.Stream())
-		gc := ValidateGossipStream(csrNet, 2, s.Source, s.Stream())
-		if !reflect.DeepEqual(gm, gc) {
-			t.Fatalf("schedule %d: gossip diverges:\nmap: %+v\ncsr: %+v", si, gm, gc)
+		want := ValidateGossip(net, 2, s)
+		for _, hub := range []uint64{s.Source, NoHub} {
+			if got := ValidateGossipStream(net, 2, hub, s.Stream()); !reflect.DeepEqual(want, got) {
+				t.Fatalf("schedule %d hub %d: gossip diverges:\nserial: %+v\nstream: %+v", si, hub, want, got)
+			}
+			if got := ValidateMultiSourceStream(net, 2, hub, all, s.Stream()); !reflect.DeepEqual(want, got) {
+				t.Fatalf("schedule %d hub %d: all-source multi-source diverges:\nserial: %+v\nstream: %+v", si, hub, want, got)
+			}
 		}
-		mm := ValidateMultiSourceStream(mapNet, 1, s.Source, sources, s.Stream())
-		mc := ValidateMultiSourceStream(csrNet, 1, s.Source, sources, s.Stream())
-		if !reflect.DeepEqual(mm, mc) {
-			t.Fatalf("schedule %d: multi-source diverges:\nmap: %+v\ncsr: %+v", si, mm, mc)
+		ms := ValidateMultiSourceStream(net, 1, s.Source, two, s.Stream())
+		if gs := ValidateGossipStream(net, 1, s.Source, s.Stream()); !reflect.DeepEqual(gs.Violations, ms.Violations) {
+			t.Fatalf("schedule %d: two-source violations diverge from gossip:\ngossip: %+v\nmulti:  %+v", si, gs.Violations, ms.Violations)
 		}
 	}
 }
@@ -416,7 +411,7 @@ func TestTreeRoundsSchedule(t *testing.T) {
 // violation-free, so no engine grows its informed set or records
 // violations there. The workloads are a BFS-tree broadcast on a general
 // graph and the binomial broadcast of Q_12, whose last rounds have
-// 2,048 calls or more.
+// 2,048 calls or more, on both slot numberings.
 func TestCSRStateAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow")
@@ -431,10 +426,8 @@ func TestCSRStateAllocations(t *testing.T) {
 		base *Schedule
 	}{
 		{"csr-engine", csrNet, treeSchedule(g, 0)},
-		{"map-engine", plainNet{csrNet}, treeSchedule(g, 0)},
 		{"binomial12/csr-engine", q12["csr"], binomialSchedule(12)},
 		{"binomial12/dim-engine", q12["dim"], binomialSchedule(12)},
-		{"binomial12/map-engine", q12["map"], binomialSchedule(12)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			doubled := &Schedule{Source: 0, Rounds: append(append([]Round{}, tc.base.Rounds...), tc.base.Rounds...)}
@@ -467,6 +460,99 @@ type fakeDim struct {
 func (f fakeDim) Order() uint64          { return f.order }
 func (fakeDim) HasEdge(u, v uint64) bool { return false }
 func (f fakeDim) N() int                 { return f.n }
+
+// mustRefuse requires every streaming entry point to refuse net before
+// consuming a round: one SimulationCapExceeded violation at round -1
+// and nothing else, and open ranges that MergeOpenRanges rejects. On a
+// network with no numbering at all (numberedNet false) ValidateStream
+// runs the serial validator instead, so only the other entry points
+// are held to the refusal.
+func mustRefuse(t *testing.T, net Network, numberedNet bool) {
+	t.Helper()
+	consumed := false
+	probe := func(yield func(Round) bool) { consumed = true }
+	refused := func(entry string, vs []Violation) {
+		t.Helper()
+		if len(vs) != 1 || vs[0].Kind != SimulationCapExceeded || vs[0].Round != -1 || vs[0].Call != -1 {
+			t.Fatalf("%s: want one simulation-cap-exceeded violation at round -1, got %+v", entry, vs)
+		}
+		if consumed {
+			t.Fatalf("%s consumed a round of a refused network", entry)
+		}
+	}
+	if numberedNet {
+		res := ValidateStream(net, 1, 0, probe)
+		refused("ValidateStream", res.Violations)
+		if res.Complete || res.MinimumTime || res.Informed != 0 || len(res.InformedPerRound) != 0 {
+			t.Fatalf("ValidateStream judged a refused network: %+v", res)
+		}
+	}
+	refused("ValidateStreamSeeded", ValidateStreamSeeded(net, 1, 0, []uint64{1}, 3, probe, DefaultOptions()).Violations)
+	parts := []*OpenRange{
+		ValidateStreamOpen(net, 1, 0, 0, probe, DefaultOptions()),
+		ValidateStreamOpen(net, 1, 0, 2, probe, DefaultOptions()),
+	}
+	for _, p := range parts {
+		refused("ValidateStreamOpen", p.res.Violations)
+	}
+	if res, ok := MergeOpenRanges(net.Order(), 0, parts); ok {
+		t.Fatalf("MergeOpenRanges accepted refused ranges: %+v", res)
+	}
+	refused("ValidateGossipStream", ValidateGossipStream(net, 1, 0, probe).Violations)
+	refused("ValidateMultiSourceStream", ValidateMultiSourceStream(net, 1, 0, []uint64{0, 1}, probe).Violations)
+}
+
+// TestStreamRefusesOverCapNetworks: an n = 27 cube's worth of closed-form
+// edge slots (order*n past the 2^31-bit cap) and a network with no
+// numbering at all are refused by every streaming entry point, before a
+// round is consumed.
+func TestStreamRefusesOverCapNetworks(t *testing.T) {
+	mustRefuse(t, fakeDim{1 << 27, 27}, true)
+	mustRefuse(t, plainNet{GraphNetwork{G: topo.Hypercube(4)}}, false)
+}
+
+// TestValidateStreamBareNetworkFallsBack: ValidateStream over a network
+// with no edge-slot numbering (a GraphNetwork stripped to Order and
+// HasEdge) materialises the rounds for the serial validator, whose
+// Result must equal the CSR engine's on the same graph: TreeRounds
+// broadcasts on 2^12-vertex random 8-regular and 8-tree graphs from two
+// sources, intact and under the general mutation catalogue.
+func TestValidateStreamBareNetworkFallsBack(t *testing.T) {
+	const order = 1 << 12
+	for _, fam := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"regular8", topo.RandomRegular(order, 8, 1)},
+		{"ktree8", topo.RandomKTree(order, 8, 1)},
+	} {
+		t.Run(fam.name, func(t *testing.T) {
+			csrNet := GraphNetwork{G: fam.g}
+			bare := plainNet{csrNet}
+			for _, src := range []uint64{0, 1234} {
+				want := ValidateStream(csrNet, 1, src, TreeRounds(fam.g, src))
+				if !want.Valid() || !want.Complete {
+					t.Fatalf("source %d: tree broadcast rejected: %v", src, want.Err())
+				}
+				if got := ValidateStream(bare, 1, src, TreeRounds(fam.g, src)); !reflect.DeepEqual(want, got) {
+					t.Fatalf("source %d: bare network diverges from the CSR engine:\ncsr:  %+v\nbare: %+v", src, want, got)
+				}
+			}
+			base := treeSchedule(fam.g, 0)
+			rng := rand.New(rand.NewSource(1))
+			for _, m := range generalMutations(fam.g) {
+				s := cloneSchedule(base)
+				if !m.mut(rng, s) {
+					continue
+				}
+				want := ValidateStream(csrNet, 1, s.Source, s.Stream())
+				if got := ValidateStream(bare, 1, s.Source, s.Stream()); !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s: bare network diverges from the CSR engine:\ncsr:  %+v\nbare: %+v", m.name, want, got)
+				}
+			}
+		})
+	}
+}
 
 // TestSlottedForCaps pins the size caps by storage kind: bit-set
 // universes (capacity 1, and all of gossip) stop at maxStreamBits, only
@@ -525,9 +611,9 @@ func denseThenSparse(n int) *Schedule {
 // sets instead of clearing slot by slot; the sparse rounds that follow
 // must see no stale conflicts, under capacity 1 (bit sets) and
 // generalised capacities (counters), on the graph's own slot numbering
-// and on the closed form — every engine agreeing with the serial
-// validator — and the mutation catalogue over the same schedule must be
-// judged identically by every engine.
+// and on the closed form — each agreeing with the serial validator —
+// and the mutation catalogue over the same schedule must be judged
+// identically on both.
 func TestCSRDenseRoundReset(t *testing.T) {
 	const n = 7
 	base := denseThenSparse(n)
@@ -628,9 +714,9 @@ func thresholdSchedule(m int, conflict string) *Schedule {
 // TestCSRDenseThreshold puts both sides of the dense-round threshold
 // under the differential oracle: rounds of 15, 16 and 17 calls on Q_10,
 // clean and with each planted conflict, under Definition 1, each
-// generalised capacity, both, and AllowInformedReceiver, on the map
-// engine and the CSR engine under both slot numberings, streamed,
-// in seeded ranges and in open ranges, must all equal Validate.
+// generalised capacity, both, and AllowInformedReceiver, on the CSR
+// engine under both slot numberings, streamed, in seeded ranges and in
+// open ranges, must all equal Validate.
 func TestCSRDenseThreshold(t *testing.T) {
 	for m, dense := range map[int]bool{15: false, 16: true, 17: true} {
 		if denseRound(m, thresholdOrder) != dense {

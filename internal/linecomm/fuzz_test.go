@@ -61,16 +61,15 @@ func FuzzValidate(f *testing.F) {
 		if res.Valid() != (len(res.Violations) == 0) {
 			t.Fatal("Valid() inconsistent with Violations")
 		}
-		// The streaming engines must reproduce the serial Result exactly,
-		// whatever the input, network and model: map engine via the
-		// stripped wrapper, CSR engine via the bare GraphNetwork (the
-		// graph's own slots, per-slot counters once a capacity exceeds 1)
-		// and, on Q_4 only, via the dimensioned wrapper (closed-form
-		// slots). So must the same schedule cut into seeded round ranges
+		// The streaming engine must reproduce the serial Result exactly,
+		// whatever the input, network and model: via the bare
+		// GraphNetwork (the graph's own slots, per-slot counters once a
+		// capacity exceeds 1) and, on Q_4 only, via the dimensioned
+		// wrapper (closed-form slots). So must the same schedule cut into seeded round ranges
 		// and merged; cut into open round ranges, the merge must agree
 		// whenever it accepts, and accept whenever the serial Result
 		// shows no false boundary assumption.
-		nets := map[string]Network{"map": plainNet{net}, "csr": net}
+		nets := map[string]Network{"csr": net}
 		if netRaw%5 == 0 {
 			nets["dim"] = dimNet{plainNet{net}, 4}
 		}
@@ -85,6 +84,40 @@ func FuzzValidate(f *testing.F) {
 				t.Fatalf("%s ranges %v on network %d diverge from serial under %+v:\nserial: %+v\nmerged: %+v", name, bounds, netRaw, opts, res, rres)
 			}
 			checkOpenRanges(t, streamNet, k, s, bounds, opts, res)
+		}
+	})
+}
+
+// FuzzValidateGossip is FuzzValidate for the gossip validators: on the
+// network netRaw picks (fuzzGraph), the streamed ValidateGossipStream
+// must return exactly the serial ValidateGossip Result for any
+// byte-derived schedule (scheduleFromBytes), with the schedule's source
+// as the certificate's hub and with none (the token simulation
+// decides), on the graph's own slots and, on Q_4, on the closed form.
+func FuzzValidateGossip(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4}, uint8(2), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 9}, uint8(1), uint8(0))
+	for netRaw := uint8(0); netRaw < 10; netRaw++ {
+		g := fuzzGraph(netRaw)
+		f.Add(bothWaysSeed(g), uint8(0), netRaw)
+		f.Add(treeSeed(g), uint8(0), netRaw)
+		f.Add(treeSeed(g), uint8(1), netRaw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, kRaw, netRaw uint8) {
+		net := GraphNetwork{G: fuzzGraph(netRaw)}
+		k := int(kRaw)%4 + 1
+		s := scheduleFromBytes(data)
+		want := ValidateGossip(net, k, s)
+		nets := map[string]Network{"csr": net}
+		if netRaw%5 == 0 {
+			nets["dim"] = dimNet{plainNet{net}, 4}
+		}
+		for name, streamNet := range nets {
+			for _, hub := range []uint64{s.Source, NoHub} {
+				if got := ValidateGossipStream(streamNet, k, hub, s.Stream()); !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s gossip stream, hub %d, on network %d diverges from serial:\nserial: %+v\nstream: %+v", name, hub, netRaw, want, got)
+				}
+			}
 		}
 	})
 }

@@ -141,16 +141,12 @@ const (
 // serial and streaming gossip validators: path shape, vertex range,
 // repeated vertices, edge existence and the length bound, in exactly that
 // order. Cross-call checks (busy endpoints, edge reuse) are the caller's
-// job and apply only to gossipFull calls.
-func checkGossipCall(net Network, k int, order uint64, ri, ci int, call Call, out []Violation) (uint8, []Violation) {
-	return checkGossipHops(net, nil, k, order, ri, ci, call, nil, out)
-}
-
-// checkGossipHops is checkGossipCall with the edge check taken from sn
-// when it is non-nil: EdgeSlot decides each hop's existence and its slot
-// lands in hopSlots (at least len(call.Path)-1 long), valid whenever the
-// returned stage is gossipFull. Violations are the same either way.
-func checkGossipHops(net Network, sn SlottedNetwork, k int, order uint64, ri, ci int, call Call, hopSlots []int32, out []Violation) (uint8, []Violation) {
+// job and apply only to gossipFull calls. The streaming validator passes
+// its slot numbering as sn: EdgeSlot then decides each hop's existence
+// and its slot lands in hopSlots (at least len(call.Path)-1 long), valid
+// whenever the returned stage is gossipFull. Violations are the same
+// either way.
+func checkGossipCall(net Network, sn SlottedNetwork, k int, order uint64, ri, ci int, call Call, hopSlots []int32, out []Violation) (uint8, []Violation) {
 	if len(call.Path) < 2 {
 		return gossipSkip, append(out, Violation{ri, ci, PathInvalid,
 			fmt.Sprintf("path has %d vertices", len(call.Path))})
@@ -229,7 +225,7 @@ func ValidateGossip(net Network, k int, s *Schedule) *GossipResult {
 		merges = merges[:0]
 		for ci, call := range round {
 			var stage uint8
-			stage, res.Violations = checkGossipCall(net, k, order, ri, ci, call, res.Violations)
+			stage, res.Violations = checkGossipCall(net, nil, k, order, ri, ci, call, nil, res.Violations)
 			if stage == gossipSkip {
 				continue
 			}

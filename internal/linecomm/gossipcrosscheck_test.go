@@ -12,16 +12,10 @@ import (
 // Stream-vs-serial crosschecks for the gossip validator, mirroring the
 // broadcast crosschecks: for k in {1, 2, 3}, ValidateGossipStream must
 // produce byte-identical Results to the serial ValidateGossip on intact,
-// mutated and randomly corrupted gather-scatter schedules, on both structural engines
-// (the CSR engine over the closed-form edge slots the sparse hypercube's
-// DimensionedNetwork contract enables, and the map fallback).
-
-// plainNet strips the DimensionedNetwork upgrade so the same instance
-// routes to the map engine.
-type plainNet struct{ net linecomm.Network }
-
-func (p plainNet) Order() uint64            { return p.net.Order() }
-func (p plainNet) HasEdge(u, v uint64) bool { return p.net.HasEdge(u, v) }
+// mutated and randomly corrupted gather-scatter schedules, on the CSR
+// engine over the closed-form edge slots the sparse hypercube's
+// DimensionedNetwork contract enables. FuzzValidateGossip pins the same
+// equality on random inputs over general graphs.
 
 // crosscheckCases returns the (k, cube) instances the crosschecks run on.
 func crosscheckCases(t *testing.T) []*core.SparseHypercube {
@@ -43,18 +37,15 @@ func crosscheckCases(t *testing.T) []*core.SparseHypercube {
 
 // mustMatchSerialGossip asserts the streamed validator reproduces the
 // serial Result exactly — violations, order, messages, flags, counts —
-// on both structural engines, with the schedule's source as the hub
-// (the certificate decides where it can) and with no hub (the token
-// simulation always decides).
+// with the schedule's source as the hub (the certificate decides where
+// it can) and with no hub (the token simulation always decides).
 func mustMatchSerialGossip(t *testing.T, s *core.SparseHypercube, k int, sched *linecomm.Schedule) {
 	t.Helper()
 	want := linecomm.ValidateGossip(s, k, sched)
-	for name, net := range map[string]linecomm.Network{"dim": s, "map": plainNet{s}} {
-		for _, hub := range []uint64{sched.Source, linecomm.NoHub} {
-			got := linecomm.ValidateGossipStream(net, k, hub, sched.Stream())
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s engine, hub %d diverges from serial:\nserial: %+v\nstream: %+v", name, hub, want, got)
-			}
+	for _, hub := range []uint64{sched.Source, linecomm.NoHub} {
+		got := linecomm.ValidateGossipStream(s, k, hub, sched.Stream())
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("hub %d diverges from serial:\nserial: %+v\nstream: %+v", hub, want, got)
 		}
 	}
 }

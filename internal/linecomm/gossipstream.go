@@ -17,10 +17,11 @@ import (
 // (core.ScheduleGossipRounds, a schedio decoder, a network feed) emits
 // them, so the doubled gather-scatter schedule is never materialised. Per
 // round it runs the structural checks of checkGossipCall plus the
-// cross-call disjointness checks on slot-indexed bit sets (any network
-// with an edge-slot numbering, hypercube family included — see csr.go)
-// or per-round maps (everything else), retaining only the (from, to)
-// exchange pairs — two 32-bit ids per call instead of the full paths.
+// cross-call disjointness checks on slot-indexed bit sets
+// (gossipCsrState, csr.go), retaining only the (from, to) exchange
+// pairs — two 32-bit ids per call instead of the full paths. A network
+// without an edge-slot numbering within the bit-set caps is refused
+// before a round is consumed, as in the broadcast validator.
 //
 // Knowledge tracking is the part that does not fit in memory at n >= 20:
 // a full token matrix is order^2 bits (128 GiB at n = 20). The streamed
@@ -82,7 +83,9 @@ var gossipSimBudgetBytes = 512 << 20
 // MaxGossipSimulateVertices; past those caps only the certificate can
 // decide, over logs of at most MaxGossipCertifyExchanges exchanges.
 // Every structural check runs regardless, and an undecided knowledge
-// half is reported as a SimulationCapExceeded violation.
+// half is reported as a SimulationCapExceeded violation. A network the
+// CSR engine cannot index (slottedFor under Definition 1's capacities)
+// gets that violation alone, at round -1, and no round is consumed.
 func ValidateGossipStream(net Network, k int, hub uint64, rounds iter.Seq[Round]) *GossipResult {
 	return ValidateMultiSourceStream(net, k, hub, nil, rounds)
 }
@@ -97,6 +100,12 @@ func ValidateGossipStream(net Network, k int, hub uint64, rounds iter.Seq[Round]
 func ValidateMultiSourceStream(net Network, k int, hub uint64, sources []uint64, rounds iter.Seq[Round]) *GossipResult {
 	res := &GossipResult{}
 	order := net.Order()
+	// The gossip state holds bit sets only: Definition 1 storage caps.
+	sn, ok := slottedFor(net, order, DefaultOptions())
+	if !ok {
+		res.Violations = append(res.Violations, streamRefusal(net, order))
+		return res
+	}
 	if len(sources) == 0 {
 		sources = nil // empty and nil both mean all-source, everywhere below
 	}
@@ -110,16 +119,11 @@ func ValidateMultiSourceStream(net Network, k int, hub uint64, sources []uint64,
 	certify := srcOK && hub < order && order <= MaxGossipSimulateVertices
 	keepLog := simulate || certify
 
-	// The gossip state holds bit sets only: Definition 1 storage caps.
-	// On slotted networks the structural pass resolves each hop's edge
-	// slot once — EdgeSlot is the edge check — and the round state
-	// consumes the resolved slots.
-	var st gossipRoundState = newGossipMapState()
-	sn, slotted := slottedFor(net, order, DefaultOptions())
-	if slotted {
-		st = newGossipCSRState(sn, order)
-	}
-	var hopSlots []int32 // left zero on the map engine, which ignores them
+	// The structural pass resolves each hop's edge slot once — EdgeSlot
+	// is the edge check — and the round state consumes the resolved
+	// slots.
+	st := newGossipCSRState(sn, k, order)
+	var hopSlots []int32
 
 	// Flat (from, to) exchange log for the knowledge half, and the log
 	// length at the end of each round. Kept orders are capped at
@@ -143,7 +147,7 @@ func ValidateMultiSourceStream(net Network, k int, hub uint64, sources []uint64,
 				hopSlots = make([]int32, len(call.Path)-1)
 			}
 			var stage uint8
-			stage, res.Violations = checkGossipHops(net, sn, k, order, nRounds, ci, call, hopSlots, res.Violations)
+			stage, res.Violations = checkGossipCall(net, sn, k, order, nRounds, ci, call, hopSlots, res.Violations)
 			if stage == gossipSkip {
 				continue
 			}
@@ -165,7 +169,7 @@ func ValidateMultiSourceStream(net Network, k int, hub uint64, sources []uint64,
 				if a > b {
 					a, b = b, a
 				}
-				if st.edgeUse(a, b, hopSlots[i-1]) {
+				if st.edgeUse(hopSlots[i-1]) {
 					res.Violations = append(res.Violations, Violation{nRounds, ci, EdgeConflict,
 						fmt.Sprintf("edge {%d,%d} reused", a, b)})
 				}
@@ -353,58 +357,6 @@ func countGossipTokens(res *GossipResult, order uint64, sources []uint64) (int, 
 	}
 	return len(sources), ok
 }
-
-// gossipRoundState tracks the per-round disjointness constraints of the
-// telephone model: one call per vertex (as an endpoint) and edge-disjoint
-// paths. Unlike the broadcast state there is no informed set — gossip has
-// no caller-knowledge rule.
-type gossipRoundState interface {
-	// beginRound resets per-round tracking; r is retained until endRound
-	// (the CSR engine scans it to recover first-claim call indices).
-	beginRound(r Round)
-	// busyClaim registers call ci as occupying endpoint v. When v is
-	// already busy this round it reports the occupying call's index.
-	busyClaim(v uint64, ci int) (prev int, dup bool)
-	// edgeUse registers one use of edge {u,v} (u <= v canonical), whose
-	// slot the structural pass resolved on slotted networks, and reports
-	// whether the edge was already used this round. Gossip reports every
-	// reuse, not just the first.
-	edgeUse(u, v uint64, slot int32) bool
-	endRound()
-}
-
-// gossipMapState is the general-purpose engine: the same per-round maps
-// the serial validator uses, cleared (not reallocated) between rounds.
-type gossipMapState struct {
-	busy  map[uint64]int
-	edges map[edgeKey]bool
-}
-
-func newGossipMapState() *gossipMapState {
-	return &gossipMapState{busy: make(map[uint64]int), edges: make(map[edgeKey]bool)}
-}
-
-func (g *gossipMapState) beginRound(Round) {
-	clear(g.busy)
-	clear(g.edges)
-}
-
-func (g *gossipMapState) busyClaim(v uint64, ci int) (int, bool) {
-	if prev, dup := g.busy[v]; dup {
-		return prev, true
-	}
-	g.busy[v] = ci
-	return 0, false
-}
-
-func (g *gossipMapState) edgeUse(u, v uint64, _ int32) bool {
-	e := edgeKey{u, v}
-	used := g.edges[e]
-	g.edges[e] = true
-	return used
-}
-
-func (g *gossipMapState) endRound() {}
 
 // gossipShardMaxWords caps a token shard at one 64-byte cache line per
 // matrix row. Wider shards push the matrix out of cache, and one-word

@@ -145,11 +145,14 @@ func TestMultiSourceStreamRejectsBadSources(t *testing.T) {
 }
 
 // hugeNet pretends to be a network too large to simulate; it has no
-// edges, which is fine for an empty round stream.
+// edges, which is fine for an empty round stream, and so an empty slot
+// numbering: the streamed validators refuse a network without one.
 type hugeNet struct{ order uint64 }
 
-func (h hugeNet) Order() uint64          { return h.order }
-func (hugeNet) HasEdge(u, v uint64) bool { return false }
+func (h hugeNet) Order() uint64                  { return h.order }
+func (hugeNet) HasEdge(u, v uint64) bool         { return false }
+func (hugeNet) NumEdgeSlots() int                { return 0 }
+func (hugeNet) EdgeSlot(u, v uint64) (int, bool) { return 0, false }
 
 // TestGossipStreamCaps: both streamed caps — the vertex bound and the
 // cell bound — report SimulationCapExceeded and keep the structural pass

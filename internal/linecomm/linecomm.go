@@ -175,12 +175,14 @@ type Network interface {
 // csrState engine sizes its sets by NumEdgeSlots but never scans the
 // slot universe. Materialised CSR graphs number their edges for free,
 // by adjacency position (graph.Graph.EdgeSlot: two slots per edge, one
-// of them a hole), which upgrades an arbitrary graph from the per-round
-// map engine to the flat csrState engine — every disjointness
-// constraint indexed by slot id instead of hashed edge keys. The
-// contract binds EdgeSlot to HasEdge: EdgeSlot(u, v) must report ok
-// exactly when HasEdge(u, v), and distinct edges must map to distinct
-// slots.
+// of them a hole), which puts an arbitrary graph on the streaming
+// validators' one engine — every disjointness constraint indexed by
+// slot id. A numbering (this one, or the closed form of a
+// DimensionedNetwork) is what the streaming entry points require: they
+// refuse a network without one, except that ValidateStream and
+// ValidateStreamOpts fall back to the serial validator. The contract
+// binds EdgeSlot to HasEdge: EdgeSlot(u, v) must report ok exactly when
+// HasEdge(u, v), and distinct edges must map to distinct slots.
 type SlottedNetwork interface {
 	Network
 	// NumEdgeSlots returns the size of the slot universe (at least the
@@ -235,9 +237,17 @@ const (
 	ReceiverInformed
 	// VertexOutOfRange: a path mentions a vertex outside [0, Order).
 	VertexOutOfRange
-	// SimulationCapExceeded: the instance is too large for the validator's
-	// knowledge simulation (gossip token tracking); the schedule was not
-	// judged invalid, it could not be fully checked.
+	// SimulationCapExceeded: the instance is beyond what the validator
+	// can check; the schedule was not judged invalid, it could not be
+	// fully checked. The gossip validators report it when the knowledge
+	// half (token tracking) exceeds their simulation caps, the streamed
+	// one after every structural check. Every streaming validator
+	// reports it alone, at round -1 and before consuming a round, for a
+	// network its engine cannot index: an edge-slot numbering past the
+	// size caps (2^31-bit sets, 2^26 counters under generalised
+	// capacities; a cube at n >= 27 under any), a DimensionedNetwork
+	// whose order exceeds its address width, or no numbering at all (see
+	// SlottedNetwork).
 	SimulationCapExceeded
 )
 

@@ -127,7 +127,9 @@ func hasRepeatedVertex(path []uint64) bool {
 // the end of the range (seed included), even when the range is empty.
 //
 // The validator runs on the calling goroutine, one pass per call; a
-// parallel caller gets its parallelism from the range split.
+// parallel caller gets its parallelism from the range split. A network
+// the CSR engine cannot index, numbered or not, is refused: the Result
+// holds one SimulationCapExceeded violation and no round is consumed.
 func ValidateStreamSeeded(net Network, k int, source uint64, seed []uint64, startRound int, rounds iter.Seq[Round], opts Options) *Result {
 	res, _, _ := validateRange(net, k, source, seed, startRound, rounds, opts, false)
 	return res
@@ -136,14 +138,20 @@ func ValidateStreamSeeded(net Network, k int, source uint64, seed []uint64, star
 // validateRange is the body of ValidateStreamSeeded and
 // ValidateStreamOpen: one stream validator over rounds, from seed, in
 // open mode when open. It returns the run's state and assumed set (nil
-// when not open) for the merge; the state is nil when source is out of
-// range, which res then reports.
-func validateRange(net Network, k int, source uint64, seed []uint64, startRound int, rounds iter.Seq[Round], opts Options, open bool) (*Result, roundState, *bitvec.Set) {
+// when not open) for the merge. The state is nil, and no round is
+// consumed, when the network is refused (streamRefusal) or source is
+// out of range; res then reports which.
+func validateRange(net Network, k int, source uint64, seed []uint64, startRound int, rounds iter.Seq[Round], opts Options, open bool) (*Result, *csrState, *bitvec.Set) {
 	if opts.EdgeCapacity < 1 || opts.ReceiverCapacity < 1 {
 		panic("linecomm: capacities must be >= 1")
 	}
 	res := &Result{}
 	order := net.Order()
+	sn, ok := slottedFor(net, order, opts)
+	if !ok {
+		res.Violations = append(res.Violations, streamRefusal(net, order))
+		return res, nil, nil
+	}
 	if source >= order {
 		res.Violations = append(res.Violations, Violation{
 			Round: -1, Call: -1, Kind: VertexOutOfRange,
@@ -151,9 +159,9 @@ func validateRange(net Network, k int, source uint64, seed []uint64, startRound 
 		})
 		return res, nil, nil
 	}
-	st := newRoundState(net, order, source, opts)
+	st := newCSRState(sn, order, source, opts)
 	st.seedInformed(seed)
-	v := newStreamValidator(net, k, order, opts, st, res)
+	v := &streamValidator{net: net, k: k, order: order, opts: opts, st: st, res: res}
 	if open {
 		v.assumed = bitvec.New(int(order))
 	}
@@ -163,7 +171,7 @@ func validateRange(net Network, k int, source uint64, seed []uint64, startRound 
 		ri++
 	}
 	v.finish()
-	res.Informed = st.informedCount()
+	res.Informed = st.count
 	return res, st, v.assumed
 }
 
@@ -185,17 +193,16 @@ type OpenRange struct {
 // run; when they hold, the range's violations are exactly those
 // ValidateStreamSeeded would report from the true boundary set.
 //
-// Violations carry absolute round indices. The range needs order bits
-// of its own for the assumed callers; on networks beyond 2^31 vertices,
-// or from a source out of range, it consumes nothing and returns a part
-// MergeOpenRanges rejects.
+// Violations carry absolute round indices. On a network the seeded
+// validator refuses, or from a source out of range, it consumes nothing
+// and returns a part MergeOpenRanges rejects, so the caller's fallback
+// reports the refusal.
 func ValidateStreamOpen(net Network, k int, source uint64, startRound int, rounds iter.Seq[Round], opts Options) *OpenRange {
-	order := net.Order()
-	if order > maxStreamBits || source >= order {
-		return &OpenRange{}
-	}
 	res, st, assumed := validateRange(net, k, source, nil, startRound, rounds, opts, startRound > 0)
-	return &OpenRange{res: res, informed: st.informedSet(order), assumed: assumed}
+	if st == nil {
+		return &OpenRange{res: res}
+	}
+	return &OpenRange{res: res, informed: st.informed, assumed: assumed}
 }
 
 // MergeOpenRanges stitches the parts of ValidateStreamOpen — contiguous
@@ -211,7 +218,8 @@ func ValidateStreamOpen(net Network, k int, source uint64, startRound int, round
 // part is unmergeable, it reports false and the schedule needs a
 // seeded or serial validation instead. The parts are consumed.
 func MergeOpenRanges(order, source uint64, parts []*OpenRange) (*Result, bool) {
-	if len(parts) == 0 || source >= order {
+	if len(parts) == 0 || source >= order ||
+		slices.ContainsFunc(parts, func(p *OpenRange) bool { return p.informed == nil }) {
 		return nil, false
 	}
 	before := bitvec.New(int(order))
@@ -219,7 +227,7 @@ func MergeOpenRanges(order, source uint64, parts []*OpenRange) (*Result, bool) {
 	known := uint64(1) // |before|
 	results := make([]*Result, len(parts))
 	for i, p := range parts {
-		if p.informed == nil || (p.assumed != nil && !before.ContainsAll(p.assumed)) {
+		if p.assumed != nil && !before.ContainsAll(p.assumed) {
 			return nil, false
 		}
 		p.informed.Clear(int(source))

@@ -89,10 +89,10 @@ func evenBounds(rounds, workers int) []int {
 // TestRangeValidationMatchesSerial: splitting a schedule into seeded
 // round ranges and merging must reproduce the serial ValidateStream
 // Result exactly — on the intact schedule and on every catalogue
-// mutation, on the map engine and on the CSR engine under both slot
-// numberings. The open merge is held to its contract on the same
-// schedules at every single cut and at the even splits, and the
-// catalogue must make it reject somewhere, so the check is not vacuous.
+// mutation, on the CSR engine under both slot numberings. The open
+// merge is held to its contract on the same schedules at every single
+// cut and at the even splits, and the catalogue must make it reject
+// somewhere, so the check is not vacuous.
 func TestRangeValidationMatchesSerial(t *testing.T) {
 	const n = 6
 	g := topo.Hypercube(n)
@@ -100,7 +100,6 @@ func TestRangeValidationMatchesSerial(t *testing.T) {
 		name string
 		net  Network
 	}{
-		{"map-engine", plainNet{GraphNetwork{G: g}}},
 		{"csr-engine", GraphNetwork{G: g}},
 		{"dim-engine", dimNet{plainNet{GraphNetwork{G: g}}, n}},
 	} {

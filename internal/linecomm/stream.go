@@ -11,14 +11,20 @@ import (
 // This file is the streaming half of the validator: ValidateStream
 // consumes rounds as a producer (core.ScheduleRounds, a network feed, a
 // decoder) emits them, so a schedule never has to be materialised to be
-// checked. Each call takes one pass, in call order. On the CSR engine
-// it first meets the clean-call kernel (cleanCall): one straight-line
-// function that runs every check against the call and the round so far
-// and, when none fails, commits the call's state changes directly.
-// Every other call — the kernel declines any that would report
-// something, and the map engine has no kernel — takes the exact path
-// (validateCall): first the structural checks that depend on the call
-// alone (path shape, vertex range, edge existence, length bound;
+// checked. Its state is csrState (csr.go), the flat slot-indexed
+// engine, on any network with an edge-slot numbering, generalised
+// capacities included. Materialised graphs (SlottedNetwork) bring their
+// own numbering; hypercube-family networks (DimensionedNetwork) get the
+// dimension-major closed form dim*order + lower, so a round's hops on
+// one dimension share one order-bit window of the edge sets.
+//
+// Each call takes one pass, in call order. It first meets the
+// clean-call kernel (cleanCall): one straight-line function that runs
+// every check against the call and the round so far and, when none
+// fails, commits the call's state changes directly. Every call the
+// kernel declines (any that would report something) takes the exact
+// path (validateCall): first the structural checks that depend on the
+// call alone (path shape, vertex range, edge existence, length bound;
 // checkCall), then the checks against the state the round has built so
 // far (caller knowledge, duplicate callers, edge conflicts, receiver
 // conflicts), so the produced Result is byte-for-byte identical to the
@@ -26,15 +32,14 @@ import (
 // violations, and the kernel commits exactly what it would on a clean
 // call, so the split cannot change a Result.
 //
-// The state is one of two disjointness engines (newRoundState): on any
-// network with an edge-slot numbering, the flat slot-indexed csrState
-// in csr.go, generalised capacities included. Materialised graphs
-// (SlottedNetwork) bring their own numbering; hypercube-family networks
-// (DimensionedNetwork) get the dimension-major closed form
-// dim*order + lower, so a round's hops on one dimension share one
-// order-bit window of the edge sets. For everything else the same
-// per-round maps the sequential validator uses (mapState, the
-// differential suite's reference engine), still streamed.
+// A network the engine cannot index (slottedFor) is refused before a
+// round is consumed: the Result holds one SimulationCapExceeded
+// violation at round -1. That covers numberings past the size caps (a
+// cube at n >= 27, say) and a DimensionedNetwork whose order exceeds
+// its address width. A network with no numbering at all is refused by
+// the seeded and open entry points too; ValidateStream and
+// ValidateStreamOpts materialise its rounds and return the serial
+// ValidateOpts Result instead.
 
 // DimensionedNetwork is a Network whose vertices are n-bit addresses and
 // whose edges each connect vertices differing in exactly one bit:
@@ -49,9 +54,9 @@ type DimensionedNetwork interface {
 	N() int
 }
 
-// maxStreamBits caps every bit-set universe of the flat engines (order
-// bits, and NumEdgeSlots bits — order * n on dimensioned networks);
-// larger instances use the map engine.
+// maxStreamBits caps every bit-set universe of the CSR engines (order
+// bits, and NumEdgeSlots bits — order * n on dimensioned networks), so
+// one set takes at most 256 MiB; larger instances are refused.
 const maxStreamBits = 1 << 31
 
 // call stages decided by checkCall, mirroring the sequential
@@ -74,6 +79,16 @@ func ValidateStream(net Network, k int, source uint64, rounds iter.Seq[Round]) *
 // ValidateStreamOpts is ValidateStream under the generalised model of
 // ValidateOpts.
 func ValidateStreamOpts(net Network, k int, source uint64, rounds iter.Seq[Round], opts Options) *Result {
+	if !numbered(net) {
+		// No slot numbering to stream on: the serial oracle judges the
+		// materialised rounds.
+		//lint:allow streamdiscipline a network with no edge-slot numbering has no streaming engine; the serial validator needs the schedule, and every numbered network (all cubes, all graph.Graphs) streams
+		s := &Schedule{Source: source}
+		for r := range rounds {
+			s.Rounds = append(s.Rounds, CloneRound(r))
+		}
+		return ValidateOpts(net, k, s, opts)
+	}
 	res := ValidateStreamSeeded(net, k, source, nil, 0, rounds, opts)
 	order := net.Order()
 	// An order-0 network is never "complete" (the source-out-of-range
@@ -84,51 +99,6 @@ func ValidateStreamOpts(net Network, k int, source uint64, rounds iter.Seq[Round
 	return res
 }
 
-// newRoundState picks the disjointness engine for one validation run:
-// the slot-indexed CSR engine on any network with an edge-slot
-// numbering (generalised capacities included), the per-round reference
-// maps otherwise.
-func newRoundState(net Network, order, source uint64, opts Options) roundState {
-	if sn, ok := slottedFor(net, order, opts); ok {
-		return newCSRState(sn, order, source, opts)
-	}
-	return newMapState(source, opts)
-}
-
-// roundState tracks the informed set and the per-round disjointness
-// constraints of one validation run, driven by one goroutine in call
-// order. isInformed answers for the informed set as of the round's
-// start: a round's receivers are informed only at endRound.
-type roundState interface {
-	isInformed(v uint64) bool
-	// beginRound resets per-round tracking; r is retained until endRound
-	// (the CSR engine scans it to recover duplicate-caller indices and
-	// to clear its caller bits).
-	beginRound(r Round)
-	// callerClaim registers call ci as placed by v. When v already placed
-	// a call this round it reports that call's index instead.
-	callerClaim(v uint64, ci int) (prev int, dup bool)
-	// edgeUse registers one use of edge {u,v} and reports whether this
-	// use is the first beyond capacity (true exactly once per edge).
-	edgeUse(u, v uint64) bool
-	// recvUse registers one call targeting v, same contract as edgeUse.
-	// Only a call that informs v registers it, so the round's receivers
-	// are exactly the vertices it informs.
-	recvUse(v uint64) bool
-	// endRound informs the round's receivers, matching the model's
-	// end-of-round knowledge update, clears round state and returns the
-	// informed count.
-	endRound() uint64
-	informedCount() uint64
-	// seedInformed marks vs informed before any round runs — the range
-	// validator's way of entering mid-schedule. Duplicates (and the
-	// source) are fine; counting stays exact.
-	seedInformed(vs []uint64)
-	// informedSet returns the informed set as an order-bit set, for the
-	// open-range merge; the caller may modify it.
-	informedSet(order uint64) *bitvec.Set
-}
-
 // streamValidator runs the per-call pass and owns the reusable buffers,
 // so steady-state validation of a valid schedule allocates (amortised)
 // nothing per call.
@@ -137,14 +107,11 @@ type streamValidator struct {
 	k     int
 	order uint64
 	opts  Options
-	st    roundState
+	st    *csrState
 	res   *Result
 
-	// cs is st when st is the csrState: the engine the clean-call
-	// kernel (cleanCall) runs on. Calls the kernel declines, and every
-	// call on the map engine, take the exact path (validateCall).
-	cs *csrState
-	// kernelCalls and exactCalls count the calls each path took.
+	// kernelCalls and exactCalls count the calls the clean-call kernel
+	// (cleanCall) and the exact path (validateCall) took.
 	kernelCalls, exactCalls int
 
 	// assumed is non-nil in open mode (ValidateStreamOpen): a caller the
@@ -159,24 +126,17 @@ var callPaths [2]atomic.Int64
 
 // CallPaths returns how many calls, over every broadcast validation run
 // the process has finished, the CSR engine's clean-call kernel accepted
-// and how many took the exact path (declined calls, and every call on
-// the map engine). The split never changes a Result; it is what the
+// and how many it declined to the exact path. The split never changes a Result; it is what the
 // kernel-coverage gates pin, since a kernel that declines everything
 // only runs slower.
 func CallPaths() (kernel, exact int64) {
 	return callPaths[0].Load(), callPaths[1].Load()
 }
 
-func newStreamValidator(net Network, k int, order uint64, opts Options, st roundState, res *Result) *streamValidator {
-	v := &streamValidator{net: net, k: k, order: order, opts: opts, st: st, res: res}
-	v.cs, _ = st.(*csrState)
-	return v
-}
-
 func (v *streamValidator) validateRound(ri int, round Round) {
 	v.st.beginRound(round)
 	for ci, call := range round {
-		if v.cs != nil && v.cleanCall(call) {
+		if v.cleanCall(call) {
 			v.kernelCalls++
 			continue
 		}
@@ -196,7 +156,7 @@ func (v *streamValidator) finish() {
 // scan is quadratic, as appendRepeatViolations' is up to this length.
 const maxKernelPath = 32
 
-// cleanCall is the clean-call kernel on the CSR engine: in one
+// cleanCall is the clean-call kernel: in one
 // straight-line pass, every read-only check of validateCall — path
 // shape and length, vertex range, distinct vertices, each hop's edge
 // slot (EdgeSlot is the edge check), a free slot under the edge
@@ -207,7 +167,7 @@ const maxKernelPath = 32
 // true. A declined call has changed nothing: validateCall, the only
 // source of violations, takes it.
 func (v *streamValidator) cleanCall(call Call) bool {
-	c := v.cs
+	c := v.st
 	p := call.Path
 	if len(p) < 2 || len(p)-1 > v.k || len(p) > maxKernelPath {
 		return false
@@ -394,78 +354,4 @@ func appendRepeatViolations(out []Violation, ri, ci int, path []uint64) ([]Viola
 		seen[u] = true
 	}
 	return out, bad
-}
-
-// mapState is the general-purpose round state: the same per-round hash
-// maps the sequential validator uses, for networks that carry no edge
-// numbering (or exceed the CSR engine's size caps). It doubles as the
-// reference engine the differential suite crosschecks csrState against.
-// The maps are allocated once and cleared — not remade — between
-// rounds, so a steady-state round costs no allocations.
-type mapState struct {
-	opts     Options
-	informed map[uint64]bool
-	edges    map[edgeKey]int
-	recvs    map[uint64]int
-	callers  map[uint64]int
-}
-
-func newMapState(source uint64, opts Options) *mapState {
-	return &mapState{
-		opts:     opts,
-		informed: map[uint64]bool{source: true},
-		edges:    make(map[edgeKey]int),
-		recvs:    make(map[uint64]int),
-		callers:  make(map[uint64]int),
-	}
-}
-
-func (m *mapState) isInformed(v uint64) bool { return m.informed[v] }
-
-func (m *mapState) seedInformed(vs []uint64) {
-	for _, v := range vs {
-		m.informed[v] = true
-	}
-}
-
-func (m *mapState) beginRound(r Round) {
-	clear(m.edges)
-	clear(m.recvs)
-	clear(m.callers)
-}
-
-func (m *mapState) callerClaim(v uint64, ci int) (int, bool) {
-	if prev, dup := m.callers[v]; dup {
-		return prev, true
-	}
-	m.callers[v] = ci
-	return 0, false
-}
-
-func (m *mapState) edgeUse(u, v uint64) bool {
-	e := mkEdge(u, v)
-	m.edges[e]++
-	return m.edges[e] == m.opts.EdgeCapacity+1
-}
-
-func (m *mapState) recvUse(v uint64) bool {
-	m.recvs[v]++
-	return m.recvs[v] == m.opts.ReceiverCapacity+1
-}
-
-func (m *mapState) endRound() uint64 {
-	for v := range m.recvs {
-		m.informed[v] = true
-	}
-	return uint64(len(m.informed))
-}
-
-func (m *mapState) informedCount() uint64 { return uint64(len(m.informed)) }
-
-func (m *mapState) informedSet(order uint64) *bitvec.Set {
-	set := bitvec.New(int(order))
-	for v := range m.informed {
-		set.Set(int(v))
-	}
-	return set
 }

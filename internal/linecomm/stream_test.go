@@ -11,10 +11,10 @@ import (
 	"sparsehypercube/internal/topo"
 )
 
-// plainNet strips a GraphNetwork down to the bare Network interface so
-// the validator cannot see its slot numbering and falls back to the map
-// engine. Tests use it to keep mapState covered now that a bare
-// GraphNetwork routes to the CSR engine.
+// plainNet strips a GraphNetwork down to the bare Network interface, the
+// shape of a network with no edge-slot numbering: ValidateStream judges
+// it with the serial validator, the other streaming entry points refuse
+// it. dimNet builds on it to hide the graph's own numbering.
 type plainNet struct {
 	g GraphNetwork
 }
@@ -32,12 +32,13 @@ type dimNet struct {
 
 func (d dimNet) N() int { return d.n }
 
-// engines returns the same Q_n network three times: wrapped so only the
-// map engine applies, bare so the CSR engine runs on the graph's own
-// slot numbering, and dimensioned so it runs on the closed form.
+// engines returns the same Q_n network twice: bare, so the CSR engine
+// runs on the graph's own slot numbering, and dimensioned, so it runs
+// on the closed form. The suites crosscheck both against the serial
+// validator.
 func engines(n int) map[string]Network {
 	g := GraphNetwork{G: topo.Hypercube(n)}
-	return map[string]Network{"map": plainNet{g}, "csr": g, "dim": dimNet{plainNet{g}, n}}
+	return map[string]Network{"csr": g, "dim": dimNet{plainNet{g}, n}}
 }
 
 // mustMatchSerial asserts that the streaming validator reproduces the
@@ -122,12 +123,15 @@ func TestValidateStreamMultiBlock(t *testing.T) {
 
 // TestValidateStreamMatchesSerialRandomCorruption goes beyond the curated
 // mutation catalogue: random low-level path edits, call swaps and
-// truncations, all crosschecked for exact Result equality on every engine.
+// truncations, all crosschecked for exact Result equality on both slot
+// numberings and on the bare network, which ValidateStream hands to the
+// serial validator after materialising the corrupted rounds.
 func TestValidateStreamMatchesSerialRandomCorruption(t *testing.T) {
 	const n = 5
 	base := binomialSchedule(n)
 	rng := rand.New(rand.NewSource(7))
 	nets := engines(n)
+	nets["bare"] = plainNet{nets["csr"].(GraphNetwork)}
 	for trial := 0; trial < 300; trial++ {
 		s := cloneSchedule(base)
 		edits := rng.Intn(4) + 1
@@ -169,18 +173,17 @@ func last(p []uint64) (uint64, bool) {
 	return p[len(p)-1], true
 }
 
-// TestValidateStreamInconsistentWidthFallsBack wraps Q_n with a lying
-// address width (Order > 1<<N). The engine selection must reject the
-// contract violation and fall back to the map engine — the wrapper
-// carries no slot numbering of its own — so the Result still matches
-// serial instead of aliasing closed-form edge slots.
-func TestValidateStreamInconsistentWidthFallsBack(t *testing.T) {
+// TestValidateStreamInconsistentWidthRefused wraps Q_n with a lying
+// address width (Order > 1<<N), whose closed-form edge slots would
+// alias. Every streaming entry point must refuse it, before consuming a
+// round, with one SimulationCapExceeded violation (mustRefuse).
+func TestValidateStreamInconsistentWidthRefused(t *testing.T) {
 	const n = 6
 	liar := dimNet{plainNet{GraphNetwork{G: topo.Hypercube(n)}}, n - 2}
-	if _, ok := newRoundState(liar, liar.Order(), 0, DefaultOptions()).(*mapState); !ok {
-		t.Fatal("lying width did not fall back to the map engine")
+	if _, ok := slottedFor(liar, liar.Order(), DefaultOptions()); ok {
+		t.Fatal("lying width accepted by slottedFor")
 	}
-	mustMatchSerial(t, liar, 1, binomialSchedule(n))
+	mustRefuse(t, liar, true)
 }
 
 func TestValidateStreamSourceOutOfRange(t *testing.T) {
@@ -198,8 +201,7 @@ func TestValidateStreamOptsGeneralisedCapacities(t *testing.T) {
 	// under Definition 1, legal with capacity 2. The capacity-2 model
 	// runs on the CSR engine's per-slot counters — over the graph's own
 	// slots for the bare net, the closed-form slots for the dimensioned
-	// one — or on the map engine for the wrapped net; crosscheck every
-	// engine against serial ValidateOpts.
+	// one; crosscheck both against serial ValidateOpts.
 	s := &Schedule{Source: 0, Rounds: []Round{
 		{{Path: []uint64{0, 1}}},
 		{{Path: []uint64{0, 1, 3}}, {Path: []uint64{1, 3}}},

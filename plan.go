@@ -285,7 +285,10 @@ func (p *Plan) Materialize() *Schedule {
 // edge- and receiver-disjointness, caller knowledge, completion,
 // minimality) unless the scheme is a PlanVerifier. For replayed plans a
 // decode failure is folded into the report as a violation, so a
-// truncated or corrupted file can never verify.
+// truncated or corrupted file can never verify. A cube too large for
+// the validator's edge-slot sets (n >= 27) is refused: the Report
+// holds one simulation-cap-exceeded violation and no round is
+// generated or decoded.
 //
 // On an indexed random-access plan (ReadPlanAt or OpenPlanFile over a
 // WriteIndexedTo file) Verify is automatically parallel: the round

@@ -255,6 +255,34 @@ func TestGossipPlanBeyondSimulationCap(t *testing.T) {
 	}
 }
 
+// TestPlanBeyondStreamCaps: an n = 27 cube has 27 * 2^27 edge slots,
+// past the streamed validator's 2^31-bit sets, so broadcast and gossip
+// verification refuse it — an invalid Report whose one violation is
+// simulation-cap-exceeded — before consuming a round, and generative
+// plans never start generating.
+func TestPlanBeyondStreamCaps(t *testing.T) {
+	cube, err := New(2, 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumed := false
+	probe := RoundScheme("probe", 0, func(yield func([]Call) bool) { consumed = true })
+	refused := func(what string, rep Report) {
+		t.Helper()
+		if rep.Valid || rep.Complete || rep.MinimumTime || len(rep.Violations) != 1 ||
+			!strings.Contains(rep.Violations[0], "simulation-cap-exceeded") {
+			t.Fatalf("%s: want a simulation-cap-exceeded refusal, got %+v", what, rep)
+		}
+		if consumed {
+			t.Fatalf("%s consumed a round", what)
+		}
+	}
+	refused("broadcast probe", cube.Plan(probe).Verify())
+	refused("gossip probe", GossipScheme{Root: 0}.VerifyPlan(cube, cube.Plan(probe).Rounds()))
+	refused("generative broadcast", cube.Plan(BroadcastScheme{Source: 0}).Verify())
+	refused("generative gossip", cube.Plan(GossipScheme{Root: 0}).Verify())
+}
+
 // TestPlanMatchesSerialOracle pins every way of consuming a broadcast
 // plan to references outside the Plan engine: the snapshot to core's
 // materialised schedule, the reports to the serial validator.
