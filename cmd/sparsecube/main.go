@@ -116,6 +116,14 @@ func main() {
 			}
 			return
 		}
+		cube, err := buildCube(*k, *n, *dims)
+		if err != nil {
+			fatal(err)
+		}
+		if err := runVerify(os.Stdout, cube, *sources); err != nil {
+			fatal(err)
+		}
+		return
 	case "plan":
 		cube, err := buildCube(*k, *n, *dims)
 		if err != nil {
@@ -183,23 +191,6 @@ func main() {
 		if err := res.Err(); err != nil {
 			fatal(err)
 		}
-	case "verify":
-		step := s.Order() / uint64(*sources)
-		if step == 0 {
-			step = 1
-		}
-		checked := 0
-		for src := uint64(0); src < s.Order(); src += step {
-			res := linecomm.Validate(s, s.K(), s.BroadcastSchedule(src))
-			if err := res.Err(); err != nil {
-				fatal(fmt.Errorf("source %d: %w", src, err))
-			}
-			if !res.MinimumTime {
-				fatal(fmt.Errorf("source %d: not minimum time", src))
-			}
-			checked++
-		}
-		fmt.Printf("OK: %d sources broadcast in %d rounds with calls <= %d\n", checked, s.N(), s.K())
 	case "neighbors":
 		for _, v := range s.Neighbors(*vertex) {
 			fmt.Println(topo.BitString(v, s.N()))
@@ -262,6 +253,28 @@ func buildCube(k, n int, dims string) (*sparsehypercube.Cube, error) {
 		return nil, err
 	}
 	return sparsehypercube.NewWithDims(len(vec), vec)
+}
+
+// runVerify checks the broadcast from sources evenly spaced sources with
+// Plan.Verify, which streams each schedule into the validator and
+// refuses a cube past the validator's caps (n >= 27) before generating
+// a round.
+func runVerify(w io.Writer, cube *sparsehypercube.Cube, sources int) error {
+	step := max(cube.Order()/uint64(max(sources, 1)), 1)
+	checked := 0
+	for src := uint64(0); src < cube.Order(); src += step {
+		rep := cube.Plan(sparsehypercube.BroadcastScheme{Source: src}).Verify()
+		if !rep.Valid {
+			return fmt.Errorf("source %d: %d violations, first: %s", src, len(rep.Violations),
+				strings.Join(rep.Violations[:min(5, len(rep.Violations))], "; "))
+		}
+		if !rep.MinimumTime {
+			return fmt.Errorf("source %d: not minimum time", src)
+		}
+		checked++
+	}
+	fmt.Fprintf(w, "OK: %d sources broadcast in %d rounds with calls <= %d\n", checked, cube.N(), cube.K())
+	return nil
 }
 
 // maxFlagDim bounds -dims entries; it matches the codec's header bound

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sparsehypercube/internal/planserver"
 )
@@ -305,5 +306,42 @@ func TestDistVerify(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.shcp")
 	if err := runDistVerify(&out, &errOut, missing, urls[0], true); err == nil {
 		t.Error("missing plan file accepted")
+	}
+}
+
+// TestVerifyRefusesBeyondCaps: verify checks each source through
+// Plan.Verify, so a cube past the streamed validator's caps is refused
+// at once instead of materialising 2^27-vertex schedules.
+func TestVerifyRefusesBeyondCaps(t *testing.T) {
+	cube, err := buildCube(2, 27, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	var out strings.Builder
+	err = runVerify(&out, cube, 1)
+	if err == nil || !strings.Contains(err.Error(), "simulation-cap-exceeded") {
+		t.Fatalf("verify -n 27: err %v, want a simulation-cap-exceeded refusal", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("verify -n 27 took %v to refuse, want under a second", d)
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused verify printed %q", out.String())
+	}
+}
+
+// TestVerifySources: a valid run keeps its one OK line.
+func TestVerifySources(t *testing.T) {
+	cube, err := buildCube(2, 10, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := runVerify(&out, cube, 8); err != nil {
+		t.Fatal(err)
+	}
+	if want := "OK: 8 sources broadcast in 10 rounds with calls <= 2\n"; out.String() != want {
+		t.Errorf("verify output %q, want %q", out.String(), want)
 	}
 }

@@ -63,12 +63,8 @@ func (s MultiSourceScheme) Origin() uint64 { return s.Root }
 // out-of-range Root yields no rounds (and Plan.Verify reports it as a
 // violation) rather than panicking.
 func (s MultiSourceScheme) Rounds(cube *Cube) iter.Seq[[]Call] {
-	return fromInnerRounds(s.innerRounds(cube))
-}
-
-func (s MultiSourceScheme) innerRounds(cube *Cube) iter.Seq[linecomm.Round] {
 	if s.Root >= cube.Order() {
-		return func(yield func(linecomm.Round) bool) {}
+		return func(yield func([]Call) bool) {}
 	}
 	return cube.inner.ScheduleGossipRounds(s.Root)
 }
@@ -90,7 +86,7 @@ func (s MultiSourceScheme) VerifyPlan(cube *Cube, rounds iter.Seq[[]Call]) Repor
 			Msg: fmt.Sprintf("root %d outside [0,%d)", s.Root, cube.Order())}
 		return Report{Violations: []string{v.String()}}
 	}
-	res := linecomm.ValidateMultiSourceStream(cube.inner, cube.K(), s.Root, s.Sources, toInnerRounds(rounds))
+	res := linecomm.ValidateMultiSourceStream(cube.inner, cube.K(), s.Root, s.Sources, rounds)
 	rep := Report{
 		Valid:         res.Valid(),
 		Complete:      res.Complete,
@@ -122,10 +118,6 @@ func (s GossipScheme) Origin() uint64 { return s.Root }
 
 // Rounds implements Scheme; see MultiSourceScheme.Rounds.
 func (s GossipScheme) Rounds(cube *Cube) iter.Seq[[]Call] { return s.multi().Rounds(cube) }
-
-func (s GossipScheme) innerRounds(cube *Cube) iter.Seq[linecomm.Round] {
-	return s.multi().innerRounds(cube)
-}
 
 // VerifyPlan implements PlanVerifier; see MultiSourceScheme.VerifyPlan.
 func (s GossipScheme) VerifyPlan(cube *Cube, rounds iter.Seq[[]Call]) Report {

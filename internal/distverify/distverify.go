@@ -129,7 +129,7 @@ func New(workers []string, opts ...Option) (*Coordinator, error) {
 
 // Verify verifies an in-memory plan file across the fleet.
 func (c *Coordinator) Verify(ctx context.Context, data []byte) (sparsehypercube.Report, error) {
-	return c.VerifyAt(ctx, bytes.NewReader(data), int64(len(data)))
+	return c.verifyAt(ctx, bytes.NewReader(data), int64(len(data)))
 }
 
 // VerifyFile verifies the plan file at path across the fleet, reading
@@ -145,15 +145,15 @@ func (c *Coordinator) VerifyFile(ctx context.Context, path string) (sparsehyperc
 		return sparsehypercube.Report{}, err
 	}
 	defer m.Close()
-	return c.VerifyAt(ctx, m, m.Size())
+	return c.verifyAt(ctx, m, m.Size())
 }
 
-// VerifyAt verifies a plan replayed through r across the fleet and
+// verifyAt verifies a plan replayed through r across the fleet and
 // returns the exact Report single-process Plan.Verify produces on the
 // same bytes. The error is non-nil only when the plan cannot be opened
 // at all or ctx is cancelled — worker faults degrade (retry, steal,
 // verify locally), they do not fail the verification.
-func (c *Coordinator) VerifyAt(ctx context.Context, r io.ReaderAt, size int64) (sparsehypercube.Report, error) {
+func (c *Coordinator) verifyAt(ctx context.Context, r io.ReaderAt, size int64) (sparsehypercube.Report, error) {
 	plan, err := sparsehypercube.ReadPlanAt(r, size)
 	if err != nil {
 		return sparsehypercube.Report{}, err

@@ -12,14 +12,14 @@ func BFS(g *Graph, src int) []int32 {
 	for i := range dist {
 		dist[i] = -1
 	}
-	BFSInto(g, src, dist, nil)
+	bfsInto(g, src, dist, nil)
 	return dist
 }
 
-// BFSInto runs BFS from src writing distances into dist (which must be
+// bfsInto runs BFS from src writing distances into dist (which must be
 // pre-filled with -1 and have length NumVertices). queue, if non-nil, is
 // used as scratch space to avoid allocation across repeated calls.
-func BFSInto(g *Graph, src int, dist []int32, queue []int32) {
+func bfsInto(g *Graph, src int, dist []int32, queue []int32) {
 	if queue == nil {
 		queue = make([]int32, 0, g.NumVertices())
 	}
@@ -119,7 +119,7 @@ func Diameter(g *Graph) int {
 		for i := range dist {
 			dist[i] = -1
 		}
-		BFSInto(g, v, dist, queue)
+		bfsInto(g, v, dist, queue)
 		for _, d := range dist {
 			if d < 0 {
 				return -1

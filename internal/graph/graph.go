@@ -101,15 +101,6 @@ func (g *Graph) MinDegree() int {
 	return min
 }
 
-// DegreeHistogram returns a map degree -> number of vertices.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.n; v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
 // Edges calls fn for every undirected edge {u, v} with u < v.
 func (g *Graph) Edges(fn func(u, v int)) {
 	for u := 0; u < g.n; u++ {

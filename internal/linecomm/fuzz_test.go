@@ -3,6 +3,7 @@ package linecomm
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"sparsehypercube/internal/graph"
@@ -12,9 +13,11 @@ import (
 // FuzzValidate feeds arbitrary byte-derived schedules to the validator:
 // whatever the input, it must classify without panicking, and a schedule
 // it calls minimum-time must really inform everyone. netRaw picks the
-// 16-vertex network (fuzzGraph: Q_4 or an irregular random family),
-// optRaw the generalised model (optionsFromByte) and splitMask the round
-// cuts of a range-split replay (boundsFromMask).
+// network (fuzzGraph: Q_4 or an irregular 16-vertex random family, or a
+// 256-vertex one, whose four-word vertex sets put rounds of fewer calls
+// than words, ended call by call, under fuzz), optRaw the generalised
+// model (optionsFromByte) and splitMask the round cuts of a range-split
+// replay (boundsFromMask).
 func FuzzValidate(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, uint8(2), uint8(0), uint16(0), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 9}, uint8(1), uint8(0), uint16(0), uint8(0))
@@ -48,14 +51,18 @@ func FuzzValidate(f *testing.F) {
 			f.Add(seed, uint8(1), uint8(1+3*(netRaw&1)), uint16(0b110), netRaw)
 		}
 	}
+	for _, netRaw := range bigFuzzNets {
+		f.Add(walkSeed, uint8(0), uint8(0), uint16(0), netRaw)
+		f.Add(walkSeed, uint8(1), uint8(0x15), uint16(0b1010), netRaw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, optRaw uint8, splitMask uint16, netRaw uint8) {
 		g := fuzzGraph(netRaw)
 		net := GraphNetwork{G: g}
 		k := int(kRaw)%4 + 1
 		opts := optionsFromByte(optRaw)
-		s := scheduleFromBytes(data)
+		s := fuzzSchedule(data, netRaw)
 		res := ValidateOpts(net, k, s, opts)
-		if res.MinimumTime && res.Informed != 16 {
+		if res.MinimumTime && res.Informed != net.Order() {
 			t.Fatalf("minimum-time claimed with %d informed", res.Informed)
 		}
 		if res.Valid() != (len(res.Violations) == 0) {
@@ -64,14 +71,14 @@ func FuzzValidate(f *testing.F) {
 		// The streaming engine must reproduce the serial Result exactly,
 		// whatever the input, network and model: via the bare
 		// GraphNetwork (the graph's own slots, per-slot counters once a
-		// capacity exceeds 1) and, on Q_4 only, via the dimensioned
-		// wrapper (closed-form slots). So must the same schedule cut into seeded round ranges
+		// capacity exceeds 1) and, on Q_4 and Q_8 only, via the
+		// dimensioned wrapper (closed-form slots). So must the same schedule cut into seeded round ranges
 		// and merged; cut into open round ranges, the merge must agree
 		// whenever it accepts, and accept whenever the serial Result
 		// shows no false boundary assumption.
 		nets := map[string]Network{"csr": net}
-		if netRaw%5 == 0 {
-			nets["dim"] = dimNet{plainNet{net}, 4}
+		if n := fuzzCubeDim(netRaw); n > 0 {
+			nets["dim"] = dimNet{plainNet{net}, n}
 		}
 		bounds := boundsFromMask(len(s.Rounds), splitMask)
 		for name, streamNet := range nets {
@@ -93,7 +100,8 @@ func FuzzValidate(f *testing.F) {
 // must return exactly the serial ValidateGossip Result for any
 // byte-derived schedule (scheduleFromBytes), with the schedule's source
 // as the certificate's hub and with none (the token simulation
-// decides), on the graph's own slots and, on Q_4, on the closed form.
+// decides), on the graph's own slots and, on Q_4 and Q_8, on the closed
+// form.
 func FuzzValidateGossip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, uint8(2), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 9}, uint8(1), uint8(0))
@@ -103,14 +111,18 @@ func FuzzValidateGossip(f *testing.F) {
 		f.Add(treeSeed(g), uint8(0), netRaw)
 		f.Add(treeSeed(g), uint8(1), netRaw)
 	}
+	for _, netRaw := range bigFuzzNets {
+		f.Add(walkSeed, uint8(0), netRaw)
+		f.Add(walkSeed, uint8(1), netRaw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, netRaw uint8) {
 		net := GraphNetwork{G: fuzzGraph(netRaw)}
 		k := int(kRaw)%4 + 1
-		s := scheduleFromBytes(data)
+		s := fuzzSchedule(data, netRaw)
 		want := ValidateGossip(net, k, s)
 		nets := map[string]Network{"csr": net}
-		if netRaw%5 == 0 {
-			nets["dim"] = dimNet{plainNet{net}, 4}
+		if n := fuzzCubeDim(netRaw); n > 0 {
+			nets["dim"] = dimNet{plainNet{net}, n}
 		}
 		for name, streamNet := range nets {
 			for _, hub := range []uint64{s.Source, NoHub} {
@@ -122,12 +134,16 @@ func FuzzValidateGossip(f *testing.F) {
 	})
 }
 
-// fuzzGraph decodes the fuzzed network byte into a 16-vertex graph:
-// b%5 picks Q_4 or the Gnp, RandomRegular, RandomKTree or
+// fuzzGraph decodes the fuzzed network byte. Below 128 it is a 16-vertex
+// graph: b%5 picks Q_4 or the Gnp, RandomRegular, RandomKTree or
 // RandomConnected family, and b/5 seeds the family and varies its
 // density. Only Q_4 is regular, so the other four put the degree rule
 // of graph.Graph's edge slots under fuzz, not just its id tie-break.
+// From 128 it is one of the 256-vertex graphs of bigFuzzGraphs.
 func fuzzGraph(b uint8) *graph.Graph {
+	if b >= 128 {
+		return bigFuzzGraphs()[b&1]
+	}
 	seed := int64(b / 5)
 	switch b % 5 {
 	case 1:
@@ -141,6 +157,97 @@ func fuzzGraph(b uint8) *graph.Graph {
 	}
 	return topo.Hypercube(4)
 }
+
+// bigFuzzGraphs are the 256-vertex networks, built once: Q_8 (even
+// network bytes from 128) and a random 4-regular graph on its own slots
+// (odd ones). Their vertex sets span four words, so a fuzzed round of
+// one to three calls ends call by call and one of four word-wide.
+var bigFuzzGraphs = sync.OnceValue(func() [2]*graph.Graph {
+	return [2]*graph.Graph{topo.Hypercube(8), topo.RandomRegular(256, 4, 1)}
+})
+
+// bigFuzzNets are the network bytes of the two 256-vertex graphs.
+var bigFuzzNets = []uint8{128, 129}
+
+// fuzzCubeDim returns n when fuzzGraph(b) is Q_n, which the dimensioned
+// wrapper then also runs on closed-form slots, and 0 otherwise.
+func fuzzCubeDim(b uint8) int {
+	switch {
+	case b >= 128 && b&1 == 0:
+		return 8
+	case b < 128 && b%5 == 0:
+		return 4
+	}
+	return 0
+}
+
+// fuzzSchedule decodes the fuzzed schedule for the network byte b:
+// scheduleFromBytes on the 16-vertex graphs, walkSchedule on the
+// 256-vertex ones.
+func fuzzSchedule(data []byte, b uint8) *Schedule {
+	if b >= 128 {
+		return walkSchedule(data, fuzzGraph(b))
+	}
+	return scheduleFromBytes(data)
+}
+
+// walkSchedule decodes bytes into a schedule of walks on g, so that on a
+// graph of 256 vertices most fuzzed calls run along edges and most
+// callers already hold the message: byte 0 = source, then per round a
+// call count (1-4) and per call a start selector — below 128 it picks a
+// vertex the schedule has reached so far (the source or an earlier
+// receiver), otherwise the next byte is the start — a length (1-4
+// edges) and one neighbour index per edge. Walks may revisit vertices.
+func walkSchedule(data []byte, g *graph.Graph) *Schedule {
+	if len(data) == 0 {
+		return &Schedule{}
+	}
+	s := &Schedule{Source: uint64(data[0])}
+	reached := []uint64{s.Source}
+	i := 1
+	next := func() byte { // 0 past the end
+		if i >= len(data) {
+			return 0
+		}
+		i++
+		return data[i-1]
+	}
+	for i < len(data) && len(s.Rounds) < 9 {
+		var round Round
+		for c := int(next() % 4); c >= 0 && i < len(data); c-- {
+			sel := next()
+			v := reached[int(sel)%len(reached)]
+			if sel >= 128 {
+				v = uint64(next())
+			}
+			path := []uint64{v}
+			for e := int(next() % 4); e >= 0 && i < len(data); e-- {
+				nb := g.Neighbors(int(v))
+				v = uint64(nb[int(next())%len(nb)])
+				path = append(path, v)
+			}
+			round = append(round, Call{Path: path})
+			reached = append(reached, v)
+		}
+		s.Rounds = append(s.Rounds, round)
+	}
+	return s
+}
+
+// walkSeed encodes, in walkSchedule's format, six rounds of one to three
+// single-edge calls from vertices already reached, so that callers and
+// receivers of each sparse round call again in the next.
+var walkSeed = func() []byte {
+	data := []byte{0}
+	for r := range 6 {
+		calls := min(r, 2)
+		data = append(data, byte(calls))
+		for c := range calls + 1 {
+			data = append(data, byte(r+c), 0, byte(r+2*c))
+		}
+	}
+	return data
+}()
 
 // bothWaysSeed encodes nine rounds that each call one edge of g in both
 // directions: every engine must flag the shared edge, which the csr

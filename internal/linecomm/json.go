@@ -2,9 +2,11 @@ package linecomm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 )
 
@@ -67,8 +69,8 @@ type roundBatchJSON struct {
 // ignored.
 //
 // The canonical envelope — the one key "rounds", decimal integers, JSON
-// whitespace anywhere — decodes without reflection, in a counting scan
-// and a filling scan, into two slabs per batch (see scanRoundBatch).
+// whitespace anywhere — decodes without reflection, in one scan, into
+// two slabs per batch (see scanRoundBatch).
 // Every other input, including every invalid one, goes to the
 // encoding/json reference (decodeRoundBatchJSON), which defines the
 // accepted wire format and every error message; the fast path returns
@@ -151,130 +153,110 @@ func WriteRoundBatch(w io.Writer, rounds []Round) error {
 //
 // with JSON whitespace anywhere, the exact key "rounds", decimal uint64
 // literals without sign, fraction, exponent or leading zero, and every
-// path at least two vertices long. A first pass validates and counts;
-// the second fills one vertex slab and one call slab, which every path
-// and round aliases (capacity-capped, so appending to one never writes
-// into the next). ok is false for any other input, which the caller
-// hands to the reference decoder: the scanner never reports errors.
+// path at least two vertices long, in one validating and filling pass.
+// It fills one vertex slab and one call slab, which every path and round
+// aliases (capacity-capped, so appending to one never writes into the
+// next). ok is false for any other input, which the caller hands to the
+// reference decoder: the scanner never reports errors.
+//
+// The slabs are sized before the scan from vectorised byte counts of
+// data up to its first '}' — the only one a canonical envelope holds —
+// so bytes after the envelope cost no storage. A canonical envelope has
+// at most commas+1 vertices. Its '[' bytes number 1+rounds+calls, and
+// its adjacent "[[" pairs at most rounds+1 (the list opening its first
+// round, each round opening its first call), so opens-pairs bounds the
+// calls. Both bounds are exact on a compact envelope without empty
+// rounds. Every vertex also takes at least two bytes and every call six,
+// so neither slab outgrows what an envelope of that length can hold. An
+// input that overruns a slab is not canonical and is declined.
 func scanRoundBatch(data []byte) (rounds []Round, ok bool) {
-	count := batchScan{data: data}
-	if !count.run() {
+	end := bytes.IndexByte(data, '}')
+	if end < 0 {
 		return nil, false
 	}
-	fill := batchScan{
-		data:   data,
-		fill:   true,
-		verts:  make([]uint64, count.nverts),
-		calls:  make([]Call, count.ncalls),
-		rounds: make([]Round, count.nrounds),
-	}
-	fill.run()
-	return fill.rounds, true
-}
+	env := data[:end]
+	commas := bytes.Count(env, []byte{','})
+	verts := make([]uint64, min(commas+1, len(env)/2))
+	opens, pairs := openBrackets(env)
+	calls := make([]Call, max(0, min(opens-pairs, commas, len(env)/6)))
+	var stack [16]Round // a batch's rounds, copied out exactly at the end
+	rs := stack[:0]
+	nv, nc := 0, 0
 
-// batchScan is one pass of scanRoundBatch over data. The counting pass
-// only advances the counters; the fill pass (fill set, slabs sized by
-// the counting pass) also stores each vertex, call and round at its
-// counter's index.
-type batchScan struct {
-	data []byte
-	i    int
-	fill bool
-
-	verts  []uint64
-	calls  []Call
-	rounds []Round
-
-	nverts, ncalls, nrounds int
-}
-
-// run scans the whole envelope, reporting whether it is canonical.
-// Bytes after the closing brace are not examined.
-func (s *batchScan) run() bool {
-	if !s.skip('{') || !s.skip('"') || !bytes.HasPrefix(s.data[s.i:], []byte(`rounds"`)) {
-		return false
+	c, i := token(data, 0)
+	if c != '{' {
+		return nil, false
 	}
-	s.i += len(`rounds"`)
-	return s.skip(':') && s.skip('[') && s.list(s.round) && s.skip('}')
-}
-
-// round scans one round: a possibly empty array of paths.
-func (s *batchScan) round() bool {
-	first := s.ncalls
-	if !s.skip('[') || !s.list(s.path) {
-		return false
+	if c, i = token(data, i); c != '"' || !bytes.HasPrefix(data[i:], []byte(`rounds"`)) {
+		return nil, false
 	}
-	if s.fill {
-		s.rounds[s.nrounds] = s.calls[first:s.ncalls:s.ncalls]
+	if c, i = token(data, i+len(`rounds"`)); c != ':' {
+		return nil, false
 	}
-	s.nrounds++
-	return true
-}
-
-// list scans the rest of a possibly empty array whose '[' has been
-// consumed, with item scanning each element.
-func (s *batchScan) list(item func() bool) bool {
-	if s.peek() == ']' {
-		s.i++
-		return true
+	if c, i = token(data, i); c != '[' {
+		return nil, false
 	}
-	for {
-		if !item() {
-			return false
+	if c, j := token(data, i); c == ']' {
+		i = j // no rounds
+	} else {
+		for {
+			if c, i = token(data, i); c != '[' {
+				return nil, false
+			}
+			first := nc
+			if c, j := token(data, i); c == ']' {
+				i = j // an empty round
+			} else {
+				for {
+					if c, i = token(data, i); c != '[' {
+						return nil, false
+					}
+					// The hot loop: a batch is mostly vertex literals.
+					fv := nv
+					for {
+						i = skipSpace(data, i)
+						start := i
+						var v uint64
+						for ; i < len(data) && data[i]-'0' <= 9; i++ {
+							v = v*10 + uint64(data[i]-'0') // wraps only past 19 digits, refused below
+						}
+						if !decimalUint64(data[start:i]) || nv == len(verts) {
+							return nil, false
+						}
+						verts[nv] = v
+						nv++
+						if c, i = token(data, i); c != ',' {
+							break
+						}
+					}
+					if c != ']' || nv-fv < 2 || nc == len(calls) {
+						return nil, false
+					}
+					calls[nc] = Call{Path: verts[fv:nv:nv]}
+					nc++
+					if c, i = token(data, i); c != ',' {
+						break
+					}
+				}
+				if c != ']' {
+					return nil, false
+				}
+			}
+			rs = append(rs, calls[first:nc:nc])
+			if c, i = token(data, i); c != ',' {
+				break
+			}
 		}
-		if s.skip(']') {
-			return true
-		}
-		if !s.skip(',') {
-			return false
-		}
-	}
-}
-
-// path scans one call path of at least two vertices. It is the hot
-// loop — a batch is mostly vertex literals — so it works on locals and
-// writes the cursor and counters back once.
-func (s *batchScan) path() bool {
-	if !s.skip('[') {
-		return false
-	}
-	data, i := s.data, s.i
-	first, nv := s.nverts, s.nverts
-	for {
-		i = skipSpace(data, i)
-		start := i
-		var v uint64
-		for ; i < len(data) && data[i]-'0' <= 9; i++ {
-			v = v*10 + uint64(data[i]-'0') // wraps only past 19 digits, refused below
-		}
-		if !decimalUint64(data[start:i]) {
-			return false
-		}
-		if s.fill {
-			s.verts[nv] = v
-		}
-		nv++
-		if i = skipSpace(data, i); i == len(data) {
-			return false
-		}
-		c := data[i]
-		i++
-		if c == ']' {
-			break
-		}
-		if c != ',' {
-			return false
+		if c != ']' {
+			return nil, false
 		}
 	}
-	if nv-first < 2 {
-		return false
+	if c, _ = token(data, i); c != '}' {
+		return nil, false
 	}
-	s.i, s.nverts = i, nv
-	if s.fill {
-		s.calls[s.ncalls] = Call{Path: s.verts[first:nv:nv]}
-	}
-	s.ncalls++
-	return true
+	rounds = make([]Round, len(rs))
+	copy(rounds, rs)
+	return rounds, true
 }
 
 // decimalUint64 reports whether lit is a JSON integer literal that
@@ -297,30 +279,43 @@ func decimalUint64(lit []byte) bool {
 // fits exactly when it does not sort after this one.
 const maxUint64Digits = "18446744073709551615"
 
-// skip consumes optional whitespace, then c, reporting whether c was
-// there.
-func (s *batchScan) skip(c byte) bool {
-	if s.peek() != c {
-		return false
+// openBrackets counts the '[' bytes of b, and the adjacent "[[" pairs
+// (overlapping), eight bytes at a time.
+func openBrackets(b []byte) (opens, pairs int) {
+	var prev uint64 // bit 7 set when the byte before the word was '['
+	for ; len(b) >= 8; b = b[8:] {
+		m := openMask(binary.LittleEndian.Uint64(b))
+		opens += bits.OnesCount64(m)
+		pairs += bits.OnesCount64(m & (m<<8 | prev))
+		prev = m >> 56
 	}
-	s.i++
-	return true
+	var tail [8]byte
+	copy(tail[:], b)
+	m := openMask(binary.LittleEndian.Uint64(tail[:]))
+	return opens + bits.OnesCount64(m), pairs + bits.OnesCount64(m&(m<<8|prev))
 }
 
-// peek consumes optional whitespace and returns the next byte, or 0 at
-// the end of data.
-func (s *batchScan) peek() byte {
-	s.i = skipSpace(s.data, s.i)
-	if s.i == len(s.data) {
-		return 0
+// openMask sets bit 7 of each byte of w that is '[' and clears every
+// other bit: the carry-free zero-byte test on w XOR "[[[[[[[[".
+func openMask(w uint64) uint64 {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	x := w ^ 0x5b5b5b5b5b5b5b5b
+	return ^(x&low7 + low7 | x | low7)
+}
+
+// token returns the first non-whitespace byte of data at or after i and
+// the index just past it, or 0 and len(data) at the end of data.
+func token(data []byte, i int) (c byte, next int) {
+	if i = skipSpace(data, i); i == len(data) {
+		return 0, i
 	}
-	return s.data[s.i]
+	return data[i], i + 1
 }
 
 // skipSpace returns the index of the first non-whitespace byte of data
 // at or after i.
 func skipSpace(data []byte, i int) int {
-	for i < len(data) && (data[i] == ' ' || data[i] == '\n' || data[i] == '\t' || data[i] == '\r') {
+	for i < len(data) && data[i] <= ' ' && (data[i] == ' ' || data[i] == '\n' || data[i] == '\t' || data[i] == '\r') {
 		i++
 	}
 	return i

@@ -58,8 +58,10 @@ func (c Call) Length() int {
 	return len(c.Path) - 1
 }
 
-// Round is the set of calls placed in one time unit.
-type Round []Call
+// Round is the set of calls placed in one time unit. It is an alias,
+// so a []sparsehypercube.Call round (the public Call is this Call) is a
+// Round without conversion.
+type Round = []Call
 
 // CloneRound deep-copies a round into freshly allocated storage (one
 // backing array for all paths). Use it to retain a round obtained from a
@@ -90,47 +92,6 @@ func (s *Schedule) Stream() iter.Seq[Round] {
 	return func(yield func(Round) bool) {
 		for _, r := range s.Rounds {
 			if !yield(r) {
-				return
-			}
-		}
-	}
-}
-
-// StreamBackward returns the schedule's rounds in reverse order with
-// every call path reversed. A valid broadcast streamed backward funnels
-// each vertex's token to the source along the call that informed it —
-// the gather half of gather-scatter gossip. The yielded round and its
-// paths reuse one buffer between iterations; use CloneRound to retain.
-func (s *Schedule) StreamBackward() iter.Seq[Round] {
-	return func(yield func(Round) bool) {
-		var (
-			buf   Round
-			arena []uint64
-		)
-		for ri := len(s.Rounds) - 1; ri >= 0; ri-- {
-			round := s.Rounds[ri]
-			if cap(buf) < len(round) {
-				buf = make(Round, len(round))
-			}
-			buf = buf[:len(round)]
-			total := 0
-			for _, c := range round {
-				total += len(c.Path)
-			}
-			// Pre-size so append never reallocates mid-round: earlier
-			// calls' paths alias the arena.
-			if cap(arena) < total {
-				arena = make([]uint64, 0, total)
-			}
-			arena = arena[:0]
-			for i, c := range round {
-				lo := len(arena)
-				for j := len(c.Path) - 1; j >= 0; j-- {
-					arena = append(arena, c.Path[j])
-				}
-				buf[i] = Call{Path: arena[lo:len(arena):len(arena)]}
-			}
-			if !yield(buf) {
 				return
 			}
 		}

@@ -3,6 +3,7 @@ package linecomm_test
 import (
 	"bytes"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"sparsehypercube/internal/core"
@@ -50,6 +51,40 @@ func TestReadRoundBatchAllocs(t *testing.T) {
 			t.Errorf("batch %d (%d B): %.0f allocs per decode, want <= 8", i, len(b), allocs)
 		}
 	}
+}
+
+// TestReadRoundBatchTrailingBytesFree: the slabs are sized from the
+// envelope alone, so bytes after it cost only their share of the body
+// buffer. The n = 16 last batch followed by 1 MiB of '[', or of ',',
+// allocates no more than the batch alone plus the extra body bytes
+// (rounded up to a page); sized from the whole body, the '[' would cost
+// a 24 MiB call slab.
+func TestReadRoundBatchTrailingBytesFree(t *testing.T) {
+	batches := n16Batches(t)
+	last := batches[len(batches)-1]
+	alone := decodeAllocBytes(t, last)
+	for _, fill := range []byte{'[', ','} {
+		body := append(bytes.Clone(last), bytes.Repeat([]byte{fill}, 1<<20)...)
+		if got, limit := decodeAllocBytes(t, body), alone+1<<20+8192; got > limit {
+			t.Errorf("batch + 1 MiB of %q: %d B allocated per decode, want <= %d (batch alone: %d B)", fill, got, limit, alone)
+		}
+	}
+}
+
+// decodeAllocBytes returns the bytes one ReadRoundBatch of data
+// allocates, averaged over a few decodes.
+func decodeAllocBytes(t *testing.T, data []byte) uint64 {
+	t.Helper()
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := linecomm.ReadRoundBatch(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 // BenchmarkReadRoundBatchN16 decodes the four batches of one n = 16

@@ -2,6 +2,7 @@ package linecomm
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 )
@@ -104,5 +105,31 @@ func TestScanRoundBatchAliasing(t *testing.T) {
 	want := []Round{{{Path: []uint64{0, 1}}, {Path: []uint64{2, 3}}}, {{Path: []uint64{4, 5}}}}
 	if !reflect.DeepEqual(rounds, want) {
 		t.Fatalf("append through an alias changed the batch: %v", rounds)
+	}
+}
+
+// TestOpenBrackets: the word-wide count of '[' and adjacent "[[" pairs
+// that sizes the call slab agrees with a byte loop, across word edges
+// and partial tail words.
+func TestOpenBrackets(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 2000 {
+		const alphabet = "[[[], 0\xdb" // 0xdb is '[' with the high bit set
+		b := make([]byte, rng.IntN(40))
+		for i := range b {
+			b[i] = alphabet[rng.IntN(len(alphabet))]
+		}
+		opens, pairs := 0, 0
+		for i, c := range b {
+			if c == '[' {
+				opens++
+				if i > 0 && b[i-1] == '[' {
+					pairs++
+				}
+			}
+		}
+		if o, p := openBrackets(b); o != opens || p != pairs {
+			t.Fatalf("%q: openBrackets = %d, %d, want %d, %d", b, o, p, opens, pairs)
+		}
 	}
 }

@@ -44,9 +44,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // refuseDraining answers an entry point that takes on new work while
 // the server is shutting down.
 func (s *Server) refuseDraining(w http.ResponseWriter) {

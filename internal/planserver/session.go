@@ -164,19 +164,6 @@ func (s *Server) handleSessionRounds(w http.ResponseWriter, r *http.Request) {
 		writeError(w, uploadStatus(err), "round batch: %v", err)
 		return
 	}
-	// One call slab for the whole batch; each round sent is a
-	// capacity-capped view of it, and every path still aliases the
-	// decoder's vertex slab.
-	ncalls := 0
-	for _, round := range batch {
-		ncalls += len(round)
-	}
-	calls := make([]sparsehypercube.Call, 0, ncalls)
-	for _, round := range batch {
-		for _, c := range round {
-			calls = append(calls, sparsehypercube.Call(c))
-		}
-	}
 	// The channel sends must stay inside the critical section (close
 	// cannot race a send), but the response write must not: a slow
 	// client draining its response would otherwise hold sendMu and
@@ -188,9 +175,10 @@ func (s *Server) handleSessionRounds(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "session %s already closed", sess.id)
 		return
 	}
+	// The decoder's rounds are the validator's: each is a
+	// capacity-capped view of the batch's call slab, sent as it is.
 	for _, round := range batch {
-		sess.ch <- calls[:len(round):len(round)]
-		calls = calls[len(round):]
+		sess.ch <- round
 	}
 	sess.received += len(batch)
 	received := sess.received

@@ -48,13 +48,6 @@ type PlanVerifier interface {
 	VerifyPlan(cube *Cube, rounds iter.Seq[[]Call]) Report
 }
 
-// innerRoundsScheme is the allocation-free fast path: built-in schemes
-// expose their internal round stream so Verify and WriteTo skip the
-// public []Call conversion layer entirely.
-type innerRoundsScheme interface {
-	innerRounds(cube *Cube) iter.Seq[linecomm.Round]
-}
-
 // BroadcastScheme is the paper's minimum-time k-line broadcast from
 // Source: exactly n rounds, calls of length at most k (Broadcast_2 for
 // k = 2, Broadcast_k generally, binomial broadcast for k = 1).
@@ -74,12 +67,8 @@ func (s BroadcastScheme) Origin() uint64 { return s.Source }
 // rounds (and Plan.Verify reports it as a violation) rather than
 // panicking.
 func (s BroadcastScheme) Rounds(cube *Cube) iter.Seq[[]Call] {
-	return fromInnerRounds(s.innerRounds(cube))
-}
-
-func (s BroadcastScheme) innerRounds(cube *Cube) iter.Seq[linecomm.Round] {
 	if s.Source >= cube.Order() {
-		return func(yield func(linecomm.Round) bool) {}
+		return func(yield func([]Call) bool) {}
 	}
 	return cube.inner.ScheduleRounds(s.Source)
 }
@@ -198,13 +187,11 @@ func (p *Plan) Cube() *Cube { return p.cube }
 // Scheme returns the scheme the plan executes.
 func (p *Plan) Scheme() Scheme { return p.scheme }
 
-// roundSource returns the plan's round stream in the internal
-// representation (skipping the public conversion layer when the scheme
-// allows it) together with the decode-status check for this particular
-// consumption. Each call hands out an independent source, which is what
-// makes concurrent consumption safe.
-func (p *Plan) roundSource() (iter.Seq[linecomm.Round], func() error) {
-	noErr := func() error { return nil }
+// roundSource returns the plan's round stream together with the
+// decode-status check for this particular consumption. Each call hands
+// out an independent source, which is what makes concurrent consumption
+// safe.
+func (p *Plan) roundSource() (iter.Seq[[]Call], func() error) {
 	switch {
 	case p.dec != nil:
 		if !p.decClaimed.CompareAndSwap(false, true) {
@@ -212,16 +199,16 @@ func (p *Plan) roundSource() (iter.Seq[linecomm.Round], func() error) {
 			// not check per-consumption status (Rounds, Materialize) —
 			// a second consumption must never look like an empty plan.
 			p.storeReplayErr(errSingleUse)
-			return func(yield func(linecomm.Round) bool) {}, func() error { return errSingleUse }
+			return func(yield func([]Call) bool) {}, func() error { return errSingleUse }
 		}
 		return p.dec.Rounds(), p.dec.Err
 	case p.at != nil:
 		d, err := p.at.NewDecoder()
 		if err != nil {
 			p.storeReplayErr(err)
-			return func(yield func(linecomm.Round) bool) {}, func() error { return err }
+			return func(yield func([]Call) bool) {}, func() error { return err }
 		}
-		seq := func(yield func(linecomm.Round) bool) {
+		seq := func(yield func([]Call) bool) {
 			for round := range d.Rounds() {
 				if !yield(round) {
 					return
@@ -231,10 +218,7 @@ func (p *Plan) roundSource() (iter.Seq[linecomm.Round], func() error) {
 		}
 		return seq, d.Err
 	}
-	if s, ok := p.scheme.(innerRoundsScheme); ok {
-		return s.innerRounds(p.cube), noErr
-	}
-	return toInnerRounds(p.scheme.Rounds(p.cube)), noErr
+	return p.scheme.Rounds(p.cube), func() error { return nil }
 }
 
 func (p *Plan) storeReplayErr(err error) {
@@ -248,8 +232,7 @@ func (p *Plan) storeReplayErr(err error) {
 // anything that must outlive the step, or build the plan with
 // WithCopiedRounds.
 func (p *Plan) Rounds() iter.Seq[[]Call] {
-	inner, _ := p.roundSource()
-	seq := fromInnerRounds(inner)
+	seq, _ := p.roundSource()
 	if !p.copied {
 		return seq
 	}
@@ -261,7 +244,7 @@ func (p *Plan) Rounds() iter.Seq[[]Call] {
 func copiedSeq(seq iter.Seq[[]Call]) iter.Seq[[]Call] {
 	return func(yield func([]Call) bool) {
 		for round := range seq {
-			if !yield(cloneCalls(round)) {
+			if !yield(linecomm.CloneRound(round)) {
 				return
 			}
 		}
@@ -272,10 +255,10 @@ func copiedSeq(seq iter.Seq[[]Call]) iter.Seq[[]Call] {
 // storage. For replayed plans, check Err afterwards: a decode failure
 // truncates the snapshot.
 func (p *Plan) Materialize() *Schedule {
-	inner, _ := p.roundSource()
+	seq, _ := p.roundSource()
 	out := &Schedule{Source: p.scheme.Origin()}
-	for round := range fromInnerRounds(inner) {
-		out.Rounds = append(out.Rounds, cloneCalls(round))
+	for round := range seq {
+		out.Rounds = append(out.Rounds, linecomm.CloneRound(round))
 	}
 	return out
 }
@@ -307,15 +290,14 @@ func (p *Plan) Verify() Report {
 		return rep
 	}
 	var rep Report
-	inner, errf := p.roundSource()
+	seq, errf := p.roundSource()
 	if pv, ok := p.scheme.(PlanVerifier); ok {
-		seq := fromInnerRounds(inner)
 		if p.copied {
 			seq = copiedSeq(seq) // custom verifiers may retain rounds
 		}
 		rep = pv.VerifyPlan(p.cube, seq)
 	} else {
-		res := linecomm.ValidateStream(p.cube.inner, p.cube.K(), p.scheme.Origin(), inner)
+		res := linecomm.ValidateStream(p.cube.inner, p.cube.K(), p.scheme.Origin(), seq)
 		rep = reportFrom(res, len(res.InformedPerRound))
 	}
 	if err := errf(); err != nil {
@@ -484,7 +466,7 @@ func (p *Plan) WriteIndexedTo(w io.Writer) (int64, error) {
 	return p.writeTo(w, schedio.WriteIndexed)
 }
 
-func (p *Plan) writeTo(w io.Writer, write func(io.Writer, schedio.Header, iter.Seq[linecomm.Round]) (int64, error)) (int64, error) {
+func (p *Plan) writeTo(w io.Writer, write func(io.Writer, schedio.Header, iter.Seq[[]Call]) (int64, error)) (int64, error) {
 	h := schedio.Header{
 		K:      p.cube.K(),
 		Dims:   p.cube.Dims(),
@@ -616,20 +598,4 @@ func bindHeader(h schedio.Header) (*Cube, Scheme, error) {
 		scheme = storedScheme{name: h.Scheme, origin: h.Source}
 	}
 	return &Cube{inner: inner}, scheme, nil
-}
-
-// cloneCalls deep-copies one round into fresh storage (one backing array
-// for all paths), the public-facing sibling of linecomm.CloneRound.
-func cloneCalls(round []Call) []Call {
-	total := 0
-	for _, c := range round {
-		total += len(c.Path)
-	}
-	buf := make([]uint64, 0, total)
-	out := make([]Call, len(round))
-	for i, c := range round {
-		buf = append(buf, c.Path...)
-		out[i] = Call{Path: buf[len(buf)-len(c.Path) : len(buf) : len(buf)]}
-	}
-	return out
 }

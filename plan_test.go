@@ -308,7 +308,7 @@ func TestPlanMatchesSerialOracle(t *testing.T) {
 	}
 	got := &Schedule{Source: 9}
 	for round := range plan.Rounds() {
-		got.Rounds = append(got.Rounds, cloneCalls(round))
+		got.Rounds = append(got.Rounds, linecomm.CloneRound(round))
 	}
 	if !reflect.DeepEqual(sched, got) {
 		t.Fatal("plan.Rounds diverged from core's BroadcastSchedule")

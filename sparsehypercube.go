@@ -124,35 +124,10 @@ func (c *Cube) Describe() string { return c.inner.Describe() }
 
 // Call is one circuit-switched call: Path[0] is the caller, the last
 // element the receiver, and the path occupies len(Path)-1 <= k edges.
-type Call struct {
-	Path []uint64
-}
-
-// From returns the calling vertex, or 0 for a call with an empty path
-// (never produced by a plan; Verify reports such calls as invalid).
-func (c Call) From() uint64 {
-	if len(c.Path) == 0 {
-		return 0
-	}
-	return c.Path[0]
-}
-
-// To returns the receiving vertex, or 0 for a call with an empty path.
-func (c Call) To() uint64 {
-	if len(c.Path) == 0 {
-		return 0
-	}
-	return c.Path[len(c.Path)-1]
-}
-
-// Endpoints returns the caller and receiver; ok is false when the path
-// is empty and both endpoints are meaningless.
-func (c Call) Endpoints() (from, to uint64, ok bool) {
-	if len(c.Path) == 0 {
-		return 0, 0, false
-	}
-	return c.Path[0], c.Path[len(c.Path)-1], true
-}
+// It is the validator's own call type, so its accessors are From, To,
+// Endpoints and Length, and a round of Calls reaches the engine without
+// a copy.
+type Call = linecomm.Call
 
 // Schedule is a materialised round-by-round call plan.
 type Schedule struct {
@@ -164,67 +139,12 @@ type Schedule struct {
 // consumed by RoundScheme and the streaming validator. Yielded rounds
 // alias the schedule's storage. Unlike a plan's live round stream, it is
 // reusable.
-func (s *Schedule) Stream() iter.Seq[[]Call] {
-	return func(yield func([]Call) bool) {
-		for _, r := range s.Rounds {
-			if !yield(r) {
-				return
-			}
-		}
-	}
-}
+func (s *Schedule) Stream() iter.Seq[[]Call] { return toInner(s).Stream() }
 
-// convertRounds adapts a round stream between call representations,
-// reusing one output buffer across iterations (paths are aliased). It is
-// the single conversion point between the public []Call rounds and the
-// internal linecomm.Round ones.
-func convertRounds[R ~[]T, S ~[]U, T, U any](rounds iter.Seq[R], conv func(T) U) iter.Seq[S] {
-	return func(yield func(S) bool) {
-		var buf S
-		for round := range rounds {
-			if cap(buf) < len(round) {
-				buf = make(S, len(round))
-			}
-			buf = buf[:len(round)]
-			for i, call := range round {
-				buf[i] = conv(call)
-			}
-			if !yield(buf) {
-				return
-			}
-		}
-	}
-}
-
-// toInnerRounds adapts a public round stream for the internal engine.
-func toInnerRounds(rounds iter.Seq[[]Call]) iter.Seq[linecomm.Round] {
-	return convertRounds[[]Call, linecomm.Round](rounds,
-		func(c Call) linecomm.Call { return linecomm.Call{Path: c.Path} })
-}
-
-// fromInnerRounds adapts an internal round stream for public consumers.
-func fromInnerRounds(rounds iter.Seq[linecomm.Round]) iter.Seq[[]Call] {
-	return convertRounds[linecomm.Round, []Call](rounds,
-		func(c linecomm.Call) Call { return Call{Path: c.Path} })
-}
-
-// toInnerRound converts one materialised round (paths aliased).
-func toInnerRound(round []Call) linecomm.Round {
-	out := make(linecomm.Round, len(round))
-	for i, c := range round {
-		out[i] = linecomm.Call{Path: c.Path}
-	}
-	return out
-}
-
-// toInner converts a public schedule to the internal representation.
-// Paths are aliased, not copied.
+// toInner views a public schedule as the internal one; the rounds are
+// shared, not copied.
 func toInner(s *Schedule) *linecomm.Schedule {
-	inner := &linecomm.Schedule{Source: s.Source, Rounds: make([]linecomm.Round, len(s.Rounds))}
-	for i, round := range s.Rounds {
-		inner.Rounds[i] = toInnerRound(round)
-	}
-	return inner
+	return &linecomm.Schedule{Source: s.Source, Rounds: s.Rounds}
 }
 
 // Report summarises schedule verification against the k-line model.

@@ -21,14 +21,7 @@ type ScheduleStats struct {
 
 // Stats computes ScheduleStats for s.
 func (c *Cube) Stats(s *Schedule) ScheduleStats {
-	inner := &linecomm.Schedule{Source: s.Source, Rounds: make([]linecomm.Round, len(s.Rounds))}
-	for i, round := range s.Rounds {
-		calls := make(linecomm.Round, len(round))
-		for j, call := range round {
-			calls[j] = linecomm.Call{Path: call.Path}
-		}
-		inner.Rounds[i] = calls
-	}
+	inner := toInner(s)
 	cong := linecomm.Congestion(inner)
 	return ScheduleStats{
 		Rounds:          len(s.Rounds),
