@@ -36,15 +36,6 @@
 //	                   # skipped under -exp all; the curve defaults to
 //	                   # BENCH_mmap.json)
 //
-//	benchtab -exp distverify [-distverify-n 16] [-json BENCH_distverify.json]
-//	                   # distributed round-range verification: one
-//	                   # indexed plan fanned out across an httptest
-//	                   # planserver fleet of 1..4 workers by a distverify
-//	                   # coordinator, every stitched Report checked
-//	                   # identical to the local single-process baseline
-//	                   # (timing experiment, skipped under -exp all; the
-//	                   # curve defaults to BENCH_distverify.json)
-//
 // Experiment ids match DESIGN.md's per-experiment index.
 package main
 
@@ -75,8 +66,7 @@ func main() {
 	serveWorkers := flag.Int("serve-workers", 8, "workers for the -exp serve churn phase")
 	serveOps := flag.Int("serve-ops", 60, "per-worker operations for the -exp serve churn phase")
 	mmapN := flag.Int("mmap-n", 20, "cube dimension for -exp mmap")
-	distN := flag.Int("distverify-n", 16, "cube dimension for -exp distverify")
-	jsonOut := flag.String("json", "", "also write the multicore/serve/mmap/distverify trajectory as JSON to this file")
+	jsonOut := flag.String("json", "", "also write the multicore/serve/mmap trajectory as JSON to this file")
 	flag.Parse()
 
 	procList, err := parseProcs(*procs)
@@ -94,8 +84,6 @@ func main() {
 			*jsonOut = "BENCH_serve.json"
 		case "mmap", "exp-mmap":
 			*jsonOut = "BENCH_mmap.json"
-		case "distverify", "exp-distverify":
-			*jsonOut = "BENCH_distverify.json"
 		}
 	}
 
@@ -172,25 +160,15 @@ func main() {
 				}
 			}
 		}},
-		{"distverify", func(t bool) {
-			tb, res := analysis.RunDistVerify(*distN, []int{1, 2, 3, 4}, 3)
-			emit(tb, t)
-			if *jsonOut != "" {
-				if err := writeDistVerifyJSON(*jsonOut, res); err != nil {
-					fmt.Fprintln(os.Stderr, "benchtab:", err)
-					os.Exit(1)
-				}
-			}
-		}},
 	}
 
 	found := false
 	for _, e := range experiments {
-		// multicore, serve, mmap and distverify are timing experiments
-		// (GOMAXPROCS churn, repeated million-vertex runs, wall-clock
-		// measurement): meaningful only in isolation, so they never ride
-		// along with -exp all.
-		if want == "all" && (e.id == "multicore" || e.id == "serve" || e.id == "mmap" || e.id == "distverify") {
+		// multicore, serve and mmap are timing experiments (GOMAXPROCS
+		// churn, repeated million-vertex runs, wall-clock measurement):
+		// meaningful only in isolation, so they never ride along with
+		// -exp all.
+		if want == "all" && (e.id == "multicore" || e.id == "serve" || e.id == "mmap") {
 			continue
 		}
 		if want == "all" || want == e.id || "exp-"+e.id == want {
@@ -249,10 +227,6 @@ func writeServeJSON(path string, res *analysis.ServeResult) error {
 }
 
 func writeMmapJSON(path string, res *analysis.MmapResult) error {
-	return writeJSONFile(path, res.WriteJSON)
-}
-
-func writeDistVerifyJSON(path string, res *analysis.DistVerifyResult) error {
 	return writeJSONFile(path, res.WriteJSON)
 }
 

@@ -143,9 +143,11 @@ func TestFormatDocWorkedExamples(t *testing.T) {
 
 // TestFormatDocRangeVerify executes the spec's range-verify envelope:
 // the documented request's span must be the literal bytes the real
-// encoder produces for rounds [1,2) with the documented CRC, and a
-// real planserver worker handed the documented request must answer
-// exactly the documented response.
+// encoder produces for rounds [1,2) with the documented CRC; a real
+// planserver worker handed the documented request, and the same
+// request for rounds [0,1), must answer exactly the two documented
+// responses; and the two responses must merge into the plan's local
+// verification.
 func TestFormatDocRangeVerify(t *testing.T) {
 	raw, err := os.ReadFile("docs/FORMAT.md")
 	if err != nil {
@@ -178,67 +180,74 @@ func TestFormatDocRangeVerify(t *testing.T) {
 		t.Fatalf("documented span_crc %d, real CRC %d", req.SpanCRC, crc)
 	}
 
-	// A real worker answers both documented requests — seed as a list
-	// and as a bitmap — with the documented response, compared as
-	// parsed envelopes and as compacted JSON, so neither field values
-	// nor wire names can drift.
-	var bits distverify.RangeRequest
-	if err := json.Unmarshal([]byte(docBlock(t, doc, "json-range-request-bits")), &bits); err != nil {
-		t.Fatalf("json-range-request-bits block: %v", err)
-	}
-	if bits.Seed != nil || bits.SeedBits == nil {
-		t.Fatalf("json-range-request-bits block does not send the bitmap form: %+v", bits)
-	}
-	listSeed, _, err := req.ResolveSeed(4, 0)
-	if err != nil {
+	// The first range's request: the documented one, moved to [0,1).
+	first := req
+	first.Plan = &distverify.InlinePlan{K: req.Plan.K, Dims: req.Plan.Dims, Source: req.Plan.Source}
+	if first.Plan.Span, err = at.RangeBytes(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	bitsSeed, _, err := bits.ResolveSeed(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits.SeedBits, bits.Seed = nil, req.Seed
-	if !reflect.DeepEqual(bits, req) || !reflect.DeepEqual(listSeed, bitsSeed) {
-		t.Fatalf("the two documented requests ask different questions:\n%+v seed %v\n%+v seed %v", req, listSeed, bits, bitsSeed)
-	}
+	first.StartRound, first.EndRound, first.SpanCRC = 0, 1, crc32.ChecksumIEEE(first.Plan.Span)
+
+	// A real worker answers both requests with the documented responses,
+	// compared as parsed envelopes and as compacted JSON, so neither
+	// field values nor wire names can drift.
 	ts := httptest.NewServer(planserver.New().Handler())
 	defer ts.Close()
-	var want distverify.RangeResponse
-	if err := json.Unmarshal([]byte(docBlock(t, doc, "json-range-response")), &want); err != nil {
-		t.Fatalf("json-range-response block: %v", err)
-	}
-	var wantC bytes.Buffer
-	if err := json.Compact(&wantC, []byte(docBlock(t, doc, "json-range-response"))); err != nil {
-		t.Fatal(err)
-	}
-	for _, block := range []string{"json-range-request", "json-range-request-bits"} {
-		resp, err := http.Post(ts.URL+"/v1/ranges/verify", "application/json",
-			strings.NewReader(docBlock(t, doc, block)))
+	var parts []*linecomm.OpenRange
+	for _, tc := range []struct {
+		req   distverify.RangeRequest
+		block string
+	}{{first, "json-range-response-first"}, {req, "json-range-response"}} {
+		var want distverify.RangeResponse
+		if err := json.Unmarshal([]byte(docBlock(t, doc, tc.block)), &want); err != nil {
+			t.Fatalf("%s block: %v", tc.block, err)
+		}
+		var wantC bytes.Buffer
+		if err := json.Compact(&wantC, []byte(docBlock(t, doc, tc.block))); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(tc.req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := io.ReadAll(resp.Body)
+		resp, err := http.Post(ts.URL+"/v1/ranges/verify", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("worker refused the documented %s: %d: %s", block, resp.StatusCode, body)
+			t.Fatalf("worker refused the request for %s: %d: %s", tc.block, resp.StatusCode, got)
 		}
-		var got distverify.RangeResponse
-		if err := json.Unmarshal(body, &got); err != nil {
+		var gotR distverify.RangeResponse
+		if err := json.Unmarshal(got, &gotR); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: worker answered %+v, spec documents %+v", block, got, want)
+		if !reflect.DeepEqual(gotR, want) {
+			t.Fatalf("%s: worker answered %+v, spec documents %+v", tc.block, gotR, want)
 		}
 		var gotC bytes.Buffer
-		if err := json.Compact(&gotC, body); err != nil {
+		if err := json.Compact(&gotC, got); err != nil {
 			t.Fatal(err)
 		}
 		if gotC.String() != wantC.String() {
-			t.Fatalf("%s: wire bytes diverged:\nworker: %s\nspec:   %s", block, gotC.String(), wantC.String())
+			t.Fatalf("%s: wire bytes diverged:\nworker: %s\nspec:   %s", tc.block, gotC.String(), wantC.String())
 		}
+		part, err := want.OpenRange(4)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.block, err)
+		}
+		parts = append(parts, part)
+	}
+
+	// The documented merge: the plan verifies as a valid minimum-time
+	// broadcast with the documented per-round counts.
+	merged, ok := linecomm.MergeOpenRanges(4, 0, parts)
+	if !ok || !merged.Valid() || !merged.MinimumTime || !reflect.DeepEqual(merged.InformedPerRound, []uint64{2, 4}) {
+		t.Fatalf("documented responses merge to %+v (accepted %v)", merged, ok)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -214,6 +215,106 @@ func TestAutoParamsDegenerate(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAutoParamsExact pins the exact search against brute force: for
+// k <= 6 and n <= 24, AutoParams attains the least degree of every
+// valid vector with at most k levels, found by enumerating them all.
+// The scratch counterexamples of the coordinate descent it replaced,
+// (3,12) and (3,18), are named.
+func TestAutoParamsExact(t *testing.T) {
+	const maxK, maxN = 6, 24
+	for n := 1; n <= maxN; n++ {
+		// least[j] is the least degree over vectors with j levels.
+		least := make([]int, maxK+1)
+		var walk func(dims []int)
+		walk = func(dims []int) {
+			p := Params{K: len(dims) + 1, Dims: append(slices.Clone(dims), n)}
+			if d, err := DegreeForParams(p); err == nil && (least[p.K] == 0 || d < least[p.K]) {
+				least[p.K] = d
+			}
+			if len(dims) == maxK-1 {
+				return
+			}
+			lo := 1
+			if len(dims) > 0 {
+				lo = dims[len(dims)-1] + 1
+			}
+			for v := lo; v < n; v++ {
+				walk(append(dims, v))
+			}
+		}
+		walk(nil)
+		for k := 1; k <= maxK; k++ {
+			want := 0
+			for j := 1; j <= k; j++ {
+				if least[j] != 0 && (want == 0 || least[j] < want) {
+					want = least[j]
+				}
+			}
+			p, err := AutoParams(k, n)
+			if err != nil {
+				t.Fatalf("k=%d n=%d: %v", k, n, err)
+			}
+			if d, err := DegreeForParams(p); err != nil || d != want {
+				t.Errorf("k=%d n=%d: AutoParams %v has degree %d (%v), brute force %d", k, n, p.Dims, d, err, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		k, n int
+		dims []int
+	}{{3, 12, []int{1, 4, 12}}, {3, 18, []int{3, 10, 18}}} {
+		if p, err := AutoParams(tc.k, tc.n); err != nil || !slices.Equal(p.Dims, tc.dims) {
+			t.Errorf("AutoParams(%d,%d) = %v, %v; want %v", tc.k, tc.n, p.Dims, err, tc.dims)
+		}
+	}
+}
+
+// TestAutoParamsK2Stable: the k = 2 choices, optimal before the search
+// was exact, are unchanged for every n <= 40 — n = 16's [4 16] is the
+// cube behind TestCodecGateN16 and the fleet benchmark.
+func TestAutoParamsK2Stable(t *testing.T) {
+	want := []int{3: 1, 2, 1, 2, 3, 3, 3, 3, 3, 4, 3, 3, 3, 4, 3, 3, 3, 3, 3, 3, 3, 4, 3, 3, 3, 4, 3, 3, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8} // n_1 by n
+	for n := 3; n <= MaxN; n++ {
+		p, err := AutoParams(2, n)
+		if err != nil || !slices.Equal(p.Dims, []int{want[n], n}) {
+			t.Errorf("AutoParams(2,%d) = %v, %v; want [%d %d]", n, p.Dims, err, want[n], n)
+		}
+	}
+	if p, err := AutoParams(2, 2); err != nil || !slices.Equal(p.Dims, []int{2}) {
+		t.Errorf("AutoParams(2,2) = %v, %v; want the hypercube [2]", p.Dims, err)
+	}
+}
+
+// TestAutoParamsWithinBounds: for every k and n <= MaxN the chosen
+// degree lies between the lower bound and the paper's Theorem 5 (k = 2)
+// or Theorem 7 (3 <= k < n) guarantee, and AutoParams never panics —
+// the Theorem 7 vector's powers overflow 64 bits from k = 15. The lower
+// bound is checked from n = 4: on 8 vertices or fewer a cycle is a
+// k-mlbg for k >= 4, below the Delta >= 3 of Theorem 3's clause.
+func TestAutoParamsWithinBounds(t *testing.T) {
+	for k := 1; k <= MaxN; k++ {
+		for n := 1; n <= MaxN; n++ {
+			p, err := AutoParams(k, n)
+			if err != nil {
+				t.Fatalf("k=%d n=%d: %v", k, n, err)
+			}
+			d, err := DegreeForParams(p)
+			if err != nil {
+				t.Fatalf("k=%d n=%d: %v", k, n, err)
+			}
+			if lb := LowerBoundDegree(k, n); n >= 4 && d < lb {
+				t.Errorf("k=%d n=%d: degree %d below the lower bound %d", k, n, d, lb)
+			}
+			switch {
+			case k == 2 && d > UpperBoundTheorem5(n):
+				t.Errorf("n=%d: degree %d above Theorem 5's %d", n, d, UpperBoundTheorem5(n))
+			case k >= 3 && k < n && d > UpperBoundTheorem7(k, n):
+				t.Errorf("k=%d n=%d: degree %d above Theorem 7's %d", k, n, d, UpperBoundTheorem7(k, n))
+			}
+		}
 	}
 }
 

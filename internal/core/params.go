@@ -14,6 +14,8 @@ package core
 
 import (
 	"fmt"
+	"math/big"
+	"slices"
 
 	"sparsehypercube/internal/intmath"
 	"sparsehypercube/internal/labeling"
@@ -159,11 +161,17 @@ func Theorem7Params(k, n int) (Params, error) {
 	if k < 3 || n <= k {
 		return Params{}, fmt.Errorf("core: Theorem7Params requires 3 <= k < n, got k=%d n=%d", k, n)
 	}
-	m := n - k
+	m, kb := big.NewInt(int64(n-k)), big.NewInt(int64(k))
 	dims := make([]int, k)
 	for i := 1; i <= k-1; i++ {
-		// ceil(m^(i/k)) = CeilRoot(m^i, k), exact in integers.
-		dims[i-1] = int(intmath.CeilRoot(intmath.Pow(uint64(m), i), k)) + i - 1
+		// ceil(m^(i/k)) is the least x with x^k >= m^i, exact in big
+		// integers: m^i overflows 64 bits from k = 15 at n = 39.
+		mi := new(big.Int).Exp(m, big.NewInt(int64(i)), nil)
+		x := int64(1)
+		for new(big.Int).Exp(big.NewInt(x), kb, nil).Cmp(mi) < 0 {
+			x++
+		}
+		dims[i-1] = int(x) + i - 1
 	}
 	dims[k-1] = n
 	// Repair: enforce strict increase and the n bound (degenerate only for
@@ -183,93 +191,136 @@ func Theorem7Params(k, n int) (Params, error) {
 	return p, nil
 }
 
-// AutoParams picks a parameter vector for (k, n) minimising the exact
-// degree formula. By Property 1 a construction for any k' <= k stays a
-// valid k-mlbg, so the search considers every level count up to k and
-// keeps the best; each candidate starts from the paper's Theorem 5/7
-// choice refined by coordinate descent.
+// AutoParams picks a parameter vector for (k, n) of the least maximum
+// degree DegreeForParams admits. By Property 1 a construction for any
+// k' <= k stays a valid k-mlbg, so the search covers every level count
+// up to k, exactly (exactParams). Ties go to the fewest levels, then to
+// the paper's own choice with that many levels (paperParams) or, when
+// that misses the optimum, to the optimum a coordinate descent from it
+// reaches (descend). The descent keeps the k = 2 choices stable: at
+// n = 20 and n = 24 the optimal n_1 are 3 and 4 alike and it picks 3
+// and 4 respectively, which no rule over the optimal set alone does.
 func AutoParams(k, n int) (Params, error) {
 	if k < 1 || n < 1 {
 		return Params{}, fmt.Errorf("core: AutoParams requires k, n >= 1")
 	}
-	best, err := autoParamsExact(1, n)
-	if err != nil {
-		return Params{}, err
-	}
+	best := HypercubeParams(n)
 	bestD, err := DegreeForParams(best)
 	if err != nil {
 		return Params{}, err
 	}
-	for kk := 2; kk <= k && kk < n; kk++ {
-		cand, err := autoParamsExact(kk, n)
-		if err != nil {
-			continue
-		}
-		d, err := DegreeForParams(cand)
-		if err != nil {
-			continue
-		}
-		if d < bestD {
-			best, bestD = cand, d
+	exact := exactParams(min(k, n-1), n)
+	levels := 1
+	for kk, cand := range exact {
+		if d, err := DegreeForParams(cand); err == nil && d < bestD {
+			bestD, levels = d, kk
 		}
 	}
-	return best, nil
+	if levels == 1 {
+		return best, nil
+	}
+	if paper, err := paperParams(levels, n); err == nil {
+		if p, d := descend(paper); d == bestD {
+			return p, nil
+		}
+	}
+	return exact[levels], nil
 }
 
-// autoParamsExact searches with exactly k levels.
-func autoParamsExact(k, n int) (Params, error) {
-	if k == 1 || n == 1 {
-		return HypercubeParams(n), nil
-	}
-	if k >= n {
-		k = n - 1
-	}
-	if k == 1 {
-		return HypercubeParams(n), nil
-	}
-	var seed Params
+// paperParams returns the paper's own choice with exactly k >= 2
+// levels: Theorem 5's for k = 2, Theorem 7's beyond.
+func paperParams(k, n int) (Params, error) {
 	if k == 2 {
-		seed = BaseParams(n, Theorem5M(n))
-	} else {
-		var err error
-		seed, err = Theorem7Params(k, n)
-		if err != nil {
-			// Fall back to the minimal valid vector 1,2,...,k-1,n.
-			dims := make([]int, k)
-			for i := 0; i < k-1; i++ {
-				dims[i] = i + 1
+		return BaseParams(n, Theorem5M(n)), nil
+	}
+	return Theorem7Params(k, n)
+}
+
+// descend refines a valid vector by coordinate descent: each free
+// parameter in turn moves by -2..+2 while that lowers the degree, for
+// at most eight passes. It returns the vector and its degree.
+func descend(p Params) (Params, int) {
+	bestD, _ := DegreeForParams(p)
+	for pass, improved := 0, true; pass < 8 && improved; pass++ {
+		improved = false
+		for i := 0; i < p.K-1; i++ {
+			for _, delta := range []int{-2, -1, 1, 2} {
+				cand := Params{K: p.K, Dims: slices.Clone(p.Dims)}
+				cand.Dims[i] += delta
+				if d, err := DegreeForParams(cand); err == nil && d < bestD {
+					p, bestD, improved = cand, d, true
+				}
 			}
-			dims[k-1] = n
-			seed = Params{K: k, Dims: dims}
 		}
 	}
-	if err := seed.Validate(); err != nil {
-		return Params{}, err
+	return p, bestD
+}
+
+// exactParams returns, at index kk for every level count kk in [2, k]
+// (k < n <= MaxN), a vector of least DegreeForParams with exactly kk
+// levels; the other entries, and an entry no vector reaches, are zero
+// Params. Each level's term of the degree reads only three consecutive
+// entries (n_{l-2}, n_{l-1}, n_l), so the search is a dynamic program
+// over the pair (n_j, n_j - n_{j-1}): the cheapest prefix ending in a
+// pair extends independently of how it was reached. Every window is at
+// most labeling.MaxWindow, as Validate requires.
+func exactParams(k, n int) []Params {
+	const maxW = labeling.MaxWindow
+	out := make([]Params, k+1)
+	if k < 2 {
+		return out
 	}
-	best := seed
-	bestD, err := DegreeForParams(best)
-	if err != nil {
-		return Params{}, err
+	// cost[j][b][w] is the least degree of a prefix n_1 < ... < n_j = b
+	// with n_j - n_{j-1} = w (n_0 = 0), counting n_1 and the terms of
+	// levels 2..j, and from[j][b][w] is the step n_{j-1} - n_{j-2}
+	// before it; a zero cost is unreachable.
+	cost := make([][][maxW + 1]int, k)
+	from := make([][][maxW + 1]int, k)
+	for j := 1; j < k; j++ {
+		cost[j] = make([][maxW + 1]int, n)
+		from[j] = make([][maxW + 1]int, n)
 	}
-	// Coordinate descent on the k-1 free parameters.
-	for pass := 0; pass < 8; pass++ {
-		improved := false
-		for i := 0; i < k-1; i++ {
-			for _, delta := range []int{-2, -1, 1, 2} {
-				cand := Params{K: k, Dims: append([]int(nil), best.Dims...)}
-				cand.Dims[i] += delta
-				if cand.Validate() != nil {
+	for b := 1; b < min(maxW+1, n); b++ {
+		cost[1][b][b] = b
+	}
+	for j := 2; j < k; j++ {
+		for a := 1; a < n; a++ {
+			for w, c := range cost[j-1][a] {
+				if c == 0 {
 					continue
 				}
-				if d, err := DegreeForParams(cand); err == nil && d < bestD {
-					best, bestD = cand, d
-					improved = true
+				for b := a + 1; b < min(a+maxW+1, n); b++ {
+					d := c + intmath.CeilDiv(b-a, lambdaConstructive(w))
+					if s := &cost[j][b][b-a]; *s == 0 || d < *s {
+						*s, from[j][b][b-a] = d, w
+					}
 				}
 			}
 		}
-		if !improved {
-			break
-		}
 	}
-	return best, nil
+	for kk := 2; kk <= k; kk++ {
+		j := kk - 1
+		bestD, bestB, bestW := 0, 0, 0
+		for b := j; b < n; b++ {
+			for w, c := range cost[j][b] {
+				if c == 0 {
+					continue
+				}
+				if d := c + intmath.CeilDiv(n-b, lambdaConstructive(w)); bestD == 0 || d < bestD {
+					bestD, bestB, bestW = d, b, w
+				}
+			}
+		}
+		if bestD == 0 {
+			continue
+		}
+		dims := make([]int, kk)
+		dims[kk-1] = n
+		for i, b, w := j, bestB, bestW; i >= 1; i-- {
+			dims[i-1] = b
+			b, w = b-w, from[i][b][w]
+		}
+		out[kk] = Params{K: kk, Dims: dims}
+	}
+	return out
 }

@@ -2,22 +2,25 @@
 // planserver workers: horizontal scale-out of the parallel round-range
 // verification the Plan engine runs across goroutines.
 //
-// The coordinator runs the cheap structural pass locally — per-range
-// informed deltas and span CRCs, stitched against the plan's stored
-// checksum with crc32Combine — then fans the expensive seeded
-// validation of each round range out over HTTP (POST /v1/ranges/verify)
-// and merges the responses with linecomm.MergeRangeResults into a
-// Report byte-identical to single-process Plan.Verify. The last range
-// seeds nothing, so the structural pass only checksums its raw bytes;
-// the worker that validates it decodes it and re-checks that CRC.
+// The coordinator decodes nothing itself. It checksums each round
+// range's raw bytes and stitches the CRCs against the plan's stored
+// checksum with crc32Combine, then fans the validation of each range
+// out over HTTP (POST /v1/ranges/verify). Each worker decodes its range,
+// re-checks that CRC, and runs linecomm.ValidateStreamOpen on it: the
+// range's Result plus its informed set and the callers it assumed
+// informed earlier come back as bitmaps, and linecomm.MergeOpenRanges
+// checks those assumptions word-wide while it merges the ranges into a
+// Report byte-identical to single-process Plan.Verify — the protocol
+// Plan.Verify itself runs across goroutines.
 //
 // The fleet is assumed unreliable. Every request gets its own timeout;
 // a failed or timed-out range goes back on the shared task queue with
 // backoff, where any idle worker steals it from the slow or dead one;
-// a range that exhausts its retries is verified locally; and a plan
-// that cannot be distributed at all (no index, a non-broadcast scheme,
-// a checksum anomaly) degrades to the local Plan.Verify — so a dying
-// fleet costs throughput, never the answer.
+// a range that exhausts its retries, or that a worker refuses as
+// malformed, is verified locally; and a plan that cannot be distributed
+// at all (no index, a non-broadcast scheme, a checksum anomaly, a
+// failed boundary assumption) degrades to the local Plan.Verify — so a
+// dying fleet costs throughput, never the answer.
 package distverify
 
 import (
@@ -31,9 +34,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"sparsehypercube"
@@ -164,8 +165,8 @@ func (c *Coordinator) verifyAt(ctx context.Context, r io.ReaderAt, size int64) (
 	}
 
 	// Preconditions for distributing: a round index to split on, the
-	// broadcast correctness model (the seeded range validator is the
-	// broadcast validator), at least two rounds, an in-range source.
+	// broadcast correctness model (the range validator is the broadcast
+	// validator), at least two rounds, an in-range source.
 	// Everything else verifies locally — Plan.Verify handles serial,
 	// parallel, and corrupted plans identically to what the distributed
 	// path would conclude.
@@ -177,23 +178,23 @@ func (c *Coordinator) verifyAt(ctx context.Context, r io.ReaderAt, size int64) (
 		return plan.Verify(), nil
 	}
 
-	j := &job{c: c, plan: plan, at: at, cube: cube, source: source}
+	j := &job{c: c, at: at, cube: cube, source: source}
 	// Byte-balanced, like the local parallel path: a round-count split
 	// would hand one worker the doubling tail as a single task.
 	if j.bounds, err = at.SplitRounds(len(c.endpoints) * c.perWorker); err != nil {
 		return sparsehypercube.Report{}, err
 	}
 
-	if !j.structuralPass() {
-		// A decode or checksum anomaly: the serial pass is authoritative
+	if !j.checksum() {
+		// A read or checksum anomaly: the serial pass is authoritative
 		// (and reports corruption exactly as Plan.Verify always did).
-		c.logf("distverify: structural pass failed, verifying locally")
+		c.logf("distverify: span checksums failed, verifying locally")
 		return plan.Verify(), nil
 	}
 	if c.upload {
 		j.uploadPlans(ctx, r, size)
 	}
-	rep, ok := j.dispatch(ctx)
+	parts, ok := j.dispatch(ctx)
 	if !ok {
 		if err := ctx.Err(); err != nil {
 			return sparsehypercube.Report{}, err
@@ -201,95 +202,49 @@ func (c *Coordinator) verifyAt(ctx context.Context, r io.ReaderAt, size int64) (
 		c.logf("distverify: dispatch degraded, verifying locally")
 		return plan.Verify(), nil
 	}
-	return rep, nil
+	res, ok := linecomm.MergeOpenRanges(cube.Order(), source, parts)
+	if !ok {
+		// A range assumed a caller informed, or a receiver fresh, that
+		// the earlier ranges contradict: only a serial pass can word
+		// those violations.
+		c.logf("distverify: a range boundary assumption failed, verifying locally")
+		return plan.Verify(), nil
+	}
+	return reportFrom(res, len(res.InformedPerRound)), nil
 }
 
-// job is one verification's state: the plan handles, the range bounds,
-// and everything the structural pass computed.
+// job is one verification's state: the plan's index and cube, the range
+// bounds, and each range's bytes and checksum.
 type job struct {
 	c      *Coordinator
-	plan   *sparsehypercube.Plan
 	at     *schedio.PlanAt
 	cube   *sparsehypercube.Cube
 	source uint64
 
-	bounds   []int              // nRanges+1 round-index boundaries
-	crcs     []schedio.RangeCRC // per-range span CRCs from the structural pass
-	reqs     []RangeRequest     // per-range request: bounds, seed, span CRC
-	informed []uint64           // per-range seed_informed echo to expect
-	planIDs  map[string]string  // endpoint -> uploaded plan id ("" = inline)
+	bounds  []int              // nRanges+1 round-index boundaries
+	spans   [][]byte           // per-range raw round bytes
+	crcs    []schedio.RangeCRC // per-range span CRCs
+	planIDs map[string]string  // endpoint -> uploaded plan id ("" = inline)
 }
 
 func (j *job) nRanges() int { return len(j.bounds) - 1 }
 
-// structuralPass is the local pass 1: scan every range but the last for
-// the receivers it informs and its span CRC, checksum the last range's
-// raw bytes, stitch the CRCs against the plan's stored checksum, and
-// prefix-union the deltas into per-range seed bitmaps. Reports false on
-// any decode or integrity anomaly.
-func (j *job) structuralPass() bool {
+// checksum reads every range's raw bytes, checksums them without
+// decoding, and stitches the CRCs against the plan's stored checksum.
+// Reports false on any read or integrity anomaly.
+func (j *job) checksum() bool {
 	n := j.nRanges()
-	deltas := make([][]uint64, n)
+	j.spans = make([][]byte, n)
 	j.crcs = make([]schedio.RangeCRC, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
 	for w := range n {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[w] = func() error {
-				lo, hi := j.bounds[w], j.bounds[w+1]
-				if w == n-1 {
-					// The last range seeds nothing; its CRC is all
-					// CheckRangeCRCs needs, and the decode is left to the
-					// worker, which re-checks the CRC against it.
-					span, err := j.at.RangeBytes(lo, hi)
-					if err != nil {
-						return err
-					}
-					j.crcs[w] = schedio.RangeCRC{CRC: crc32.ChecksumIEEE(span), Bytes: int64(len(span))}
-					return nil
-				}
-				rr, err := j.at.Range(lo, hi)
-				if err != nil {
-					return err
-				}
-				deltas[w] = linecomm.CollectInformedStream(j.cube, rr.Rounds())
-				crc, err := rr.CRC()
-				if err != nil {
-					return err
-				}
-				j.crcs[w] = schedio.RangeCRC{CRC: crc, Bytes: rr.Bytes()}
-				return nil
-			}()
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+		span, err := j.at.RangeBytes(j.bounds[w], j.bounds[w+1])
 		if err != nil {
 			return false
 		}
+		j.spans[w] = span
+		j.crcs[w] = schedio.RangeCRC{CRC: crc32.ChecksumIEEE(span), Bytes: int64(len(span))}
 	}
-	if err := j.at.CheckRangeCRCs(j.crcs); err != nil {
-		return false
-	}
-	// Prefix-union the deltas into each range's seed bitmap. An empty
-	// seed (range 0's) is sent as neither form.
-	acc := make([]uint64, seedWords(j.cube.Order()))
-	j.reqs = make([]RangeRequest, n)
-	j.informed = make([]uint64, n)
-	for w := range n {
-		j.reqs[w] = RangeRequest{StartRound: j.bounds[w], EndRound: j.bounds[w+1], SpanCRC: j.crcs[w].CRC}
-		if popCount(acc) > 0 {
-			j.reqs[w].SeedBits = encodeSeedBits(acc)
-		}
-		j.informed[w] = informedWith(acc, j.source)
-		setSeedBits(acc, deltas[w])
-	}
-	return true
+	return j.at.CheckRangeCRCs(j.crcs) == nil
 }
 
 // uploadPlans pushes the whole plan into each worker's plan cache so
@@ -349,7 +304,7 @@ type task struct {
 // outcome is one attempt's verdict as seen by the central loop.
 type outcome struct {
 	task
-	res    *linecomm.Result
+	part   *linecomm.OpenRange
 	status int // the worker's HTTP status, 0 if none came back
 	err    error
 	local  bool // a local fallback compute; its failure aborts dispatch
@@ -359,11 +314,11 @@ type outcome struct {
 // drains a shared task queue (so an idle worker steals the retry of a
 // range a slow or dead worker dropped), the central loop collects
 // outcomes, requeues failures with backoff, and verifies locally the
-// ranges whose retry budget is exhausted, and a last range a worker
-// refused with 400. ok is false when ctx is cancelled
-// or a local fallback itself fails — the caller then degrades to the
-// full local Verify.
-func (j *job) dispatch(ctx context.Context) (sparsehypercube.Report, bool) {
+// ranges whose retry budget is exhausted or that a worker refused with
+// 400. It returns each range's part, in round order. ok is false when
+// ctx is cancelled or a local fallback itself fails — the caller then
+// degrades to the full local Verify.
+func (j *job) dispatch(ctx context.Context) ([]*linecomm.OpenRange, bool) {
 	n := j.nRanges()
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -386,33 +341,33 @@ func (j *job) dispatch(ctx context.Context) (sparsehypercube.Report, bool) {
 		go j.pull(dctx, ep, queue, outcomes)
 	}
 
-	parts := make([]*linecomm.Result, n)
+	parts := make([]*linecomm.OpenRange, n)
 	for done := 0; done < n; {
 		var o outcome
 		select {
 		case <-ctx.Done():
-			return sparsehypercube.Report{}, false
+			return nil, false
 		case o = <-outcomes:
 		}
 		if o.err == nil {
 			if parts[o.idx] == nil {
-				parts[o.idx] = o.res
+				parts[o.idx] = o.part
 				done++
 			}
 			continue
 		}
 		if o.local {
 			// Local validation failed on a range the CRC pass already
-			// cleared — something is deeply wrong; the full serial pass
-			// is the authority.
+			// cleared — its bytes do not decode; the full serial pass is
+			// the authority.
 			j.c.logf("distverify: local range %d failed: %v", o.idx, o.err)
-			return sparsehypercube.Report{}, false
+			return nil, false
 		}
 		j.c.logf("distverify: range %d attempt %d failed: %v", o.idx, o.attempt, o.err)
-		// The structural pass never decoded the last range, so a worker
-		// refusing it as malformed most likely refuses its bytes, as
-		// every worker would: the local decode settles that at once.
-		refused := o.idx == n-1 && o.status == http.StatusBadRequest
+		// The coordinator decodes no range, so a worker refusing one as
+		// malformed most likely refuses its bytes, as every worker
+		// would: the local decode settles that at once.
+		refused := o.status == http.StatusBadRequest
 		if o.attempt < j.c.retries && !refused {
 			t := task{idx: o.idx, attempt: o.attempt + 1}
 			delay := time.Duration(t.attempt) * j.c.backoff
@@ -420,12 +375,11 @@ func (j *job) dispatch(ctx context.Context) (sparsehypercube.Report, bool) {
 			continue
 		}
 		go func(idx int) {
-			res, err := j.localRange(idx)
-			outcomes <- outcome{task: task{idx: idx}, res: res, err: err, local: true}
+			part, err := j.localRange(idx)
+			outcomes <- outcome{task: task{idx: idx}, part: part, err: err, local: true}
 		}(o.idx)
 	}
-	res := linecomm.MergeRangeResults(j.cube.Order(), parts)
-	return reportFrom(res, len(res.InformedPerRound)), true
+	return parts, true
 }
 
 // pull is one endpoint's task loop.
@@ -435,9 +389,9 @@ func (j *job) pull(ctx context.Context, endpoint string, queue <-chan task, outc
 		case <-ctx.Done():
 			return
 		case t := <-queue:
-			res, status, err := j.verifyRange(ctx, endpoint, t.idx)
+			part, status, err := j.verifyRange(ctx, endpoint, t.idx)
 			select {
-			case outcomes <- outcome{task: t, res: res, status: status, err: err}:
+			case outcomes <- outcome{task: t, part: part, status: status, err: err}:
 			case <-ctx.Done():
 				return
 			}
@@ -448,33 +402,29 @@ func (j *job) pull(ctx context.Context, endpoint string, queue <-chan task, outc
 // verifyRange runs one range on one worker: by plan id when the
 // endpoint accepted the upload (falling back to inline if the worker
 // answers 404), inline otherwise.
-func (j *job) verifyRange(ctx context.Context, endpoint string, idx int) (*linecomm.Result, int, error) {
-	lo, hi := j.bounds[idx], j.bounds[idx+1]
-	wire := j.reqs[idx] // a copy: the plan fields are this attempt's own
+func (j *job) verifyRange(ctx context.Context, endpoint string, idx int) (*linecomm.OpenRange, int, error) {
+	wire := RangeRequest{StartRound: j.bounds[idx], EndRound: j.bounds[idx+1], SpanCRC: j.crcs[idx].CRC}
 	if id := j.planIDs[endpoint]; id != "" {
 		wire.PlanID = id
-		res, status, err := j.post(ctx, endpoint, idx, &wire)
+		part, status, err := j.post(ctx, endpoint, &wire)
 		if status != http.StatusNotFound {
-			return res, status, err
+			return part, status, err
 		}
 		// The worker lost (or never had) the plan: ship the bytes.
 		wire.PlanID = ""
 	}
 	h := j.at.Header()
-	span, err := j.at.RangeBytes(lo, hi)
-	if err != nil {
-		return nil, 0, err
-	}
-	wire.Plan = &InlinePlan{K: h.K, Dims: h.Dims, Source: h.Source, Span: span}
-	return j.post(ctx, endpoint, idx, &wire)
+	wire.Plan = &InlinePlan{K: h.K, Dims: h.Dims, Source: h.Source, Span: j.spans[idx]}
+	return j.post(ctx, endpoint, &wire)
 }
 
-// post sends range idx's request and validates the response: the
-// worker must echo the exact range, span CRC and seeded informed count
-// it was asked about — a response for the wrong range, or from a worker
-// that dropped the seed, is rejected, not merged — and every violation
-// kind must parse.
-func (j *job) post(ctx context.Context, endpoint string, idx int, wire *RangeRequest) (*linecomm.Result, int, error) {
+// post sends one range request and validates the response: the worker
+// must echo the exact range and span CRC it was asked about — a
+// response for the wrong range is rejected, not merged — carry one
+// informed count per round, and ship a well-formed part (see
+// RangeResponse.OpenRange): a worker that predates the bitmaps sends
+// none, and is rejected too.
+func (j *job) post(ctx context.Context, endpoint string, wire *RangeRequest) (*linecomm.OpenRange, int, error) {
 	body, err := json.Marshal(wire)
 	if err != nil {
 		return nil, 0, err
@@ -507,39 +457,28 @@ func (j *job) post(ctx context.Context, endpoint string, idx int, wire *RangeReq
 		return nil, resp.StatusCode, fmt.Errorf("%s: response for range [%d,%d) crc %08x, asked [%d,%d) crc %08x",
 			endpoint, rr.StartRound, rr.EndRound, rr.SpanCRC, wire.StartRound, wire.EndRound, wire.SpanCRC)
 	}
-	// A worker predating seed_informed echoes none; that is only
-	// trusted on a request without seed_bits, which it understood.
-	if rr.SeedInformed != j.informed[idx] && (rr.SeedInformed != 0 || wire.SeedBits != nil) {
-		return nil, resp.StatusCode, fmt.Errorf("%s: range [%d,%d) seeded with %d informed, sent %d",
-			endpoint, wire.StartRound, wire.EndRound, rr.SeedInformed, j.informed[idx])
-	}
 	if len(rr.InformedPerRound) != wire.EndRound-wire.StartRound {
 		return nil, resp.StatusCode, fmt.Errorf("%s: response carries %d round counts for %d rounds",
 			endpoint, len(rr.InformedPerRound), wire.EndRound-wire.StartRound)
 	}
-	res, err := rr.Result()
+	part, err := rr.OpenRange(j.cube.Order())
 	if err != nil {
-		return nil, resp.StatusCode, fmt.Errorf("%s: %w", endpoint, err)
+		return nil, resp.StatusCode, fmt.Errorf("%s: range [%d,%d): %w", endpoint, wire.StartRound, wire.EndRound, err)
 	}
-	return res, resp.StatusCode, nil
+	return part, resp.StatusCode, nil
 }
 
 // localRange verifies one range in-process — the landing spot of a
-// range the fleet kept failing.
-func (j *job) localRange(idx int) (*linecomm.Result, error) {
+// range the fleet kept failing or refused.
+func (j *job) localRange(idx int) (*linecomm.OpenRange, error) {
 	lo, hi := j.bounds[idx], j.bounds[idx+1]
-	rr, err := j.at.Range(lo, hi)
+	rr, err := schedio.DecodeSpan(j.at.Header(), j.spans[idx], lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	rr.DisableCRC() // the structural pass already pinned this span's checksum
-	seed, _, err := j.reqs[idx].ResolveSeed(j.cube.Order(), j.source)
-	if err != nil {
-		return nil, err
-	}
-	res := linecomm.ValidateStreamSeeded(j.cube, j.cube.K(), j.source,
-		seed, lo, rr.Rounds(), linecomm.DefaultOptions())
-	return res, rr.Err()
+	rr.DisableCRC() // the checksum pass already pinned this span's bytes
+	part := linecomm.ValidateStreamOpen(j.cube, j.cube.K(), j.source, lo, rr.Rounds(), linecomm.DefaultOptions())
+	return part, rr.Err()
 }
 
 // reportFrom mirrors the facade's unexported conversion from a merged

@@ -401,12 +401,12 @@ func TestDistVerifyWorkerFaults(t *testing.T) {
 	})
 
 	t.Run("old-worker", func(t *testing.T) {
-		// A worker that predates seed_bits ignores the field, validates
-		// the range unseeded and echoes no seed_informed. The missing
-		// echo is trusted only on range 0, which has no seed: alone the
-		// old worker answers range 0 at the first try and forces the
-		// local fallback for every seeded range, beside a good worker
-		// the retry.
+		// A worker that predates the open-range protocol validates the
+		// range seeded with nothing and answers without informed_bits or
+		// assumed_bits, echoing seed_informed instead. The coordinator
+		// rejects every such answer: alone, the old worker is asked each
+		// range once per attempt and every range ends verified locally;
+		// beside a good worker, the retry lands there.
 		var mu sync.Mutex
 		asked := map[int]int{} // start_round -> requests
 		inner := planserver.New().Handler()
@@ -419,10 +419,11 @@ func TestDistVerifyWorkerFaults(t *testing.T) {
 			mu.Lock()
 			asked[int(m["start_round"].(float64))]++
 			mu.Unlock()
-			delete(m, "seed_bits")
-			stripped, _ := json.Marshal(m)
-			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(stripped)), int64(len(stripped))
-			return rewriteResponse(inner, func(m map[string]any) { delete(m, "seed_informed") })(w, r, stripped)
+			return rewriteResponse(inner, func(m map[string]any) {
+				delete(m, "informed_bits")
+				delete(m, "assumed_bits")
+				m["seed_informed"] = 1
+			})(w, r, body)
 		}))
 		t.Cleanup(old.Close)
 		good, _ := fleet(t, 1)
@@ -438,10 +439,10 @@ func TestDistVerifyWorkerFaults(t *testing.T) {
 			checkIdentical(t, want, got, "old worker in fleet of %d", len(urls))
 			if len(urls) == 1 {
 				mu.Lock()
-				// Default retries: 2, so 3 attempts per seeded range.
+				// Default retries: 2, so 3 attempts per range.
 				for start, n := range asked {
-					if want := map[bool]int{true: 1, false: 3}[start == 0]; n != want {
-						t.Errorf("old worker alone: range at round %d asked %d times, want %d", start, n, want)
+					if n != 3 {
+						t.Errorf("old worker alone: range at round %d asked %d times, want 3", start, n)
 					}
 				}
 				if len(asked) < 2 {
@@ -467,6 +468,84 @@ func TestDistVerifyWorkerFaults(t *testing.T) {
 		checkIdentical(t, want, got, "dead fleet")
 	})
 }
+
+// TestDistVerifyTamperedBitmaps: a worker whose answer carries a
+// malformed open-range part — informed_bits missing, of the wrong
+// length or with a bit at or beyond the order; assumed_bits missing
+// past round 0 or present at round 0; an informed_bits count that is
+// not the informed count — is rejected on every range it touches, each
+// asked retries+1 times, and the Report is still the local one. The
+// cube has 32 vertices, so the bitmap's one word has room for bits
+// beyond the order.
+func TestDistVerifyTamperedBitmaps(t *testing.T) {
+	cube, err := sparsehypercube.New(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := indexedPlanBytes(t, cube, 6)
+	want := localReport(t, data)
+	for _, tc := range []struct {
+		name    string
+		touches func(start int) bool
+		tamper  func(m map[string]any)
+	}{
+		{"informed-bits-missing", always, func(m map[string]any) { delete(m, "informed_bits") }},
+		{"informed-bits-wrong-length", always, func(m map[string]any) { m["informed_bits"] = "AAAAAAAAAAAAAAAAAAAAAA==" }},
+		{"informed-bits-beyond-order", always, func(m map[string]any) { m["informed_bits"] = "AQAAAAEAAAA=" }},
+		{"informed-count", always, func(m map[string]any) { m["informed"] = m["informed"].(float64) + 1 }},
+		{"assumed-bits-missing", func(start int) bool { return start > 0 }, func(m map[string]any) { delete(m, "assumed_bits") }},
+		{"assumed-bits-at-round-0", func(start int) bool { return start == 0 }, func(m map[string]any) {
+			if m["start_round"].(float64) == 0 {
+				m["assumed_bits"] = m["informed_bits"]
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			asked := map[int]int{} // start_round -> requests
+			inner := planserver.New().Handler()
+			bad := httptest.NewServer(flakyHandler(inner, func(w http.ResponseWriter, r *http.Request, body []byte) bool {
+				var req distverify.RangeRequest
+				if err := json.Unmarshal(body, &req); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return true
+				}
+				mu.Lock()
+				asked[req.StartRound]++
+				mu.Unlock()
+				return rewriteResponse(inner, tc.tamper)(w, r, body)
+			}))
+			t.Cleanup(bad.Close)
+			c, err := distverify.New([]string{bad.URL}, distverify.WithRetries(1),
+				distverify.WithBackoff(time.Millisecond), distverify.WithLogf(t.Logf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Verify(context.Background(), data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkIdentical(t, want, got, "%s", tc.name)
+			mu.Lock()
+			defer mu.Unlock()
+			touched := 0
+			for start, n := range asked {
+				wantN := 1
+				if tc.touches(start) {
+					wantN, touched = 2, touched+1
+				}
+				if n != wantN {
+					t.Errorf("range at round %d asked %d times, want %d", start, n, wantN)
+				}
+			}
+			if touched == 0 || len(asked) < 2 {
+				t.Errorf("tampering touched %d of ranges %v", touched, asked)
+			}
+		})
+	}
+}
+
+func always(int) bool { return true }
 
 // TestDistVerifyOutOfOrderCompletion: ranges deliberately finish in
 // reverse order (earlier ranges are slowed the most); the stitch must
@@ -631,29 +710,45 @@ func TestDistVerifyFile(t *testing.T) {
 }
 
 // rangeBodies is a RoundTripper that records every range-verify
-// request body it forwards.
+// request body it forwards, and the byte length of every response body
+// it returns.
 type rangeBodies struct {
-	mu     sync.Mutex
-	bodies [][]byte
+	mu        sync.Mutex
+	bodies    [][]byte
+	respBytes int
 }
 
 func (rb *rangeBodies) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path == "/v1/ranges/verify" {
-		body, err := io.ReadAll(req.Body)
-		req.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		req.Body = io.NopCloser(bytes.NewReader(body))
-		rb.mu.Lock()
-		rb.bodies = append(rb.bodies, body)
-		rb.mu.Unlock()
+	if req.URL.Path != "/v1/ranges/verify" {
+		return http.DefaultTransport.RoundTrip(req)
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	body, err := io.ReadAll(req.Body)
+	req.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	rb.mu.Lock()
+	rb.bodies = append(rb.bodies, body)
+	rb.mu.Unlock()
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	out, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(out))
+	rb.mu.Lock()
+	rb.respBytes += len(out)
+	rb.mu.Unlock()
+	return resp, nil
 }
 
-// recorded returns the bodies recorded so far. A cancelled dispatch may
-// still be sending when Verify returns.
+// recorded returns the request bodies recorded so far. A cancelled
+// dispatch may still be sending when Verify returns.
 func (rb *rangeBodies) recorded() [][]byte {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
@@ -661,12 +756,13 @@ func (rb *rangeBodies) recorded() [][]byte {
 }
 
 // TestDistVerifyRangeRequestBytes is the deterministic bytes gate of
-// the seed wire, on an indexed n = 16 plan uploaded to two workers.
-// Range 0 carries no seed and every later range request carries its
-// seed as seed_bits, never as a list, so the range-request bodies total
-// at most ranges × (⌈order/6⌉ + 1 KiB): a base64 bitmap plus the
-// envelope per range, where seed lists cost about 6 bytes per informed
-// vertex.
+// the range wire, on an indexed n = 16 plan uploaded to two workers.
+// Requests name the plan by id and carry no vertex set — only the plan
+// id, the bounds and the span CRC — so they total at most ranges × 1 KiB.
+// Each response carries its range's informed set and, past round 0,
+// its assumed callers, each a base64 order-bit bitmap of ⌈order/6⌉
+// characters, so the responses total at most
+// ranges × (2·⌈order/6⌉ + 1 KiB).
 func TestDistVerifyRangeRequestBytes(t *testing.T) {
 	const source = 11
 	cube, err := sparsehypercube.New(2, 16)
@@ -687,7 +783,6 @@ func TestDistVerifyRangeRequestBytes(t *testing.T) {
 	}
 	checkIdentical(t, localReport(t, data), got, "n=16 upload")
 
-	order := cube.Order()
 	ranges := map[[2]int]bool{}
 	total := 0
 	for _, body := range rb.recorded() {
@@ -698,35 +793,44 @@ func TestDistVerifyRangeRequestBytes(t *testing.T) {
 		if req.PlanID == "" || req.Plan != nil {
 			t.Fatalf("range [%d,%d) not sent by plan id", req.StartRound, req.EndRound)
 		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		for name := range fields {
+			if !slices.Contains([]string{"plan_id", "start_round", "end_round", "span_crc"}, name) {
+				t.Errorf("range [%d,%d) request carries %q", req.StartRound, req.EndRound, name)
+			}
+		}
 		ranges[[2]int{req.StartRound, req.EndRound}] = true
 		total += len(body)
-		if req.Seed != nil {
-			t.Errorf("range [%d,%d) sent its seed as a list", req.StartRound, req.EndRound)
-		}
-		if (req.SeedBits != nil) != (req.StartRound > 0) {
-			t.Errorf("range [%d,%d): seed_bits sent = %v", req.StartRound, req.EndRound, req.SeedBits != nil)
-		}
-		if _, _, err := req.ResolveSeed(order, source); err != nil {
-			t.Errorf("range [%d,%d): %v", req.StartRound, req.EndRound, err)
-		}
 	}
 	if n := len(rb.recorded()); len(ranges) != n || len(ranges) < 2 {
 		t.Fatalf("%d range requests for %d distinct ranges", n, len(ranges))
 	}
-	budget := len(ranges) * (int((order+5)/6) + 1024)
+	budget := len(ranges) * 1024
 	t.Logf("%d range requests, %d bytes (budget %d)", len(ranges), total, budget)
 	if total > budget {
 		t.Fatalf("range requests total %d bytes, budget %d", total, budget)
 	}
+	rb.mu.Lock()
+	resp := rb.respBytes
+	rb.mu.Unlock()
+	respBudget := len(ranges) * (2*int((cube.Order()+5)/6) + 1024)
+	t.Logf("range responses %d bytes (budget %d)", resp, respBudget)
+	if resp > respBudget {
+		t.Fatalf("range responses total %d bytes, budget %d", resp, respBudget)
+	}
 }
 
-// TestDistVerifyCorruptLastRange: the coordinator only checksums the
-// last range, so a corruption there that both checksums miss — a
-// two-byte vertex varint rewritten as the non-canonical 80 00, same
-// length, plan CRC recomputed — must be caught by the worker's decode
-// and still end at the local Plan.Verify Report. The worker's 400 sends
-// the range to the local decode at once: it is asked of the fleet once,
-// not retried under the default backoff.
+// TestDistVerifyCorruptLastRange: the coordinator decodes no range, so
+// a corruption that both checksums miss — a two-byte vertex varint
+// rewritten as the non-canonical 80 00, same length, plan CRC
+// recomputed — must be caught by the worker's decode and still end at
+// the local Plan.Verify Report, in the first, a middle and the last
+// range alike. The worker's 400 sends the range to the local decode at
+// once: it is asked of the fleet once, not retried under the default
+// backoff.
 func TestDistVerifyCorruptLastRange(t *testing.T) {
 	cube, err := sparsehypercube.New(2, 10)
 	if err != nil {
@@ -737,17 +841,85 @@ func TestDistVerifyCorruptLastRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := at.NumRounds()
-	span, err := at.RangeBytes(rounds-1, rounds)
+	urls, _ := fleet(t, 2)
+	// The coordinator's own split: two workers, four ranges each.
+	bounds, err := at.SplitRounds(2 * 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := bytes.LastIndex(data, span)
-	end := start + len(span) // the terminator byte
+	if len(bounds) < 4 {
+		t.Fatalf("split %v has no middle range", bounds)
+	}
+	for _, pick := range []struct {
+		name string
+		idx  int
+	}{{"first", 0}, {"middle", (len(bounds) - 1) / 2}, {"last", len(bounds) - 2}} {
+		t.Run(pick.name, func(t *testing.T) {
+			lo, hi := bounds[pick.idx], bounds[pick.idx+1]
+			bad := corruptCaller(t, data, at, lo, hi)
+			plan, err := sparsehypercube.ReadPlanAt(bytes.NewReader(bad), int64(len(bad)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plan.Verify()
+			if want.Valid {
+				t.Fatalf("local verify accepted the corrupt range [%d,%d): %+v", lo, hi, want)
+			}
+			for _, upload := range []bool{false, true} {
+				rb := &rangeBodies{}
+				opts := []distverify.Option{distverify.WithLogf(t.Logf), distverify.WithHTTPClient(&http.Client{Transport: rb})}
+				if upload {
+					opts = append(opts, distverify.WithPlanUpload())
+				}
+				c, err := distverify.New(urls, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.Verify(context.Background(), bad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkIdentical(t, want, got, "corrupt range [%d,%d), upload=%v", lo, hi, upload)
+				asked := 0
+				for _, body := range rb.recorded() {
+					var req distverify.RangeRequest
+					if err := json.Unmarshal(body, &req); err != nil {
+						t.Fatal(err)
+					}
+					if req.StartRound == lo {
+						asked++
+					}
+				}
+				if asked != 1 {
+					t.Errorf("upload=%v: range [%d,%d) asked of the fleet %d times, want 1", upload, lo, hi, asked)
+				}
+			}
+		})
+	}
+}
 
-	// Walk the last round's calls to the first caller that encodes in
-	// exactly two bytes.
-	off := start
+// corruptCaller returns a copy of the indexed plan data whose first
+// caller in rounds [lo, hi) that encodes in exactly two bytes is
+// rewritten as the non-canonical two-byte varint 80 00, with the plan
+// CRC recomputed: the span keeps its length, and only a decode sees
+// the damage.
+func corruptCaller(t *testing.T, data []byte, at *schedio.PlanAt, lo, hi int) []byte {
+	t.Helper()
+	rounds := at.NumRounds()
+	stream, err := at.RangeBytes(0, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := bytes.Index(data, stream)
+	end := base + len(stream) // the terminator byte
+	off := base
+	if lo > 0 {
+		head, err := at.RangeBytes(0, lo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += len(head)
+	}
 	uvarint := func() uint64 {
 		v, n := binary.Uvarint(data[off:end])
 		if n <= 0 {
@@ -756,59 +928,20 @@ func TestDistVerifyCorruptLastRange(t *testing.T) {
 		off += n
 		return v
 	}
-	at2 := -1
-	for calls := uvarint() - 1; calls > 0 && at2 < 0; calls-- {
-		pathLen := uvarint()
-		if v := off; uvarint() >= 1<<7 && off-v == 2 {
-			at2 = v
-		}
-		for range pathLen - 1 {
-			uvarint()
-		}
-	}
-	if at2 < 0 {
-		t.Fatal("last round has no two-byte caller")
-	}
-	bad := append([]byte(nil), data...)
-	bad[at2], bad[at2+1] = 0x80, 0x00
-	binary.LittleEndian.PutUint32(bad[end+1:], crc32.ChecksumIEEE(bad[:end+1]))
-
-	plan, err := sparsehypercube.ReadPlanAt(bytes.NewReader(bad), int64(len(bad)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := plan.Verify()
-	if want.Valid {
-		t.Fatalf("local verify accepted the corrupt last range: %+v", want)
-	}
-	urls, _ := fleet(t, 2)
-	for _, upload := range []bool{false, true} {
-		rb := &rangeBodies{}
-		opts := []distverify.Option{distverify.WithLogf(t.Logf), distverify.WithHTTPClient(&http.Client{Transport: rb})}
-		if upload {
-			opts = append(opts, distverify.WithPlanUpload())
-		}
-		c, err := distverify.New(urls, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Verify(context.Background(), bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkIdentical(t, want, got, "corrupt last range, upload=%v", upload)
-		asked := 0
-		for _, body := range rb.recorded() {
-			var req distverify.RangeRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				t.Fatal(err)
+	for range hi - lo {
+		for calls := uvarint() - 1; calls > 0; calls-- {
+			pathLen := uvarint()
+			if v := off; uvarint() >= 1<<7 && off-v == 2 {
+				bad := append([]byte(nil), data...)
+				bad[v], bad[v+1] = 0x80, 0x00
+				binary.LittleEndian.PutUint32(bad[end+1:], crc32.ChecksumIEEE(bad[:end+1]))
+				return bad
 			}
-			if req.EndRound == rounds {
-				asked++
+			for range pathLen - 1 {
+				uvarint()
 			}
 		}
-		if asked != 1 {
-			t.Errorf("upload=%v: last range asked of the fleet %d times, want 1", upload, asked)
-		}
 	}
+	t.Fatalf("rounds [%d,%d) have no two-byte caller", lo, hi)
+	return nil
 }

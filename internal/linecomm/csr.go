@@ -251,17 +251,6 @@ func newCSRState(sn SlottedNetwork, order, source uint64, opts Options) *csrStat
 
 func (c *csrState) isInformed(v uint64) bool { return c.informed.Get(int(v)) }
 
-// seedInformed marks vs informed before any round runs — the range
-// validator's way of entering mid-schedule. Duplicates (and the
-// source) are fine; counting stays exact.
-func (c *csrState) seedInformed(vs []uint64) {
-	for _, v := range vs {
-		if !c.informed.TestAndSet(int(v)) {
-			c.count++
-		}
-	}
-}
-
 // beginRound retains r until endRound, which clears a sparse round's
 // callers and receivers through it; callerClaim scans it to recover a
 // duplicate caller's first call.

@@ -18,7 +18,7 @@ import (
 // workloads are BFS-tree broadcasts (TreeRounds) on random graph
 // families, intact and under a general-graph mutation catalogue
 // mirroring mutationsForQn, plus unstructured random corruption,
-// seeded-range validation and the gossip validators.
+// open-range validation and the gossip validators.
 
 // treeSchedule materialises TreeRounds(g, source).
 func treeSchedule(g *graph.Graph, source uint64) *Schedule {
@@ -297,11 +297,11 @@ func TestCSRDifferentialRandomCorruption(t *testing.T) {
 	}
 }
 
-// TestCSRSeededRangeGeneral: the seeded-range pipeline
-// (CollectInformedStream + ValidateStreamSeeded + MergeRangeResults)
-// must reproduce the serial Result on general networks — intact and
-// mutated.
-func TestCSRSeededRangeGeneral(t *testing.T) {
+// TestCSROpenRangeGeneral: the open-range pipeline (ValidateStreamOpen
+// + MergeOpenRanges) must reproduce the serial Result on general
+// networks whenever it accepts, and accept whenever the serial Result
+// shows no false boundary assumption — intact and mutated.
+func TestCSROpenRangeGeneral(t *testing.T) {
 	g := topo.RandomConnected(48, 24, 5)
 	base := treeSchedule(g, 0)
 	schedules := []*Schedule{base}
@@ -314,14 +314,10 @@ func TestCSRSeededRangeGeneral(t *testing.T) {
 	}
 	net := GraphNetwork{G: g}
 	t.Run("csr-engine", func(t *testing.T) {
-		for si, s := range schedules {
+		for _, s := range schedules {
 			serial := Validate(net, 1, s)
 			for _, workers := range []int{2, 3} {
-				got := validateInRanges(net, 1, s.Source, s, evenBounds(len(s.Rounds), workers), DefaultOptions())
-				if !reflect.DeepEqual(serial, got) {
-					t.Fatalf("schedule %d, %d workers: range result diverges:\nserial: %+v\nranged: %+v",
-						si, workers, serial, got)
-				}
+				checkOpenRanges(t, net, 1, s, evenBounds(len(s.Rounds), workers), DefaultOptions(), serial)
 			}
 		}
 	})
@@ -432,10 +428,8 @@ func TestCSRStateAllocations(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			doubled := &Schedule{Source: 0, Rounds: append(append([]Round{}, tc.base.Rounds...), tc.base.Rounds...)}
 			run := func(s *Schedule) {
-				// Seeded entry point: Complete is a merge-time judgement,
-				// so check the informed count directly.
-				res := ValidateStreamSeeded(tc.net, 1, 0, nil, 0, s.Stream(), opts)
-				if !res.Valid() || res.Informed != tc.net.Order() {
+				res := ValidateStreamOpts(tc.net, 1, 0, s.Stream(), opts)
+				if !res.Valid() || !res.Complete {
 					t.Fatalf("schedule rejected: %v (informed %d)", res.Err(), res.Informed)
 				}
 			}
@@ -487,7 +481,6 @@ func mustRefuse(t *testing.T, net Network, numberedNet bool) {
 			t.Fatalf("ValidateStream judged a refused network: %+v", res)
 		}
 	}
-	refused("ValidateStreamSeeded", ValidateStreamSeeded(net, 1, 0, []uint64{1}, 3, probe, DefaultOptions()).Violations)
 	parts := []*OpenRange{
 		ValidateStreamOpen(net, 1, 0, 0, probe, DefaultOptions()),
 		ValidateStreamOpen(net, 1, 0, 2, probe, DefaultOptions()),
@@ -715,8 +708,8 @@ func thresholdSchedule(m int, conflict string) *Schedule {
 // under the differential oracle: rounds of 15, 16 and 17 calls on Q_10,
 // clean and with each planted conflict, under Definition 1, each
 // generalised capacity, both, and AllowInformedReceiver, on the CSR
-// engine under both slot numberings, streamed, in seeded ranges and in
-// open ranges, must all equal Validate.
+// engine under both slot numberings, streamed and in open ranges, must
+// all equal Validate (open ranges whenever the merge accepts).
 func TestCSRDenseThreshold(t *testing.T) {
 	for m, dense := range map[int]bool{15: false, 16: true, 17: true} {
 		if denseRound(m, thresholdOrder) != dense {
@@ -754,9 +747,6 @@ func TestCSRDenseThreshold(t *testing.T) {
 						t.Fatalf("m=%d %q %+v %s: stream diverges:\nserial: %+v\nstream: %+v", m, conflict, opts, name, want, got)
 					}
 					for _, bounds := range [][]int{{0, 5, 7, 9}, {0, 6, 8, 9}} {
-						if got := validateInRanges(net, k, s.Source, s, bounds, opts); !reflect.DeepEqual(want, got) {
-							t.Fatalf("m=%d %q %+v %s: seeded ranges %v diverge:\nserial: %+v\nranged: %+v", m, conflict, opts, name, bounds, want, got)
-						}
 						checkOpenRanges(t, net, k, s, bounds, opts, want)
 					}
 				}

@@ -13,9 +13,10 @@ import (
 // FuzzValidate feeds arbitrary byte-derived schedules to the validator:
 // whatever the input, it must classify without panicking, and a schedule
 // it calls minimum-time must really inform everyone. netRaw picks the
-// network (fuzzGraph: Q_4 or an irregular 16-vertex random family, or a
+// network (fuzzGraph: Q_4 or an irregular 16-vertex random family, a
 // 256-vertex one, whose four-word vertex sets put rounds of fewer calls
-// than words, ended call by call, under fuzz), optRaw the generalised
+// than words, ended call by call, under fuzz, or Q_10, whose rounds end
+// on both sides of the dense threshold), optRaw the generalised
 // model (optionsFromByte) and splitMask the round cuts of a range-split
 // replay (boundsFromMask).
 func FuzzValidate(f *testing.F) {
@@ -55,6 +56,8 @@ func FuzzValidate(f *testing.F) {
 		f.Add(walkSeed, uint8(0), uint8(0), uint16(0), netRaw)
 		f.Add(walkSeed, uint8(1), uint8(0x15), uint16(0b1010), netRaw)
 	}
+	f.Add(doublingSeed, uint8(0), uint8(0), uint16(0b110000), uint8(130))
+	f.Add(doublingSeed, uint8(1), uint8(0x15), uint16(0b100), uint8(130))
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, optRaw uint8, splitMask uint16, netRaw uint8) {
 		g := fuzzGraph(netRaw)
 		net := GraphNetwork{G: g}
@@ -71,11 +74,10 @@ func FuzzValidate(f *testing.F) {
 		// The streaming engine must reproduce the serial Result exactly,
 		// whatever the input, network and model: via the bare
 		// GraphNetwork (the graph's own slots, per-slot counters once a
-		// capacity exceeds 1) and, on Q_4 and Q_8 only, via the
-		// dimensioned wrapper (closed-form slots). So must the same schedule cut into seeded round ranges
-		// and merged; cut into open round ranges, the merge must agree
-		// whenever it accepts, and accept whenever the serial Result
-		// shows no false boundary assumption.
+		// capacity exceeds 1) and, on Q_4, Q_8 and Q_10 only, via the
+		// dimensioned wrapper (closed-form slots). Cut into open round
+		// ranges, the merge must agree whenever it accepts, and accept
+		// whenever the serial Result shows no false boundary assumption.
 		nets := map[string]Network{"csr": net}
 		if n := fuzzCubeDim(netRaw); n > 0 {
 			nets["dim"] = dimNet{plainNet{net}, n}
@@ -85,10 +87,6 @@ func FuzzValidate(f *testing.F) {
 			sres := ValidateStreamOpts(streamNet, k, s.Source, s.Stream(), opts)
 			if !reflect.DeepEqual(res, sres) {
 				t.Fatalf("%s stream on network %d diverges from serial under %+v:\nserial: %+v\nstream: %+v", name, netRaw, opts, res, sres)
-			}
-			rres := validateInRanges(streamNet, k, s.Source, s, bounds, opts)
-			if !reflect.DeepEqual(res, rres) {
-				t.Fatalf("%s ranges %v on network %d diverge from serial under %+v:\nserial: %+v\nmerged: %+v", name, bounds, netRaw, opts, res, rres)
 			}
 			checkOpenRanges(t, streamNet, k, s, bounds, opts, res)
 		}
@@ -115,6 +113,7 @@ func FuzzValidateGossip(f *testing.F) {
 		f.Add(walkSeed, uint8(0), netRaw)
 		f.Add(walkSeed, uint8(1), netRaw)
 	}
+	f.Add(doublingSeed, uint8(0), uint8(130))
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, netRaw uint8) {
 		net := GraphNetwork{G: fuzzGraph(netRaw)}
 		k := int(kRaw)%4 + 1
@@ -139,10 +138,11 @@ func FuzzValidateGossip(f *testing.F) {
 // RandomConnected family, and b/5 seeds the family and varies its
 // density. Only Q_4 is regular, so the other four put the degree rule
 // of graph.Graph's edge slots under fuzz, not just its id tie-break.
-// From 128 it is one of the 256-vertex graphs of bigFuzzGraphs.
+// From 128 it is one of the larger graphs of bigFuzzGraphs, by
+// (b-128)%3.
 func fuzzGraph(b uint8) *graph.Graph {
 	if b >= 128 {
-		return bigFuzzGraphs()[b&1]
+		return bigFuzzGraphs()[(b-128)%3]
 	}
 	seed := int64(b / 5)
 	switch b % 5 {
@@ -158,23 +158,27 @@ func fuzzGraph(b uint8) *graph.Graph {
 	return topo.Hypercube(4)
 }
 
-// bigFuzzGraphs are the 256-vertex networks, built once: Q_8 (even
-// network bytes from 128) and a random 4-regular graph on its own slots
-// (odd ones). Their vertex sets span four words, so a fuzzed round of
-// one to three calls ends call by call and one of four word-wide.
-var bigFuzzGraphs = sync.OnceValue(func() [2]*graph.Graph {
-	return [2]*graph.Graph{topo.Hypercube(8), topo.RandomRegular(256, 4, 1)}
+// bigFuzzGraphs are the larger networks, built once: Q_8 and a random
+// 4-regular graph on its own slots, of 256 vertices, whose vertex sets
+// span four words, so a fuzzed round of one to three calls ends call by
+// call and one of four word-wide; and Q_10, whose vertex sets span
+// sixteen words, two 8-word blocks, so its rounds of up to 32 calls end
+// on both sides of the dense threshold at 16.
+var bigFuzzGraphs = sync.OnceValue(func() [3]*graph.Graph {
+	return [3]*graph.Graph{topo.Hypercube(8), topo.RandomRegular(256, 4, 1), topo.Hypercube(10)}
 })
 
-// bigFuzzNets are the network bytes of the two 256-vertex graphs.
-var bigFuzzNets = []uint8{128, 129}
+// bigFuzzNets are the network bytes of the three larger graphs.
+var bigFuzzNets = []uint8{128, 129, 130}
 
 // fuzzCubeDim returns n when fuzzGraph(b) is Q_n, which the dimensioned
 // wrapper then also runs on closed-form slots, and 0 otherwise.
 func fuzzCubeDim(b uint8) int {
 	switch {
-	case b >= 128 && b&1 == 0:
+	case b >= 128 && (b-128)%3 == 0:
 		return 8
+	case b >= 128 && (b-128)%3 == 2:
+		return 10
 	case b < 128 && b%5 == 0:
 		return 4
 	}
@@ -183,7 +187,7 @@ func fuzzCubeDim(b uint8) int {
 
 // fuzzSchedule decodes the fuzzed schedule for the network byte b:
 // scheduleFromBytes on the 16-vertex graphs, walkSchedule on the
-// 256-vertex ones.
+// larger ones.
 func fuzzSchedule(data []byte, b uint8) *Schedule {
 	if b >= 128 {
 		return walkSchedule(data, fuzzGraph(b))
@@ -194,13 +198,19 @@ func fuzzSchedule(data []byte, b uint8) *Schedule {
 // walkSchedule decodes bytes into a schedule of walks on g, so that on a
 // graph of 256 vertices most fuzzed calls run along edges and most
 // callers already hold the message: byte 0 = source, then per round a
-// call count (1-4) and per call a start selector — below 128 it picks a
-// vertex the schedule has reached so far (the source or an earlier
-// receiver), otherwise the next byte is the start — a length (1-4
-// edges) and one neighbour index per edge. Walks may revisit vertices.
+// call count (1-4; 1-32 on a graph of more than 256 vertices) and per
+// call a start selector — below 128 it picks a vertex the schedule has
+// reached so far (the source or an earlier receiver), otherwise the next
+// byte is the start (the next two, modulo the order, on a graph of more
+// than 256 vertices) — a length (1-4 edges) and one neighbour index per
+// edge. Walks may revisit vertices.
 func walkSchedule(data []byte, g *graph.Graph) *Schedule {
 	if len(data) == 0 {
 		return &Schedule{}
+	}
+	wide, maxCalls := g.NumVertices() > 256, byte(4)
+	if wide {
+		maxCalls = 32
 	}
 	s := &Schedule{Source: uint64(data[0])}
 	reached := []uint64{s.Source}
@@ -214,11 +224,14 @@ func walkSchedule(data []byte, g *graph.Graph) *Schedule {
 	}
 	for i < len(data) && len(s.Rounds) < 9 {
 		var round Round
-		for c := int(next() % 4); c >= 0 && i < len(data); c-- {
+		for c := int(next() % maxCalls); c >= 0 && i < len(data); c-- {
 			sel := next()
 			v := reached[int(sel)%len(reached)]
 			if sel >= 128 {
 				v = uint64(next())
+				if wide {
+					v = (v<<8 | uint64(next())) % uint64(g.NumVertices())
+				}
 			}
 			path := []uint64{v}
 			for e := int(next() % 4); e >= 0 && i < len(data); e-- {
@@ -244,6 +257,21 @@ var walkSeed = func() []byte {
 		data = append(data, byte(calls))
 		for c := range calls + 1 {
 			data = append(data, byte(r+c), 0, byte(r+2*c))
+		}
+	}
+	return data
+}()
+
+// doublingSeed encodes, in walkSchedule's format, the first six rounds
+// of the binomial broadcast from 0 on Q_10: in round r every vertex
+// below 2^r calls across dimension r, its neighbour index r. Rounds of
+// 1 to 8 calls end call by call, rounds of 16 and 32 word-wide.
+var doublingSeed = func() []byte {
+	data := []byte{0}
+	for r := range 6 {
+		data = append(data, byte(1<<r-1))
+		for j := range 1 << r {
+			data = append(data, byte(j), 0, byte(r))
 		}
 	}
 	return data

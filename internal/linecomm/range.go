@@ -2,42 +2,34 @@ package linecomm
 
 // This file is the range half of the streaming validator: the pieces
 // that let one schedule be validated as W contiguous round ranges by W
-// independent workers and merged back into the exact Result the serial
-// ValidateStream produces.
+// independent workers — goroutines of Plan.Verify, or planserver
+// workers behind a distverify coordinator — and merged back into the
+// exact Result the serial ValidateStream produces.
 //
 // The informed set is the only state that crosses a round boundary. A
 // range needs it for two decisions only: whether a caller was informed
 // (CallerUninformed) and whether a receiver already was
-// (ReceiverInformed); every other check depends on the round alone.
-// Local verification (Plan.Verify) runs one pass per range and checks
-// the boundary afterwards:
+// (ReceiverInformed); every other check depends on the round alone. So
+// each range runs once and the boundary is checked afterwards:
 //
 //  1. ValidateStreamOpen runs the full validator on each range without
-//     a seed. A range starting after round 0 has an open boundary: a
-//     caller it has not itself informed is assumed informed earlier
-//     (and recorded), a receiver it has not itself informed is assumed
-//     fresh (its own informed set records those);
+//     knowing the earlier rounds. A range starting after round 0 has an
+//     open boundary: a caller it has not itself informed is assumed
+//     informed earlier (and recorded), a receiver it has not itself
+//     informed is assumed fresh (its own informed set records those);
 //  2. MergeOpenRanges walks the ranges in order with S, the union of
 //     the informed sets before each, checks every assumption against S
 //     with word-wide set operations, shifts the informed counts by |S|
 //     and concatenates the Results — or reports that an assumption
 //     failed, and the caller validates serially instead.
 //
-// A distributed coordinator cannot ship informed sets back cheaply, so
-// it seeds its remote ranges instead, in two passes:
-//
-//  1. CollectInformedStream scans each range and returns the receivers
-//     its rounds inform — informing is purely structural (a call
-//     informs its receiver exactly when it is well formed), so no seed
-//     is needed and ranges are independent;
-//  2. prefix-union those deltas to get the informed set at each range
-//     boundary, then ValidateStreamSeeded runs the full validator on
-//     each range seeded with its boundary set;
-//
-// and MergeRangeResults concatenates the per-range Results in order.
-// Either way violations, counts, and messages come out identical to one
-// serial pass, because every per-round decision sees — or is checked
-// against — exactly the state the serial validator would have seen.
+// A range's part is its Result plus two order-bit sets, so it can cross
+// a process boundary: NewOpenRange rebuilds a part from what a remote
+// worker computed, and the accessors read one back for the wire. When
+// the merge accepts, violations, counts, and messages come out
+// identical to one serial pass, because every per-round decision is
+// checked against exactly the state the serial validator would have
+// seen.
 
 import (
 	"fmt"
@@ -47,101 +39,13 @@ import (
 	"sparsehypercube/internal/bitvec"
 )
 
-// CollectInformedStream scans a round stream and returns the receivers
-// informed by it: the last path vertex of every structurally well-formed
-// call, in call order, duplicates preserved. This is the seed-building
-// pass of parallel range verification — the returned slice, unioned
-// with the informed set at the stream's start, is the informed set at
-// its end, independent of what that starting set was.
-func CollectInformedStream(net Network, rounds iter.Seq[Round]) []uint64 {
-	order := net.Order()
-	var out []uint64
-	for round := range rounds {
-		out = slices.Grow(out, len(round))
-		for _, c := range round {
-			if callInforms(net, order, c) {
-				out = append(out, c.Path[len(c.Path)-1])
-			}
-		}
-	}
-	return out
-}
-
-// callInforms reports whether a call reaches its receiver under the
-// model: the exact condition for the streaming validator's full stage
-// (checkCall returning stageFull), which is the only stage that informs
-// (the clean-call kernel takes only calls that reach it).
-func callInforms(net Network, order uint64, c Call) bool {
-	if len(c.Path) < 2 {
-		return false
-	}
-	for _, u := range c.Path {
-		if u >= order {
-			return false
-		}
-	}
-	if hasRepeatedVertex(c.Path) {
-		return false
-	}
-	for i := 1; i < len(c.Path); i++ {
-		if !net.HasEdge(c.Path[i-1], c.Path[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// hasRepeatedVertex is the boolean form of appendRepeatViolations: a
-// quadratic scan for the short paths real schedules have, a map beyond.
-func hasRepeatedVertex(path []uint64) bool {
-	if len(path) <= 32 {
-		for i, u := range path {
-			for _, w := range path[:i] {
-				if w == u {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	seen := make(map[uint64]bool, len(path))
-	for _, u := range path {
-		if seen[u] {
-			return true
-		}
-		seen[u] = true
-	}
-	return false
-}
-
-// ValidateStreamSeeded validates rounds as the contiguous slice of a
-// larger streamed schedule that starts at round index startRound, where
-// seed lists the vertices (beyond source) informed by the earlier
-// rounds — as produced by CollectInformedStream over them. Violations
-// carry absolute round indices and InformedPerRound absolute cumulative
-// counts, so the per-range Results of a partition stitch together with
-// MergeRangeResults into exactly the serial ValidateStream Result.
-//
-// Complete and MinimumTime are whole-schedule judgements and are left
-// false here; MergeRangeResults computes them. Informed is the count at
-// the end of the range (seed included), even when the range is empty.
-//
-// The validator runs on the calling goroutine, one pass per call; a
-// parallel caller gets its parallelism from the range split. A network
-// the CSR engine cannot index, numbered or not, is refused: the Result
-// holds one SimulationCapExceeded violation and no round is consumed.
-func ValidateStreamSeeded(net Network, k int, source uint64, seed []uint64, startRound int, rounds iter.Seq[Round], opts Options) *Result {
-	res, _, _ := validateRange(net, k, source, seed, startRound, rounds, opts, false)
-	return res
-}
-
-// validateRange is the body of ValidateStreamSeeded and
-// ValidateStreamOpen: one stream validator over rounds, from seed, in
-// open mode when open. It returns the run's state and assumed set (nil
-// when not open) for the merge. The state is nil, and no round is
-// consumed, when the network is refused (streamRefusal) or source is
-// out of range; res then reports which.
-func validateRange(net Network, k int, source uint64, seed []uint64, startRound int, rounds iter.Seq[Round], opts Options, open bool) (*Result, *csrState, *bitvec.Set) {
+// validateRange is the body of ValidateStream and ValidateStreamOpen:
+// one stream validator over rounds, in open mode when open. It returns
+// the run's state and assumed set (nil when not open) for the merge.
+// The state is nil, and no round is consumed, when the network is
+// refused (streamRefusal) or source is out of range; res then reports
+// which.
+func validateRange(net Network, k int, source uint64, startRound int, rounds iter.Seq[Round], opts Options, open bool) (*Result, *csrState, *bitvec.Set) {
 	if opts.EdgeCapacity < 1 || opts.ReceiverCapacity < 1 {
 		panic("linecomm: capacities must be >= 1")
 	}
@@ -160,7 +64,6 @@ func validateRange(net Network, k int, source uint64, seed []uint64, startRound 
 		return res, nil, nil
 	}
 	st := newCSRState(sn, order, source, opts)
-	st.seedInformed(seed)
 	v := &streamValidator{net: net, k: k, order: order, opts: opts, st: st, res: res}
 	if open {
 		v.assumed = bitvec.New(int(order))
@@ -183,22 +86,44 @@ type OpenRange struct {
 	assumed  *bitvec.Set // callers assumed informed by earlier ranges; nil at round 0
 }
 
+// NewOpenRange rebuilds a part from its three pieces, as a remote
+// worker computed them: the range's Result, its informed set (the
+// source included) and, for a range after round 0, the callers it
+// assumed informed earlier (nil at round 0). Both sets must span the
+// network's order; MergeOpenRanges rejects a part whose sets do not.
+func NewOpenRange(res *Result, informed, assumed *bitvec.Set) *OpenRange {
+	return &OpenRange{res: res, informed: informed, assumed: assumed}
+}
+
+// Result returns the range's Result: absolute round indices, informed
+// counts local to the range (the source plus its own informs), and
+// Complete and MinimumTime false until the merge judges the schedule.
+func (p *OpenRange) Result() *Result { return p.res }
+
+// Informed returns the range's own informed set, the source included;
+// nil when the range was refused and cannot be merged.
+func (p *OpenRange) Informed() *bitvec.Set { return p.informed }
+
+// Assumed returns the callers the range assumed informed by earlier
+// rounds; nil for a range that starts at round 0 or was refused.
+func (p *OpenRange) Assumed() *bitvec.Set { return p.assumed }
+
 // ValidateStreamOpen validates rounds as the contiguous slice of a
 // larger streamed schedule that starts at round index startRound,
 // without knowing what the earlier rounds informed. From round 0 it is
-// ValidateStreamSeeded with no seed. Later, the boundary is open: a
-// caller the range has not itself informed is assumed informed by the
-// earlier rounds, and a receiver it has not itself informed is assumed
-// fresh. MergeOpenRanges checks both assumptions once every range has
-// run; when they hold, the range's violations are exactly those
-// ValidateStreamSeeded would report from the true boundary set.
+// ValidateStream without the whole-schedule judgements. Later, the
+// boundary is open: a caller the range has not itself informed is
+// assumed informed by the earlier rounds, and a receiver it has not
+// itself informed is assumed fresh. MergeOpenRanges checks both
+// assumptions once every range has run; when they hold, the range's
+// violations are exactly those a serial pass reports for its rounds.
 //
-// Violations carry absolute round indices. On a network the seeded
-// validator refuses, or from a source out of range, it consumes nothing
-// and returns a part MergeOpenRanges rejects, so the caller's fallback
+// Violations carry absolute round indices. On a network the CSR engine
+// refuses, or from a source out of range, it consumes nothing and
+// returns a part MergeOpenRanges rejects, so the caller's fallback
 // reports the refusal.
 func ValidateStreamOpen(net Network, k int, source uint64, startRound int, rounds iter.Seq[Round], opts Options) *OpenRange {
-	res, st, assumed := validateRange(net, k, source, nil, startRound, rounds, opts, startRound > 0)
+	res, st, assumed := validateRange(net, k, source, startRound, rounds, opts, startRound > 0)
 	if st == nil {
 		return &OpenRange{res: res}
 	}
@@ -213,13 +138,15 @@ func ValidateStreamOpen(net Network, k int, source uint64, startRound int, round
 // range's informed set), it checks that every caller range i assumed
 // informed is in S, and that no vertex range i informed but the source
 // is: the exact conditions under which each of the range's caller and
-// receiver decisions matches the seeded validator's. Then the range's
+// receiver decisions matches the serial validator's. Then the range's
 // informed counts are its own plus |S| - 1. When a check fails, or a
 // part is unmergeable, it reports false and the schedule needs a
-// seeded or serial validation instead. The parts are consumed.
+// serial validation instead. The parts are consumed.
 func MergeOpenRanges(order, source uint64, parts []*OpenRange) (*Result, bool) {
-	if len(parts) == 0 || source >= order ||
-		slices.ContainsFunc(parts, func(p *OpenRange) bool { return p.informed == nil }) {
+	if len(parts) == 0 || source >= order || slices.ContainsFunc(parts, func(p *OpenRange) bool {
+		return p.informed == nil || p.informed.Len() != int(order) ||
+			p.assumed != nil && p.assumed.Len() != int(order)
+	}) {
 		return nil, false
 	}
 	before := bitvec.New(int(order))
@@ -243,14 +170,13 @@ func MergeOpenRanges(order, source uint64, parts []*OpenRange) (*Result, bool) {
 		known = p.res.Informed
 		results[i] = p.res
 	}
-	return MergeRangeResults(order, results), true
+	return mergeRangeResults(order, results), true
 }
 
-// MergeRangeResults stitches the per-range Results of ValidateStreamSeeded
-// — contiguous ranges covering the whole schedule, in order, at least
-// one — into the Result serial ValidateStream returns on the full
-// stream.
-func MergeRangeResults(order uint64, parts []*Result) *Result {
+// mergeRangeResults concatenates the per-range Results of contiguous
+// ranges covering the whole schedule, in order, at least one, whose
+// informed counts are already absolute, and judges the whole schedule.
+func mergeRangeResults(order uint64, parts []*Result) *Result {
 	out := &Result{}
 	for _, p := range parts {
 		out.Violations = append(out.Violations, p.Violations...)

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"sparsehypercube/internal/bitvec"
 	"sparsehypercube/internal/topo"
 )
 
@@ -21,30 +22,10 @@ func rangeStream(s *Schedule, lo, hi int) iter.Seq[Round] {
 	}
 }
 
-// validateInRanges is the reference parallel pipeline over a
-// materialised schedule cut at bounds (bounds[0] = 0, ascending, last =
-// len(s.Rounds); equal neighbours make empty ranges): collect per-range
-// informed deltas, prefix-union them into seeds, validate each range
-// seeded, merge.
-func validateInRanges(net Network, k int, source uint64, s *Schedule, bounds []int, opts Options) *Result {
-	ranges := len(bounds) - 1
-	deltas := make([][]uint64, ranges)
-	for w := range ranges {
-		deltas[w] = CollectInformedStream(net, rangeStream(s, bounds[w], bounds[w+1]))
-	}
-	parts := make([]*Result, ranges)
-	var seed []uint64
-	for w := range ranges {
-		parts[w] = ValidateStreamSeeded(net, k, source, seed, bounds[w],
-			rangeStream(s, bounds[w], bounds[w+1]), opts)
-		seed = append(seed, deltas[w]...)
-	}
-	return MergeRangeResults(net.Order(), parts)
-}
-
-// validateOpenRanges is the one-pass pipeline over the same cuts:
-// validate each range with an open boundary, then merge, checking the
-// boundary assumptions.
+// validateOpenRanges is the range pipeline over a materialised schedule
+// cut at bounds (bounds[0] = 0, ascending, last = len(s.Rounds); equal
+// neighbours make empty ranges): validate each range with an open
+// boundary, then merge, checking the boundary assumptions.
 func validateOpenRanges(net Network, k int, source uint64, s *Schedule, bounds []int, opts Options) (*Result, bool) {
 	parts := make([]*OpenRange, len(bounds)-1)
 	for w := range parts {
@@ -86,13 +67,14 @@ func evenBounds(rounds, workers int) []int {
 	return bounds
 }
 
-// TestRangeValidationMatchesSerial: splitting a schedule into seeded
+// TestRangeValidationMatchesSerial: splitting a schedule into open
 // round ranges and merging must reproduce the serial ValidateStream
-// Result exactly — on the intact schedule and on every catalogue
-// mutation, on the CSR engine under both slot numberings. The open
-// merge is held to its contract on the same schedules at every single
-// cut and at the even splits, and the catalogue must make it reject
-// somewhere, so the check is not vacuous.
+// Result whenever the merge accepts, and the merge must accept whenever
+// the serial Result shows no false boundary assumption — on the intact
+// schedule and on every catalogue mutation, at the even splits and at
+// every single cut, on the CSR engine under both slot numberings. The
+// catalogue must make the merge reject somewhere, so the check is not
+// vacuous.
 func TestRangeValidationMatchesSerial(t *testing.T) {
 	const n = 6
 	g := topo.Hypercube(n)
@@ -114,17 +96,11 @@ func TestRangeValidationMatchesSerial(t *testing.T) {
 				}
 			}
 			rejected := 0
-			for si, s := range schedules {
+			for _, s := range schedules {
 				serial := ValidateStream(net.net, 1, s.Source, s.Stream())
 				var cuts [][]int
 				for _, workers := range []int{2, 3, len(s.Rounds)} {
-					bounds := evenBounds(len(s.Rounds), workers)
-					cuts = append(cuts, bounds)
-					got := validateInRanges(net.net, 1, s.Source, s, bounds, DefaultOptions())
-					if !reflect.DeepEqual(serial, got) {
-						t.Fatalf("schedule %d, %d workers: merged range Result diverges\nserial: %+v\nmerged: %+v",
-							si, workers, serial, got)
-					}
+					cuts = append(cuts, evenBounds(len(s.Rounds), workers))
 				}
 				for c := 1; c < len(s.Rounds); c++ {
 					cuts = append(cuts, []int{0, c, len(s.Rounds)})
@@ -153,7 +129,7 @@ func TestValidateStreamOrderZero(t *testing.T) {
 	if len(res.Violations) != 1 || res.Violations[0].Kind != VertexOutOfRange {
 		t.Fatalf("want one VertexOutOfRange violation, got %+v", res.Violations)
 	}
-	merged := MergeRangeResults(0, []*Result{res})
+	merged := mergeRangeResults(0, []*Result{res})
 	if merged.Complete || merged.MinimumTime {
 		t.Fatalf("order-0 merge judged complete: %+v", merged)
 	}
@@ -164,36 +140,6 @@ type emptyNet struct{}
 
 func (emptyNet) Order() uint64            { return 0 }
 func (emptyNet) HasEdge(u, v uint64) bool { return false }
-
-// TestCollectInformedMatchesValidator: the structural collector must
-// inform exactly the receivers the full validator informs — on valid
-// and mutated schedules alike.
-func TestCollectInformedMatchesValidator(t *testing.T) {
-	const n = 5
-	net := GraphNetwork{G: topo.Hypercube(n)}
-	base := binomialSchedule(n)
-	rng := rand.New(rand.NewSource(11))
-	schedules := []*Schedule{base}
-	for _, m := range mutationsForQn(n) {
-		s := cloneSchedule(base)
-		if m.mut(rng, s) {
-			schedules = append(schedules, s)
-		}
-	}
-	for si, s := range schedules {
-		// Serial validation's informed count from source 0...
-		serial := ValidateStream(net, 1, 0, s.Stream())
-		// ...must equal |{0} ∪ collected receivers|.
-		informed := map[uint64]bool{0: true}
-		for _, v := range CollectInformedStream(net, s.Stream()) {
-			informed[v] = true
-		}
-		if uint64(len(informed)) != serial.Informed {
-			t.Fatalf("schedule %d: collector implies %d informed, validator says %d",
-				si, len(informed), serial.Informed)
-		}
-	}
-}
 
 // TestMergeRangeResultsEdgeCases pins the merge on the degenerate
 // partitions a distributed coordinator can produce: a single range
@@ -208,26 +154,34 @@ func TestMergeRangeResultsEdgeCases(t *testing.T) {
 	if !serial.Complete || !serial.MinimumTime {
 		t.Fatalf("baseline schedule broken: %+v", serial)
 	}
-
-	// A single-range partition: one seeded validator over everything.
-	whole := ValidateStreamSeeded(net, 1, s.Source, nil, 0, s.Stream(), DefaultOptions())
-	if got := MergeRangeResults(net.Order(), []*Result{whole}); !reflect.DeepEqual(serial, got) {
-		t.Fatalf("single-range merge diverges:\nserial: %+v\nmerged: %+v", serial, got)
+	whole := func() *OpenRange {
+		return ValidateStreamOpen(net, 1, s.Source, 0, s.Stream(), DefaultOptions())
 	}
 
-	// An empty range after full coverage: no rounds, the full informed
-	// set as seed. It contributes nothing but its (correct) final count,
-	// and the merge must still come out serial-identical.
-	delta := CollectInformedStream(net, s.Stream())
-	empty := ValidateStreamSeeded(net, 1, s.Source, delta, len(s.Rounds),
-		func(yield func(Round) bool) {}, DefaultOptions())
-	if len(empty.InformedPerRound) != 0 {
-		t.Fatalf("empty range reported rounds: %+v", empty)
+	// A single-range partition: one validator over everything.
+	if got, ok := MergeOpenRanges(net.Order(), s.Source, []*OpenRange{whole()}); !ok || !reflect.DeepEqual(serial, got) {
+		t.Fatalf("single-range merge diverges (accepted %v):\nserial: %+v\nmerged: %+v", ok, serial, got)
 	}
-	if empty.Informed != serial.Informed {
-		t.Fatalf("empty range count %d, want %d", empty.Informed, serial.Informed)
+
+	// An empty range after full coverage: no rounds, so it informs and
+	// assumes nothing. It contributes nothing but its (shifted) final
+	// count, and the merge must still come out serial-identical.
+	empty := ValidateStreamOpen(net, 1, s.Source, len(s.Rounds), func(yield func(Round) bool) {}, DefaultOptions())
+	if len(empty.Result().InformedPerRound) != 0 || empty.Result().Informed != 1 || empty.Assumed().Count() != 0 {
+		t.Fatalf("empty range reported work: %+v", empty.Result())
 	}
-	if got := MergeRangeResults(net.Order(), []*Result{whole, empty}); !reflect.DeepEqual(serial, got) {
-		t.Fatalf("empty-range merge diverges:\nserial: %+v\nmerged: %+v", serial, got)
+	if got, ok := MergeOpenRanges(net.Order(), s.Source, []*OpenRange{whole(), empty}); !ok || !reflect.DeepEqual(serial, got) {
+		t.Fatalf("empty-range merge diverges (accepted %v):\nserial: %+v\nmerged: %+v", ok, serial, got)
+	}
+
+	// A part rebuilt from the wire with sets over another order is
+	// refused, not merged or a panic.
+	for _, p := range []*OpenRange{
+		NewOpenRange(whole().Result(), bitvec.New(int(net.Order())+1), nil),
+		NewOpenRange(empty.Result(), empty.Informed(), bitvec.New(1)),
+	} {
+		if got, ok := MergeOpenRanges(net.Order(), s.Source, []*OpenRange{whole(), p}); ok {
+			t.Fatalf("a part over the wrong order merged: %+v", got)
+		}
 	}
 }

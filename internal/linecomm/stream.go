@@ -37,9 +37,9 @@ import (
 // violation at round -1. That covers numberings past the size caps (a
 // cube at n >= 27, say) and a DimensionedNetwork whose order exceeds
 // its address width. A network with no numbering at all is refused by
-// the seeded and open entry points too; ValidateStream and
-// ValidateStreamOpts materialise its rounds and return the serial
-// ValidateOpts Result instead.
+// the open range entry point too; ValidateStream and ValidateStreamOpts
+// materialise its rounds and return the serial ValidateOpts Result
+// instead.
 
 // DimensionedNetwork is a Network whose vertices are n-bit addresses and
 // whose edges each connect vertices differing in exactly one bit:
@@ -89,7 +89,7 @@ func ValidateStreamOpts(net Network, k int, source uint64, rounds iter.Seq[Round
 		}
 		return ValidateOpts(net, k, s, opts)
 	}
-	res := ValidateStreamSeeded(net, k, source, nil, 0, rounds, opts)
+	res, _, _ := validateRange(net, k, source, 0, rounds, opts, false)
 	order := net.Order()
 	// An order-0 network is never "complete" (the source-out-of-range
 	// violation is already in res), and the guard keeps MinimumRounds —

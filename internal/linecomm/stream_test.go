@@ -230,8 +230,9 @@ func TestValidateStreamOptsGeneralisedCapacities(t *testing.T) {
 // that is too long (k = 1, two hops) from an uninformed caller, then the
 // same call again (same caller, edges and receiver), then a call with
 // no edge from another uninformed caller and a repeated-vertex call from
-// that caller, then valid calls. The stream, and seeded ranges cut at
-// each round, must equal Validate on every engine.
+// that caller, then valid calls. The stream must equal Validate on
+// every engine, and so must open ranges cut at each round whenever
+// their merge accepts.
 func TestCallerCheckOrder(t *testing.T) {
 	s := &Schedule{Source: 0, Rounds: []Round{
 		{{Path: []uint64{0, 1}}},
@@ -261,10 +262,7 @@ func TestCallerCheckOrder(t *testing.T) {
 			t.Fatalf("%s: stream diverges from serial:\nserial: %+v\nstream: %+v", name, want, got)
 		}
 		for _, bounds := range [][]int{{0, 1, 3}, {0, 2, 3}, {0, 1, 2, 3}} {
-			if got := validateInRanges(net, 1, s.Source, s, bounds, DefaultOptions()); !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s, ranges %v: seeded result diverges from serial:\nserial: %+v\nranged: %+v",
-					name, bounds, want, got)
-			}
+			checkOpenRanges(t, net, 1, s, bounds, DefaultOptions(), want)
 		}
 	}
 }

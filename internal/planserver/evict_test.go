@@ -243,8 +243,8 @@ func TestEvictMidRangeCompletesThenUnmaps(t *testing.T) {
 		t.Fatalf("range over evicted plan: %v", err)
 	}
 	cube := sp.plan.Cube()
-	res := linecomm.ValidateStreamSeeded(cube, cube.K(), sp.info.Source, nil, 0,
-		rr.Rounds(), linecomm.DefaultOptions())
+	res := linecomm.ValidateStreamOpen(cube, cube.K(), sp.info.Source, 0,
+		rr.Rounds(), linecomm.DefaultOptions()).Result()
 	// Complete is a whole-schedule judgement the range validator leaves
 	// false; a full-cube informed count says the same thing here.
 	if !res.Valid() || res.Informed != cube.Order() {

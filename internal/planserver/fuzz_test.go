@@ -145,12 +145,13 @@ func referenceBatch(body []byte) ([][]sparsehypercube.Call, bool) {
 // FuzzRangeVerify drives POST /v1/ranges/verify through Handler with
 // fuzzed envelopes against a k = 2, n = 5 broadcast plan the worker has
 // cached. The low mode bits pick the envelope's shape: inline span or
-// cached plan_id, seed as a vertex list or as seed_bits, the plan's
-// real span or fuzzed bytes (through schedio.DecodeSpan), or a raw
-// fuzzed body. No request may panic the server or draw a 5xx. A shaped
-// request must be accepted exactly when referenceRange accepts it, and
-// every 200 must carry the in-process ValidateStreamSeeded verdict over
-// the same span and seed.
+// cached plan_id, the plan's real span or fuzzed bytes (through
+// schedio.DecodeSpan), or a raw fuzzed body; the top three pick the
+// inline source. No request may panic the server or draw a 5xx. A
+// shaped request must be accepted exactly when referenceRange accepts
+// it, and every 200 must carry the in-process ValidateStreamOpen part
+// over the same span: its Result, its informed_bits and, past round 0,
+// its assumed_bits.
 func FuzzRangeVerify(f *testing.F) {
 	const source = 5
 	cube, err := sparsehypercube.New(2, 5)
@@ -184,16 +185,6 @@ func FuzzRangeVerify(f *testing.F) {
 		f.Fatalf("upload: status %d: %s", up.Code, up.Body)
 	}
 
-	head, err := at.Range(0, 2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	prefix := linecomm.CollectInformedStream(cube, head.Rounds())
-	var seedList []byte
-	for _, v := range prefix {
-		seedList = append(seedList, byte(v))
-	}
-	bitmap := seedBits(cube.Order(), prefix)
 	span01, err := at.RangeBytes(0, 1)
 	if err != nil {
 		f.Fatal(err)
@@ -203,32 +194,30 @@ func FuzzRangeVerify(f *testing.F) {
 		f.Fatal(err)
 	}
 	raw, err := json.Marshal(distverify.RangeRequest{PlanID: info.ID, StartRound: 2, EndRound: 4,
-		SeedBits: bitmap, SpanCRC: crc32.ChecksumIEEE(span24)})
+		SpanCRC: crc32.ChecksumIEEE(span24)})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(uint8(0), uint8(2), uint8(4), seedList, []byte(nil))
-	f.Add(uint8(2), uint8(2), uint8(4), bitmap, []byte(nil))
-	f.Add(uint8(1), uint8(2), uint8(5), seedList, []byte(nil))
-	f.Add(uint8(3), uint8(2), uint8(5), bitmap, []byte(nil))
-	f.Add(uint8(4), uint8(0), uint8(1), []byte(nil), span01)
-	f.Add(uint8(6), uint8(2), uint8(4), append(bitmap[:4:4], 1, 0, 0, 0), span24)
-	f.Add(uint8(0x22), uint8(2), uint8(4), bitmap, []byte(nil))
-	f.Add(uint8(8), uint8(0), uint8(0), []byte(nil), raw)
+	// An envelope from a coordinator that still sends a seed: the worker
+	// ignores the unknown field and answers the open range.
+	legacy := bytes.Replace(raw, []byte(`"span_crc"`), []byte(`"seed_bits":"IAAAAAAAAAA=","span_crc"`), 1)
+	f.Add(uint8(0), uint8(2), uint8(4), []byte(nil))
+	f.Add(uint8(1), uint8(2), uint8(4), []byte(nil))
+	f.Add(uint8(1), uint8(2), uint8(5), []byte(nil))
+	f.Add(uint8(0), uint8(0), uint8(5), []byte(nil))
+	f.Add(uint8(2), uint8(0), uint8(1), span01)
+	f.Add(uint8(2), uint8(2), uint8(4), span24)
+	f.Add(uint8(2), uint8(0), uint8(2), span24)
+	f.Add(uint8(0x20), uint8(2), uint8(4), []byte(nil))
+	f.Add(uint8(4), uint8(0), uint8(0), raw)
+	f.Add(uint8(4), uint8(0), uint8(0), legacy)
 
-	f.Fuzz(func(t *testing.T, mode, lo, hi uint8, seed, data []byte) {
+	f.Fuzz(func(t *testing.T, mode, lo, hi uint8, data []byte) {
 		body := data
-		if mode&8 == 0 {
+		if mode&4 == 0 {
 			req := distverify.RangeRequest{StartRound: int(lo), EndRound: int(hi)}
-			if mode&2 == 0 {
-				for _, b := range seed {
-					req.Seed = append(req.Seed, uint64(b))
-				}
-			} else {
-				req.SeedBits = seed
-			}
 			span, err := at.RangeBytes(int(lo), int(hi))
-			if mode&4 != 0 || err != nil {
+			if mode&2 != 0 || err != nil {
 				span = data
 			}
 			req.SpanCRC = crc32.ChecksumIEEE(span)
@@ -244,12 +233,12 @@ func FuzzRangeVerify(f *testing.F) {
 		rec := do(t, body)
 		var req distverify.RangeRequest
 		jsonErr := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
-		want, informed, ok := referenceRange(at, info.ID, &req)
+		want, ok := referenceRange(at, info.ID, &req)
 		ok = ok && jsonErr == nil
 		switch {
 		case rec.Code == http.StatusOK && !ok:
 			t.Fatalf("accepted %s, which the reference refuses", body)
-		case rec.Code != http.StatusOK && ok && mode&8 == 0:
+		case rec.Code != http.StatusOK && ok && mode&4 == 0:
 			t.Fatalf("refused %s: status %d: %s", body, rec.Code, rec.Body)
 		case rec.Code != http.StatusOK:
 			return
@@ -258,36 +247,36 @@ func FuzzRangeVerify(f *testing.F) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
 			t.Fatalf("response %q: %v", rec.Body, err)
 		}
-		got, err := rr.Result()
+		if rr.StartRound != req.StartRound || rr.EndRound != req.EndRound || rr.SpanCRC != req.SpanCRC {
+			t.Fatalf("response echoes [%d,%d) crc %08x, request [%d,%d) crc %08x",
+				rr.StartRound, rr.EndRound, rr.SpanCRC, req.StartRound, req.EndRound, req.SpanCRC)
+		}
+		got, err := rr.OpenRange(cube.Order())
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("response %s: %v", rec.Body, err)
 		}
-		if rr.StartRound != req.StartRound || rr.EndRound != req.EndRound || rr.SpanCRC != req.SpanCRC || rr.SeedInformed != informed {
-			t.Fatalf("response echoes [%d,%d) crc %08x seeded %d, request [%d,%d) crc %08x seeded %d",
-				rr.StartRound, rr.EndRound, rr.SpanCRC, rr.SeedInformed, req.StartRound, req.EndRound, req.SpanCRC, informed)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("served Result diverges from in-process verify of %s:\ngot  %+v\nwant %+v", body, got, want)
+		if !sameOpenRange(got, want) {
+			t.Fatalf("served range diverges from in-process verify of %s:\ngot  %+v %v %v\nwant %+v %v %v", body,
+				got.Result(), words(got.Informed()), words(got.Assumed()), want.Result(), words(want.Informed()), words(want.Assumed()))
 		}
 	})
 }
 
 // referenceRange judges a range request the way the wire contract is
-// defined, independently of the handler: the Result of the seeded
-// validator over the request's span and seed, the seed_informed count
-// |seed ∪ {source}|, and whether a worker caching only the plan at
-// (under id, served up to n = 6) must accept the request at all.
-func referenceRange(at *schedio.PlanAt, id string, req *distverify.RangeRequest) (*linecomm.Result, uint64, bool) {
+// defined, independently of the handler: the open validator's part
+// over the request's span, and whether a worker caching only the plan
+// at (under id, served up to n = 6) must accept the request at all.
+func referenceRange(at *schedio.PlanAt, id string, req *distverify.RangeRequest) (*linecomm.OpenRange, bool) {
 	lo, hi := req.StartRound, req.EndRound
 	if (req.PlanID == "") == (req.Plan == nil) || lo < 0 || lo >= hi {
-		return nil, 0, false
+		return nil, false
 	}
 	h := at.Header()
 	var span []byte
 	if req.PlanID != "" {
 		var err error
 		if span, err = at.RangeBytes(lo, hi); req.PlanID != id || err != nil {
-			return nil, 0, false
+			return nil, false
 		}
 	} else {
 		h = schedio.Header{K: req.Plan.K, Dims: req.Plan.Dims, Scheme: "broadcast", Source: req.Plan.Source}
@@ -295,37 +284,15 @@ func referenceRange(at *schedio.PlanAt, id string, req *distverify.RangeRequest)
 	}
 	cube, err := sparsehypercube.NewWithDims(h.K, h.Dims)
 	if err != nil || cube.N() > 6 || h.Source >= cube.Order() || crc32.ChecksumIEEE(span) != req.SpanCRC {
-		return nil, 0, false
-	}
-	order := cube.Order()
-	seed := req.Seed
-	switch {
-	case req.Seed != nil && req.SeedBits != nil:
-		return nil, 0, false
-	case req.SeedBits != nil:
-		if len(req.SeedBits) != int(8*((order+63)/64)) {
-			return nil, 0, false
-		}
-		for v := range uint64(8 * len(req.SeedBits)) {
-			if req.SeedBits[v/8]>>(v%8)&1 != 0 {
-				seed = append(seed, v)
-			}
-		}
-	}
-	set := map[uint64]bool{h.Source: true}
-	for _, v := range seed {
-		if v >= order {
-			return nil, 0, false
-		}
-		set[v] = true
+		return nil, false
 	}
 	rr, err := schedio.DecodeSpan(h, span, lo, hi)
 	if err != nil {
-		return nil, 0, false
+		return nil, false
 	}
-	res := linecomm.ValidateStreamSeeded(cube, cube.K(), h.Source, seed, lo, rr.Rounds(), linecomm.DefaultOptions())
+	part := linecomm.ValidateStreamOpen(cube, cube.K(), h.Source, lo, rr.Rounds(), linecomm.DefaultOptions())
 	if rr.Err() != nil {
-		return nil, 0, false
+		return nil, false
 	}
-	return res, uint64(len(set)), true
+	return part, true
 }

@@ -1,16 +1,18 @@
 package planserver
 
 // The worker half of distributed range verification: a distverify
-// coordinator runs the structural pass over a plan locally, then ships
-// each round range here — by the content-hash id of a previously
-// uploaded plan, or self-contained with the range's bytes inline — and
-// this endpoint runs the seeded stream validator over it. Everything a
-// request claims is checked against what the bytes say: the span CRC
-// must match what the decode accumulates (409 otherwise — verifying
-// different bytes than the coordinator checksummed would stitch a lie
-// into its report), the seed — a vertex list or an order-bit bitmap —
-// must fit the cube, and any refusal is the structured 4xx envelope,
-// never a 500.
+// coordinator checksums a plan's round ranges, then ships each one here
+// — by the content-hash id of a previously uploaded plan, or
+// self-contained with the range's bytes inline — and this endpoint runs
+// the open-range stream validator (linecomm.ValidateStreamOpen) over
+// it. The answer is the range's Result plus its informed set and the
+// callers it assumed informed earlier, as order-bit bitmaps the
+// coordinator's linecomm.MergeOpenRanges checks. Everything a request
+// claims is checked against what the bytes say: the span CRC must match
+// what the decode accumulates (409 otherwise — verifying different
+// bytes than the coordinator checksummed would merge a lie into its
+// report), and any refusal is the structured 4xx envelope, never a
+// 500.
 
 import (
 	"hash/crc32"
@@ -23,7 +25,7 @@ import (
 	"sparsehypercube/internal/schedio"
 )
 
-// handleRangeVerify serves POST /v1/ranges/verify: one seeded range
+// handleRangeVerify serves POST /v1/ranges/verify: one open range
 // validation (distverify.RangeRequest in, distverify.RangeResponse
 // out).
 func (s *Server) handleRangeVerify(w http.ResponseWriter, r *http.Request) {
@@ -101,22 +103,18 @@ func (s *Server) handleRangeVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "source %d outside [0,%d)", source, cube.Order())
 		return
 	}
-	seed, seedInformed, err := req.ResolveSeed(cube.Order(), source)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 
 	release := s.acquireVerify()
 	start := time.Now()
-	res := linecomm.ValidateStreamSeeded(cube, cube.K(), source, seed, lo,
+	part := linecomm.ValidateStreamOpen(cube, cube.K(), source, lo,
 		rr.Rounds(), linecomm.DefaultOptions())
 	s.observeVerify(start)
 	release()
 	// The decode is trusted no further than the bytes deserve: the range
 	// must have drained cleanly, consumed exactly its declared span, and
-	// checksummed to what the coordinator expects — otherwise the Result
-	// above judged different bytes than the coordinator will stitch.
+	// checksummed to what the coordinator expects — otherwise the part
+	// above judged different bytes than the coordinator will merge. (A
+	// cube the validator refuses drains nothing, so it is refused here.)
 	crc, err := rr.CRC()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "range decode: %v", err)
@@ -126,5 +124,5 @@ func (s *Server) handleRangeVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "span checksum mismatch: computed %08x, request claims %08x", crc, req.SpanCRC)
 		return
 	}
-	writeJSON(w, http.StatusOK, distverify.ResponseFromResult(res, lo, hi, crc, seedInformed))
+	writeJSON(w, http.StatusOK, distverify.ResponseFromOpenRange(part, lo, hi, crc))
 }

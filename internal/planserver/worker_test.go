@@ -2,52 +2,32 @@ package planserver
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"sparsehypercube"
+	"sparsehypercube/internal/bitvec"
 	"sparsehypercube/internal/distverify"
 	"sparsehypercube/internal/linecomm"
 	"sparsehypercube/internal/schedio"
 )
 
 // rangeFixture builds everything a range-verify request needs: an
-// indexed broadcast plan, its random-access view, and the seed/span/CRC
-// of rounds [lo, hi).
+// indexed broadcast plan, its random-access view, and the span/CRC of
+// rounds [lo, hi).
 type rangeFixture struct {
 	cube   *sparsehypercube.Cube
 	data   []byte
 	at     *schedio.PlanAt
 	lo, hi int
-	seed   []uint64
 	span   []byte
 	crc    uint32
-	want   *linecomm.Result // the seeded validator's local verdict
-}
-
-// informed is the seed_informed echo the fixture's request must draw:
-// |seed ∪ {source}|, counted independently of the worker.
-func (f *rangeFixture) informed() uint64 {
-	set := map[uint64]bool{f.at.Header().Source: true}
-	for _, v := range f.seed {
-		set[v] = true
-	}
-	return uint64(len(set))
-}
-
-// seedBits encodes seed as the order-bit seed_bits bitmap.
-func seedBits(order uint64, seed []uint64) []byte {
-	out := make([]byte, 8*((order+63)/64))
-	for _, v := range seed {
-		w := binary.LittleEndian.Uint64(out[8*(v/64):])
-		binary.LittleEndian.PutUint64(out[8*(v/64):], w|1<<(v%64))
-	}
-	return out
+	want   *linecomm.OpenRange // the open validator's local verdict
 }
 
 func newRangeFixture(t *testing.T, k, n int, source uint64, lo, hi int) *rangeFixture {
@@ -65,13 +45,6 @@ func newRangeFixture(t *testing.T, k, n int, source uint64, lo, hi int) *rangeFi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo > 0 {
-		head, err := f.at.Range(0, lo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.seed = linecomm.CollectInformedStream(cube, head.Rounds())
-	}
 	f.span, err = f.at.RangeBytes(lo, hi)
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +54,7 @@ func newRangeFixture(t *testing.T, k, n int, source uint64, lo, hi int) *rangeFi
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.want = linecomm.ValidateStreamSeeded(cube, k, source, f.seed, lo,
-		rr.Rounds(), linecomm.DefaultOptions())
+	f.want = linecomm.ValidateStreamOpen(cube, k, source, lo, rr.Rounds(), linecomm.DefaultOptions())
 	return f
 }
 
@@ -96,7 +68,6 @@ func (f *rangeFixture) inlineRequest() *distverify.RangeRequest {
 		},
 		StartRound: f.lo,
 		EndRound:   f.hi,
-		Seed:       f.seed,
 		SpanCRC:    f.crc,
 	}
 }
@@ -116,22 +87,40 @@ func checkRangeResponse(t *testing.T, f *rangeFixture, body []byte) {
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatalf("decoding range response %q: %v", body, err)
 	}
-	if rr.StartRound != f.lo || rr.EndRound != f.hi || rr.SpanCRC != f.crc || rr.SeedInformed != f.informed() {
-		t.Fatalf("response echoes [%d,%d) crc %08x seeded %d, want [%d,%d) crc %08x seeded %d",
-			rr.StartRound, rr.EndRound, rr.SpanCRC, rr.SeedInformed, f.lo, f.hi, f.crc, f.informed())
+	if rr.StartRound != f.lo || rr.EndRound != f.hi || rr.SpanCRC != f.crc {
+		t.Fatalf("response echoes [%d,%d) crc %08x, want [%d,%d) crc %08x",
+			rr.StartRound, rr.EndRound, rr.SpanCRC, f.lo, f.hi, f.crc)
 	}
-	got, err := rr.Result()
+	got, err := rr.OpenRange(f.cube.Order())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, f.want) {
-		t.Fatalf("served range Result diverges:\ngot  %+v\nwant %+v", got, f.want)
+	if !sameOpenRange(got, f.want) {
+		t.Fatalf("served range diverges:\ngot  %+v informed %v assumed %v\nwant %+v informed %v assumed %v",
+			got.Result(), words(got.Informed()), words(got.Assumed()), f.want.Result(), words(f.want.Informed()), words(f.want.Assumed()))
 	}
 }
 
+// sameOpenRange reports whether two open ranges hold the same Result
+// and the same informed and assumed sets (both nil, or equal words).
+func sameOpenRange(a, b *linecomm.OpenRange) bool {
+	return reflect.DeepEqual(a.Result(), b.Result()) &&
+		slices.Equal(words(a.Informed()), words(b.Informed())) &&
+		(a.Assumed() == nil) == (b.Assumed() == nil) &&
+		slices.Equal(words(a.Assumed()), words(b.Assumed()))
+}
+
+// words returns a set's words, nil for a nil set.
+func words(s *bitvec.Set) []uint64 {
+	if s == nil {
+		return nil
+	}
+	return s.Words()
+}
+
 // TestRangeVerifyInline: a self-contained range request must come back
-// with exactly the local seeded validator's Result — on a clean middle
-// range and on the seedless first range.
+// with exactly the local open validator's Result and sets — on the
+// first range, which assumes nothing, on a middle range and on the last.
 func TestRangeVerifyInline(t *testing.T) {
 	ts := newTestServer(t)
 	for _, split := range [][2]int{{0, 3}, {3, 7}, {9, 10}} {
@@ -144,39 +133,39 @@ func TestRangeVerifyInline(t *testing.T) {
 	}
 }
 
-// TestRangeVerifySeedForms: the same range sent with its seed as a
-// vertex list and as a seed_bits bitmap must draw byte-identical
-// responses, inline and by plan id.
+// TestRangeVerifySeedForms: a coordinator that predates the open-range
+// protocol sends each range's seed — the vertices informed before it —
+// as a vertex list or as a seed_bits bitmap. The worker ignores either
+// form and draws a response byte-identical to the bare request's,
+// inline and by plan id, so that coordinator sees no seed_informed
+// echo and verifies the range itself (docs/FORMAT.md).
 func TestRangeVerifySeedForms(t *testing.T) {
 	ts := newTestServer(t)
-	for _, split := range [][2]int{{3, 7}, {9, 10}} {
-		f := newRangeFixture(t, 2, 10, 3, split[0], split[1])
-		resp, body := post(t, ts.URL+"/v1/plans", "application/octet-stream", f.data)
-		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-			t.Fatalf("upload status %d: %s", resp.StatusCode, body)
+	f := newRangeFixture(t, 2, 10, 3, 3, 7)
+	resp, body := post(t, ts.URL+"/v1/plans", "application/octet-stream", f.data)
+	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload status %d: %s", resp.StatusCode, body)
+	}
+	var info PlanInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	for _, byID := range []bool{false, true} {
+		req := f.inlineRequest()
+		if byID {
+			req.Plan, req.PlanID = nil, info.ID
 		}
-		var info PlanInfo
-		if err := json.Unmarshal(body, &info); err != nil {
-			t.Fatal(err)
-		}
-		for _, byID := range []bool{false, true} {
-			var bodies [2][]byte
-			for i := range bodies {
-				req := f.inlineRequest()
-				if byID {
-					req.Plan, req.PlanID = nil, info.ID
-				}
-				if i == 1 {
-					req.Seed, req.SeedBits = nil, seedBits(f.cube.Order(), f.seed)
-				}
-				resp, bodies[i] = postRange(t, ts.URL, req)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("range %v by id %v form %d: status %d: %s", split, byID, i, resp.StatusCode, bodies[i])
-				}
+		_, bare := postRange(t, ts.URL, req)
+		checkRangeResponse(t, f, bare)
+		for _, seed := range []string{`"seed":[1,2,3]`, `"seed_bits":"DgAAAAAAAAA="`} {
+			raw, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
 			}
-			checkRangeResponse(t, f, bodies[0])
-			if !bytes.Equal(bodies[0], bodies[1]) {
-				t.Fatalf("range %v by id %v: seed forms diverge:\nlist:   %s\nbitmap: %s", split, byID, bodies[0], bodies[1])
+			raw = bytes.Replace(raw, []byte(`"span_crc"`), []byte(seed+`,"span_crc"`), 1)
+			resp, body := post(t, ts.URL+"/v1/ranges/verify", "application/json", raw)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, bare) {
+				t.Fatalf("by id %v, %s: status %d:\n%s\nbare request drew:\n%s", byID, seed, resp.StatusCode, body, bare)
 			}
 		}
 	}
@@ -219,18 +208,19 @@ func TestRangeVerifyPlanID(t *testing.T) {
 func TestRangeVerifyViolationsTravel(t *testing.T) {
 	ts := newTestServer(t)
 	f := newRangeFixture(t, 1, 6, 0, 2, 6)
-	// Lie about the seed: rounds [2,6) validated with an empty informed
-	// set yield caller-uninformed violations — legitimately computed by
-	// the worker, and they must round-trip exactly.
-	f.seed = nil
-	rr, err := f.at.Range(f.lo, f.hi)
+	// Lie about the start round: rounds [2,6) sent as [0,4) are
+	// validated from the source alone, with no boundary to assume
+	// callers across, and yield caller-uninformed violations —
+	// legitimately computed by the worker, and they must round-trip
+	// exactly.
+	f.lo, f.hi = 0, 4
+	rr, err := schedio.DecodeSpan(f.at.Header(), f.span, f.lo, f.hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.want = linecomm.ValidateStreamSeeded(f.cube, f.cube.K(), 0, nil, f.lo,
-		rr.Rounds(), linecomm.DefaultOptions())
-	if f.want.Valid() {
-		t.Fatal("unseeded middle range produced no violations")
+	f.want = linecomm.ValidateStreamOpen(f.cube, f.cube.K(), 0, f.lo, rr.Rounds(), linecomm.DefaultOptions())
+	if f.want.Result().Valid() {
+		t.Fatal("a middle range validated from round 0 produced no violations")
 	}
 	resp, body := postRange(t, ts.URL, f.inlineRequest())
 	if resp.StatusCode != http.StatusOK {
@@ -297,7 +287,6 @@ func TestRangeVerifyRefusals(t *testing.T) {
 		{"bad-cube", func(r *distverify.RangeRequest) { r.Plan.Dims = []int{0} }, http.StatusBadRequest, "range cube"},
 		{"span-crc-mismatch", func(r *distverify.RangeRequest) { r.SpanCRC ^= 1 }, http.StatusConflict, "checksum mismatch"},
 		{"plan-id-crc-mismatch", func(r *distverify.RangeRequest) { r.Plan, r.PlanID = nil, info.ID; r.SpanCRC ^= 1 }, http.StatusConflict, "checksum mismatch"},
-		{"seed-out-of-range", func(r *distverify.RangeRequest) { r.Seed = []uint64{cube.Order() + 3} }, http.StatusBadRequest, "seed vertex"},
 		{"source-out-of-range", func(r *distverify.RangeRequest) { r.Plan.Source = cube.Order() + 1 }, http.StatusBadRequest, "source"},
 	}
 	for _, tc := range cases {
@@ -307,37 +296,6 @@ func TestRangeVerifyRefusals(t *testing.T) {
 			resp, body := postRange(t, ts.URL, req)
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, body)
-			}
-			if msg := decodeError(t, body); !strings.Contains(msg, tc.substr) {
-				t.Fatalf("error %q does not mention %q", msg, tc.substr)
-			}
-		})
-	}
-
-	// Malformed seed_bits, on an n = 5 cube whose order (32) leaves the
-	// top half of the bitmap's one word outside the cube.
-	sf := newRangeFixture(t, 2, 5, 1, 2, 4)
-	seedCases := []struct {
-		name   string
-		mutate func(r *distverify.RangeRequest)
-		substr string
-	}{
-		{"seed-bits-wrong-length", func(r *distverify.RangeRequest) { r.Seed, r.SeedBits = nil, make([]byte, 16) }, "seed_bits holds 16 bytes"},
-		{"seed-bits-beyond-order", func(r *distverify.RangeRequest) {
-			r.Seed, r.SeedBits = nil, seedBits(64, append(append([]uint64(nil), sf.seed...), 40))
-		}, "seed_bits sets bit 40 outside [0,32)"},
-		{"seed-and-seed-bits", func(r *distverify.RangeRequest) { r.SeedBits = seedBits(32, sf.seed) }, "at most one"},
-	}
-	for _, tc := range seedCases {
-		t.Run(tc.name, func(t *testing.T) {
-			req := sf.inlineRequest()
-			if len(req.Seed) == 0 {
-				t.Fatal("fixture range has no seed")
-			}
-			tc.mutate(req)
-			resp, body := postRange(t, ts.URL, req)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
 			}
 			if msg := decodeError(t, body); !strings.Contains(msg, tc.substr) {
 				t.Fatalf("error %q does not mention %q", msg, tc.substr)
