@@ -551,7 +551,9 @@ func BenchmarkGossipStreamGenN20(b *testing.B) {
 // gossip scheme in one pass, two ways: /all gossips every vertex's token
 // from hub 0, which the hub certificate decides; /sampled tracks 1024
 // sampled source tokens with a hub outside the cube, so the token-shard
-// simulation decides.
+// simulation decides. exact-calls/op counts the exchanges gossip's
+// clean-call kernel declined to the exact path; the schedule is valid,
+// so any is a failure.
 func benchmarkGossipStreamPipeline(b *testing.B, k, n int) {
 	s, err := core.NewAuto(k, n)
 	if err != nil {
@@ -563,6 +565,7 @@ func benchmarkGossipStreamPipeline(b *testing.B, k, n int) {
 	}
 	run := func(hub uint64, sources []uint64) func(b *testing.B) {
 		return func(b *testing.B) {
+			count := sparsehypercube.CountCallPaths()
 			for i := 0; i < b.N; i++ {
 				res := linecomm.ValidateMultiSourceStream(s, k, hub, sources, s.ScheduleGossipRounds(0))
 				if !res.Valid() || !res.Complete {
@@ -570,6 +573,11 @@ func benchmarkGossipStreamPipeline(b *testing.B, k, n int) {
 				}
 			}
 			b.ReportMetric(float64(2*n), "rounds")
+			_, exact := count()
+			b.ReportMetric(float64(exact)/float64(b.N), "exact-calls/op")
+			if exact != 0 {
+				b.Fatalf("%d exchanges of the valid schedule took the exact path", exact)
+			}
 		}
 	}
 	b.Run("all", run(0, nil))

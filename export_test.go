@@ -24,10 +24,11 @@ func (c *CountingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // Swap returns the bytes read so far and restarts the count from zero.
 func (c *CountingReaderAt) Swap() int64 { return c.n.Swap(0) }
 
-// CountCallPaths starts counting the broadcast validator's calls by
-// path: the returned function reports how many the CSR engine's
-// clean-call kernel accepted, and how many took the exact path, since
-// CountCallPaths was called. The counts are process-wide
+// CountCallPaths starts counting the streamed validators' calls by
+// path, broadcast calls and gossip exchanges alike: the returned
+// function reports how many the CSR engine's clean-call kernels
+// accepted, and how many took the exact path, since CountCallPaths was
+// called. The counts are process-wide
 // (linecomm.CallPaths), so callers must not validate concurrently with
 // other tests.
 func CountCallPaths() func() (kernel, exact int64) {

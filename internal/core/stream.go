@@ -8,6 +8,11 @@ import (
 	"sparsehypercube/internal/linecomm"
 )
 
+// The streamed validators number a SparseHypercube's edge slots in
+// closed form (dim*order + lower) only while it is a
+// DimensionedNetwork.
+var _ linecomm.DimensionedNetwork = (*SparseHypercube)(nil)
+
 // streamChunk is the minimum number of call paths worth handing to a
 // worker goroutine; smaller frontiers are built serially.
 const streamChunk = 2048

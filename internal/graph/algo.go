@@ -38,14 +38,6 @@ func bfsInto(g *Graph, src int, dist []int32, queue []int32) {
 	}
 }
 
-// Distance returns dist(u, v), or -1 if disconnected.
-func Distance(g *Graph, u, v int) int {
-	if u == v {
-		return 0
-	}
-	return int(BFS(g, u)[v])
-}
-
 // ShortestPath returns one shortest u-v path as a vertex sequence
 // (inclusive of both endpoints), or nil if v is unreachable from u.
 func ShortestPath(g *Graph, u, v int) []int {
@@ -146,36 +138,6 @@ func IsConnected(g *Graph) bool {
 		}
 	}
 	return true
-}
-
-// Components returns a component id per vertex (ids are 0-based, assigned
-// in order of discovery) and the number of components.
-func Components(g *Graph) ([]int32, int) {
-	n := g.NumVertices()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	id := int32(0)
-	var queue []int32
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = id
-		queue = append(queue[:0], int32(s))
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for _, w := range g.Neighbors(int(v)) {
-				if comp[w] < 0 {
-					comp[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-		id++
-	}
-	return comp, int(id)
 }
 
 // IsBipartite reports whether g is 2-colorable.

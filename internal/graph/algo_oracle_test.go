@@ -141,3 +141,41 @@ func TestAlgoAgainstFloydWarshall(t *testing.T) {
 		}
 	}
 }
+
+// Distance returns dist(u, v), or -1 if disconnected.
+func Distance(g *Graph, u, v int) int {
+	if u == v {
+		return 0
+	}
+	return int(BFS(g, u)[v])
+}
+
+// Components returns a component id per vertex (ids are 0-based, assigned
+// in order of discovery) and the number of components.
+func Components(g *Graph) ([]int32, int) {
+	n := g.NumVertices()
+	comp := make([]int32, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	id := int32(0)
+	var queue []int32
+	for s := 0; s < n; s++ {
+		if comp[s] >= 0 {
+			continue
+		}
+		comp[s] = id
+		queue = append(queue[:0], int32(s))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for _, w := range g.Neighbors(int(v)) {
+				if comp[w] < 0 {
+					comp[w] = id
+					queue = append(queue, w)
+				}
+			}
+		}
+		id++
+	}
+	return comp, int(id)
+}

@@ -8,7 +8,10 @@
 // parity-check column of position i is the binary representation of i).
 package hamming
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Code is the binary Hamming code with parameter p: length m = 2^p - 1,
 // dimension m - p, minimum distance 3, perfect 1-error-correcting.
@@ -26,18 +29,6 @@ func New(p int) (*Code, error) {
 	return &Code{p: p, m: 1<<uint(p) - 1}, nil
 }
 
-// P returns the number of parity bits.
-func (c *Code) P() int { return c.p }
-
-// Length returns the code length m = 2^p - 1.
-func (c *Code) Length() int { return c.m }
-
-// Dimension returns the number of data bits, m - p.
-func (c *Code) Dimension() int { return c.m - c.p }
-
-// NumCosets returns the number of syndrome classes, 2^p = m + 1.
-func (c *Code) NumCosets() int { return c.m + 1 }
-
 // Syndrome returns the syndrome of word x: the XOR of the (1-based)
 // positions of its set bits. Syndrome 0 means x is a codeword; otherwise
 // the syndrome is the position of the single correctable error.
@@ -47,106 +38,8 @@ func (c *Code) Syndrome(x uint64) int {
 	}
 	s := 0
 	for t := x; t != 0; t &= t - 1 {
-		pos := trailing(t) + 1
+		pos := bits.TrailingZeros64(t) + 1
 		s ^= pos
 	}
 	return s
-}
-
-// IsCodeword reports whether x belongs to the code.
-func (c *Code) IsCodeword(x uint64) bool { return c.Syndrome(x) == 0 }
-
-// Correct returns the nearest codeword to x (distance <= 1), flipping the
-// position named by the syndrome when nonzero.
-func (c *Code) Correct(x uint64) uint64 {
-	s := c.Syndrome(x)
-	if s == 0 {
-		return x
-	}
-	return x ^ 1<<uint(s-1)
-}
-
-// Encode maps a data word (Dimension() bits) to a codeword: data bits are
-// placed at non-power-of-two positions in increasing order, then the
-// power-of-two parity positions are set so that the syndrome vanishes.
-func (c *Code) Encode(data uint64) uint64 {
-	if data>>uint(c.Dimension()) != 0 {
-		panic(fmt.Sprintf("hamming: data %#x exceeds dimension %d", data, c.Dimension()))
-	}
-	var word uint64
-	bit := 0
-	for pos := 1; pos <= c.m; pos++ {
-		if pos&(pos-1) == 0 { // power of two: parity slot
-			continue
-		}
-		if data&(1<<uint(bit)) != 0 {
-			word |= 1 << uint(pos-1)
-		}
-		bit++
-	}
-	s := c.Syndrome(word)
-	// The syndrome of the data positions is cancelled by setting parity
-	// position 2^j whenever bit j of s is 1; parity positions have
-	// single-bit columns so they contribute exactly 2^j each.
-	for j := 0; j < c.p; j++ {
-		if s&(1<<uint(j)) != 0 {
-			word |= 1 << uint((1<<uint(j))-1)
-		}
-	}
-	return word
-}
-
-// Decode inverts Encode on a received word with at most one bit error:
-// it corrects the word and extracts the data positions.
-func (c *Code) Decode(received uint64) uint64 {
-	word := c.Correct(received)
-	var data uint64
-	bit := 0
-	for pos := 1; pos <= c.m; pos++ {
-		if pos&(pos-1) == 0 {
-			continue
-		}
-		if word&(1<<uint(pos-1)) != 0 {
-			data |= 1 << uint(bit)
-		}
-		bit++
-	}
-	return data
-}
-
-// ParityCheckMatrix returns the p x m parity-check matrix H as row masks:
-// row j has a 1 in column i-1 iff bit j of i is set. Columns are exactly
-// the nonzero p-bit vectors, which is what makes every syndrome class a
-// perfect dominating set of Q_m.
-func (c *Code) ParityCheckMatrix() []uint64 {
-	rows := make([]uint64, c.p)
-	for pos := 1; pos <= c.m; pos++ {
-		for j := 0; j < c.p; j++ {
-			if pos&(1<<uint(j)) != 0 {
-				rows[j] |= 1 << uint(pos-1)
-			}
-		}
-	}
-	return rows
-}
-
-// CosetRepresentativeBit returns, for a word x and a target syndrome s,
-// the 0-based bit position to flip so that the result has syndrome s, or
-// -1 if x already has syndrome s. This is the "dominator" lookup behind
-// Condition A: flipping position (Syndrome(x) XOR s) moves x into coset s.
-func (c *Code) CosetRepresentativeBit(x uint64, s int) int {
-	cur := c.Syndrome(x)
-	if cur == s {
-		return -1
-	}
-	return (cur ^ s) - 1 // position (1-based) = cur XOR s, always in [1, m]
-}
-
-func trailing(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }

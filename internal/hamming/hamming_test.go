@@ -1,6 +1,7 @@
 package hamming
 
 import (
+	"fmt"
 	"math/bits"
 	"testing"
 	"testing/quick"
@@ -218,4 +219,107 @@ func TestDegenerateP1(t *testing.T) {
 	if c.Encode(0) != 0 || c.Decode(1) != 0 {
 		t.Fatal("Ham(1) encode/decode wrong")
 	}
+}
+
+// The accessors and codec below serve only the tests.
+
+// Dimension returns the number of data bits, m - p.
+func (c *Code) Dimension() int { return c.m - c.p }
+
+// Correct returns the nearest codeword to x (distance <= 1), flipping the
+// position named by the syndrome when nonzero.
+func (c *Code) Correct(x uint64) uint64 {
+	s := c.Syndrome(x)
+	if s == 0 {
+		return x
+	}
+	return x ^ 1<<uint(s-1)
+}
+
+// P returns the number of parity bits.
+func (c *Code) P() int { return c.p }
+
+// Length returns the code length m = 2^p - 1.
+func (c *Code) Length() int { return c.m }
+
+// NumCosets returns the number of syndrome classes, 2^p = m + 1.
+func (c *Code) NumCosets() int { return c.m + 1 }
+
+// IsCodeword reports whether x belongs to the code.
+func (c *Code) IsCodeword(x uint64) bool { return c.Syndrome(x) == 0 }
+
+// Encode maps a data word (Dimension() bits) to a codeword: data bits are
+// placed at non-power-of-two positions in increasing order, then the
+// power-of-two parity positions are set so that the syndrome vanishes.
+func (c *Code) Encode(data uint64) uint64 {
+	if data>>uint(c.Dimension()) != 0 {
+		panic(fmt.Sprintf("hamming: data %#x exceeds dimension %d", data, c.Dimension()))
+	}
+	var word uint64
+	bit := 0
+	for pos := 1; pos <= c.m; pos++ {
+		if pos&(pos-1) == 0 { // power of two: parity slot
+			continue
+		}
+		if data&(1<<uint(bit)) != 0 {
+			word |= 1 << uint(pos-1)
+		}
+		bit++
+	}
+	s := c.Syndrome(word)
+	// The syndrome of the data positions is cancelled by setting parity
+	// position 2^j whenever bit j of s is 1; parity positions have
+	// single-bit columns so they contribute exactly 2^j each.
+	for j := 0; j < c.p; j++ {
+		if s&(1<<uint(j)) != 0 {
+			word |= 1 << uint((1<<uint(j))-1)
+		}
+	}
+	return word
+}
+
+// Decode inverts Encode on a received word with at most one bit error:
+// it corrects the word and extracts the data positions.
+func (c *Code) Decode(received uint64) uint64 {
+	word := c.Correct(received)
+	var data uint64
+	bit := 0
+	for pos := 1; pos <= c.m; pos++ {
+		if pos&(pos-1) == 0 {
+			continue
+		}
+		if word&(1<<uint(pos-1)) != 0 {
+			data |= 1 << uint(bit)
+		}
+		bit++
+	}
+	return data
+}
+
+// ParityCheckMatrix returns the p x m parity-check matrix H as row masks:
+// row j has a 1 in column i-1 iff bit j of i is set. Columns are exactly
+// the nonzero p-bit vectors, which is what makes every syndrome class a
+// perfect dominating set of Q_m.
+func (c *Code) ParityCheckMatrix() []uint64 {
+	rows := make([]uint64, c.p)
+	for pos := 1; pos <= c.m; pos++ {
+		for j := 0; j < c.p; j++ {
+			if pos&(1<<uint(j)) != 0 {
+				rows[j] |= 1 << uint(pos-1)
+			}
+		}
+	}
+	return rows
+}
+
+// CosetRepresentativeBit returns, for a word x and a target syndrome s,
+// the 0-based bit position to flip so that the result has syndrome s, or
+// -1 if x already has syndrome s. This is the "dominator" lookup behind
+// Condition A: flipping position (Syndrome(x) XOR s) moves x into coset s.
+func (c *Code) CosetRepresentativeBit(x uint64, s int) int {
+	cur := c.Syndrome(x)
+	if cur == s {
+		return -1
+	}
+	return (cur ^ s) - 1 // position (1-based) = cur XOR s, always in [1, m]
 }

@@ -39,11 +39,6 @@ func CeilLog2(x uint64) int {
 	return l + 1
 }
 
-// IsPow2 reports whether x is a power of two (x > 0).
-func IsPow2(x uint64) bool {
-	return x != 0 && x&(x-1) == 0
-}
-
 // Pow returns base**exp, panicking on overflow of uint64.
 func Pow(base uint64, exp int) uint64 {
 	if exp < 0 {
@@ -108,19 +103,3 @@ func CeilRoot(x uint64, k int) uint64 {
 
 // CeilSqrt returns ceil(sqrt(x)).
 func CeilSqrt(x uint64) uint64 { return CeilRoot(x, 2) }
-
-// Min returns the smaller of a and b.
-func Min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -195,8 +195,7 @@ func TestCeilLog2DoublingProperty(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	if Min(3, 5) != 3 || Min(5, 3) != 3 || Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Error("Min/Max broken")
-	}
+// IsPow2 reports whether x is a power of two (x > 0).
+func IsPow2(x uint64) bool {
+	return x != 0 && x&(x-1) == 0
 }

@@ -9,30 +9,32 @@ import (
 	"sparsehypercube/internal/graph"
 )
 
-// This file is the one engine of the streaming validators: csrState for
-// broadcast and gossipCsrState for gossip. Every per-round disjointness
-// set is indexed by an edge-slot id the network supplies
+// This file is the one engine of the streaming validators: csrState,
+// the round state of broadcast and of gossip alike. Every per-round
+// disjointness set is indexed by an edge-slot id the network supplies
 // (SlottedNetwork.EdgeSlot — for materialised graphs, backed by the CSR
 // arrays) or, on hypercube-family networks without a numbering of their
 // own, by the dimension-major closed form dim*order + lower (dimSlots),
 // which keeps the hops of one round on one dimension inside one
-// order-bit window of each set. Bit sets hold receivers, callers and
-// capacity-1 edges; small per-slot counters hold generalised capacities
+// order-bit window of each set. Bit sets hold receivers, busy endpoints
+// (broadcast callers, both gossip endpoints) and capacity-1 edges;
+// small per-slot counters hold generalised capacities
 // (Options.EdgeCapacity/ReceiverCapacity > 1). Everything a round sets
 // is cleared before the next, by the round's size: a round with at
 // least one call per word of the order-bit vertex sets is dense, and
 // ends word-wide — its receiver set is unioned into the informed set
-// with a popcount of the new bits, and the receiver and caller sets
-// reset whole — while a sparser round (a k-tree broadcast's rounds of
-// a few calls) clears element by element through its receiver list and
-// its calls. Edge slots follow a touch list of their own by the same
-// rule: up to one recorded slot per word of the set, past which the
-// round resets the whole set instead (see touchList). So the engine
-// allocates once per validation run and nothing per round.
+// with a popcount of the new bits, and the vertex sets reset whole —
+// while a sparser round (a k-tree broadcast's rounds of a few calls)
+// clears element by element through its calls. Edge slots follow a
+// touch list of their own by the same rule: up to one recorded slot per
+// word of the set, past which the round resets the whole set instead
+// (see touchList). So the engine allocates once per validation run and
+// nothing per round. Gossip tracks no knowledge here (informed is nil):
+// its token exchanges are logged and decided in gossipstream.go.
 //
 // The serial validators, Validate and ValidateGossip, stay as the
-// independent references the differential suites crosscheck both
-// engines against. A network slottedFor rejects is refused
+// independent references the differential suites crosscheck the
+// engine against. A network slottedFor rejects is refused
 // (streamRefusal), never validated another way on the stream.
 
 // maxCSRSlots caps the universes held as per-slot counters (generalised
@@ -115,36 +117,46 @@ type dimSlots struct {
 // NumEdgeSlots implements SlottedNetwork.
 func (d dimSlots) NumEdgeSlots() int { return d.order * d.n }
 
-// EdgeSlot implements SlottedNetwork.
+// EdgeSlot implements SlottedNetwork. One XOR gives the dimension: u and
+// v must differ in exactly one bit, and the network then decides
+// whether that dimension is present at the lower endpoint.
 func (d dimSlots) EdgeSlot(u, v uint64) (int, bool) {
-	if !d.HasEdge(u, v) {
+	x, lo := u^v, min(u, v)
+	if x == 0 || x&(x-1) != 0 || max(u, v) >= uint64(d.order) {
 		return 0, false
 	}
-	return bits.TrailingZeros64(u^v)*d.order + int(min(u, v)), true
+	dim := bits.TrailingZeros64(x)
+	if !d.HasEdgeDim(lo, dim+1) {
+		return 0, false
+	}
+	return dim*d.order + int(lo), true
 }
 
-// csrState is the slot-indexed round state: the disjointness engine of
-// ValidateStream on any SlottedNetwork (dimSlots included), generalised
-// capacities included. Under the default capacity-1 model
-// edge and receiver uses are used/dup bit-set pairs (two bits per slot,
-// cache-resident even for million-edge graphs; the dup shadow
-// reproduces the serial validator's report-once-at-capacity+1
-// contract), and under generalised capacities they are per-slot
-// counters with the same contract. Callers are a bit set; the rare duplicate recovers the first
-// claimer's index by scanning the round's earlier calls.
+// csrState is the slot-indexed round state of both streaming
+// validators, generalised capacities included. Under the default
+// capacity-1 model edge and receiver uses are used/dup bit-set pairs
+// (two bits per slot, cache-resident even for million-edge graphs; the
+// dup shadow reproduces the serial validator's
+// report-once-at-capacity+1 contract), and under generalised capacities
+// they are per-slot counters with the same contract. Busy endpoints are
+// a bit set; the rare duplicate recovers the first claimer's index by
+// scanning the round's earlier calls. A gossip state has no knowledge
+// step: informed, recvUsed and the receiver storage stay nil.
 //
-// The validator's clean-call kernel (streamValidator.cleanCall) reads
-// and writes these sets directly; the exact path goes through the
-// methods below. isInformed answers for the informed set as of the
-// round's start: a round's receivers are informed only at endRound.
+// Both validators' clean-call kernels read and write these sets
+// directly, through claimHops for the hops; the exact paths go through
+// the methods below. isInformed answers for the
+// informed set as of the round's start: a round's receivers are
+// informed only at endRound.
 type csrState struct {
 	net   SlottedNetwork
 	gg    *graph.Graph // devirtualised slot source when net is a GraphNetwork
+	dims  *dimSlots    // devirtualised slot source when net is the closed form
 	opts  Options
 	order uint64
 	count uint64
 
-	informed *bitvec.Set // order bits
+	informed *bitvec.Set // order bits; nil in a gossip state
 
 	// recvUsed holds the round's receivers (order bits) under every
 	// model: the capacity-1 use set, and beside the generalised
@@ -159,7 +171,7 @@ type csrState struct {
 	edgeCnt []int32 // NumEdgeSlots counters
 	recvCnt []int32 // order counters
 
-	callerUsed *bitvec.Set // order bits
+	callerUsed *bitvec.Set // order bits: broadcast callers, both gossip endpoints
 
 	round        Round
 	touchedEdges touchList
@@ -167,7 +179,7 @@ type csrState struct {
 	// clears edgeDup and recvDup only after a round with a conflict.
 	dups bool
 
-	hopSlots []int32 // the kernel's resolved edge slots for one call
+	hopSlots []int32 // claimHops' resolved edge slots for one call
 }
 
 // touchList records the edge slots one round sets in a bit set (or a
@@ -223,37 +235,48 @@ func (t *touchList) clearCounts(cnt []int32) {
 	t.slots, t.full = t.slots[:0], false
 }
 
-func newCSRState(sn SlottedNetwork, order, source uint64, opts Options) *csrState {
+// newCSRState builds a round state of busy endpoints and edges under
+// opts with no knowledge step, as gossip runs it; trackKnowledge adds
+// broadcast's.
+func newCSRState(sn SlottedNetwork, order uint64, opts Options) *csrState {
 	st := &csrState{
 		net:          sn,
 		opts:         opts,
 		order:        order,
-		count:        1,
-		informed:     bitvec.New(int(order)),
-		recvUsed:     bitvec.New(int(order)),
 		callerUsed:   bitvec.New(int(order)),
 		touchedEdges: newTouchList(sn.NumEdgeSlots()),
 	}
-	if gn, ok := sn.(GraphNetwork); ok {
-		st.gg = gn.G
+	switch n := sn.(type) {
+	case GraphNetwork:
+		st.gg = n.G
+	case dimSlots:
+		st.dims = &n
 	}
 	if opts.EdgeCapacity == 1 {
 		st.edgeUsed = bitvec.New(sn.NumEdgeSlots())
 	} else {
 		st.edgeCnt = make([]int32, sn.NumEdgeSlots())
 	}
-	if opts.ReceiverCapacity > 1 {
-		st.recvCnt = make([]int32, int(order))
-	}
-	st.informed.Set(int(source))
 	return st
+}
+
+// trackKnowledge gives the state broadcast's knowledge step: source is
+// informed, and each round informs the receivers it registers.
+func (c *csrState) trackKnowledge(source uint64) {
+	c.informed = bitvec.New(int(c.order))
+	c.recvUsed = bitvec.New(int(c.order))
+	if c.opts.ReceiverCapacity > 1 {
+		c.recvCnt = make([]int32, int(c.order))
+	}
+	c.informed.Set(int(source))
+	c.count = 1
 }
 
 func (c *csrState) isInformed(v uint64) bool { return c.informed.Get(int(v)) }
 
 // beginRound retains r until endRound, which clears a sparse round's
-// callers and receivers through it; callerClaim scans it to recover a
-// duplicate caller's first call.
+// endpoints through it; the duplicate-claim recoveries scan it for the
+// first claimer.
 func (c *csrState) beginRound(r Round) { c.round = r }
 
 // denseRound reports whether a round of the given number of calls sets
@@ -281,12 +304,83 @@ func (c *csrState) callerClaim(v uint64, ci int) (int, bool) {
 }
 
 // edgeSlot resolves the edge {a, b}, both in range, calling the graph
-// directly when the network is a GraphNetwork.
+// or the closed form directly when the network is one of those.
 func (c *csrState) edgeSlot(a, b uint64) (int, bool) {
-	if c.gg != nil {
+	switch {
+	case c.gg != nil:
 		return c.gg.EdgeSlot(int(a), int(b))
+	case c.dims != nil:
+		return c.dims.EdgeSlot(a, b)
 	}
 	return c.net.EdgeSlot(a, b)
+}
+
+// maxKernelPath bounds the paths the kernels take: their repeated-vertex
+// scan is quadratic, as appendRepeatViolations' is up to this length.
+const maxKernelPath = 32
+
+// claimHops is the hop half of both clean-call kernels, which call it
+// last, once the call's endpoints have passed their checks: a path of at
+// most k+1 distinct in-range vertices, at most maxKernelPath, whose
+// every hop is an edge (EdgeSlot is the edge check) with a free slot
+// under the edge capacity. Only when all of that holds does it claim
+// each hop's slot and report true; otherwise it changes nothing.
+func (c *csrState) claimHops(p []uint64, k int) bool {
+	if len(p)-1 > k || len(p) > maxKernelPath {
+		return false
+	}
+	for i, u := range p {
+		if u >= c.order {
+			return false
+		}
+		for _, w := range p[:i] {
+			if w == u {
+				return false
+			}
+		}
+	}
+	if len(p) > len(c.hopSlots)+1 {
+		c.hopSlots = make([]int32, len(p)-1)
+	}
+	hops := c.hopSlots[:len(p)-1]
+	for i := range hops {
+		s, ok := c.edgeSlot(p[i], p[i+1])
+		if !ok {
+			return false
+		}
+		if c.edgeUsed != nil {
+			if c.edgeUsed.Get(s) {
+				return false
+			}
+		} else if int(c.edgeCnt[s]) >= c.opts.EdgeCapacity {
+			return false
+		}
+		hops[i] = int32(s)
+	}
+	for _, s := range hops {
+		if c.edgeUsed != nil {
+			c.edgeUsed.Set(int(s))
+			c.touchedEdges.add(s)
+		} else if c.edgeCnt[s]++; c.edgeCnt[s] == 1 {
+			c.touchedEdges.add(s)
+		}
+	}
+	return true
+}
+
+// edgeReuse registers a gossip use of edge {u,v} and reports whether the
+// round already used it: gossip reports every reuse, where edgeUse
+// reports only the first beyond capacity.
+func (c *csrState) edgeReuse(u, v uint64) bool {
+	slot, ok := c.edgeSlot(u, v)
+	if !ok {
+		return false
+	}
+	if !c.edgeUsed.TestAndSet(slot) {
+		c.touchedEdges.add(int32(slot))
+		return false
+	}
+	return true
 }
 
 // edgeUse registers one use of edge {u,v} and reports whether this use
@@ -346,17 +440,21 @@ func (c *csrState) recvUse(v uint64) bool {
 // vertices the round informs (only a call that informs its receiver
 // registers it). A dense round unions it into informed word-wide,
 // counting the new bits, and resets the vertex sets whole. A sparse
-// round walks its calls instead, clearing each caller and each receiver
-// it registered, and informing the latter. Edge slots follow their own
-// touch list either way.
+// round walks its calls instead, clearing both endpoints' busy bits
+// (for broadcast, the receiver's is reset at round end anyway) and each
+// receiver it registered, informing the latter. A gossip state, with no
+// informed set, only clears. Edge slots follow their own touch list
+// either way.
 func (c *csrState) endRound() uint64 {
 	if denseRound(len(c.round), c.order) {
-		c.count += uint64(c.informed.UnionWithCount(c.recvUsed))
-		c.recvUsed.Reset()
-		if c.recvCnt != nil {
-			clear(c.recvCnt)
-		} else if c.dups {
-			c.recvDup.Reset()
+		if c.informed != nil {
+			c.count += uint64(c.informed.UnionWithCount(c.recvUsed))
+			c.recvUsed.Reset()
+			if c.recvCnt != nil {
+				clear(c.recvCnt)
+			} else if c.dups {
+				c.recvDup.Reset()
+			}
 		}
 		c.callerUsed.Reset()
 	} else {
@@ -364,11 +462,15 @@ func (c *csrState) endRound() uint64 {
 			if len(call.Path) == 0 {
 				continue
 			}
-			if from := call.Path[0]; from < c.order {
+			from, to := call.Path[0], call.Path[len(call.Path)-1]
+			if from < c.order {
 				c.callerUsed.Clear(int(from))
 			}
-			to := call.Path[len(call.Path)-1]
-			if to >= c.order || !c.recvUsed.Get(int(to)) {
+			if to >= c.order {
+				continue
+			}
+			c.callerUsed.Clear(int(to))
+			if c.informed == nil || !c.recvUsed.Get(int(to)) {
 				continue
 			}
 			c.recvUsed.Clear(int(to))
@@ -393,91 +495,4 @@ func (c *csrState) endRound() uint64 {
 	c.round = nil
 	c.dups = false
 	return c.count
-}
-
-// gossipCsrState is the slot-indexed telephone-model round state. Gossip
-// reports every edge reuse (not just the first), so a plain bit per slot
-// suffices; endpoint occupancy is a bit per vertex, and the rare
-// duplicate endpoint recovers the first occupying call by rescanning the
-// round, as csrState does for callers.
-type gossipCsrState struct {
-	sn    SlottedNetwork
-	k     int
-	order uint64
-
-	edgeUsed *bitvec.Set // NumEdgeSlots bits
-	busyUsed *bitvec.Set // order bits
-
-	round        Round
-	touchedEdges touchList
-	scanSlots    []int32 // checkGossipCall scratch for the duplicate rescan
-}
-
-func newGossipCSRState(sn SlottedNetwork, k int, order uint64) *gossipCsrState {
-	return &gossipCsrState{
-		sn:           sn,
-		k:            k,
-		order:        order,
-		edgeUsed:     bitvec.New(sn.NumEdgeSlots()),
-		busyUsed:     bitvec.New(int(order)),
-		touchedEdges: newTouchList(sn.NumEdgeSlots()),
-	}
-}
-
-// beginRound retains r until endRound, as csrState.beginRound does.
-func (g *gossipCsrState) beginRound(r Round) { g.round = r }
-
-// busyClaim registers call ci as occupying endpoint v. When v is already
-// busy this round it reports the occupying call's index.
-func (g *gossipCsrState) busyClaim(v uint64, ci int) (int, bool) {
-	if !g.busyUsed.TestAndSet(int(v)) {
-		return 0, false
-	}
-	// Duplicate (rare — only on a violation): only calls that pass the
-	// structural checks claim endpoints, both of theirs, so the occupier
-	// is the first earlier such call with v as an endpoint.
-	for idx, call := range g.round[:ci] {
-		if call.From() != v && call.To() != v {
-			continue
-		}
-		if len(call.Path) > len(g.scanSlots)+1 {
-			g.scanSlots = make([]int32, len(call.Path)-1)
-		}
-		if stage, _ := checkGossipCall(nil, g.sn, g.k, g.order, 0, idx, call, g.scanSlots, nil); stage == gossipFull {
-			return idx, true
-		}
-	}
-	return 0, true // unreachable: a set busy bit implies an earlier claim
-}
-
-// edgeUse registers one use of the edge in slot, which the structural
-// pass resolved (EdgeSlot doubled as the edge check there, so no hop is
-// looked up twice), and reports whether the edge was already used this
-// round. Gossip reports every reuse, not just the first.
-func (g *gossipCsrState) edgeUse(slot int32) bool {
-	if !g.edgeUsed.TestAndSet(int(slot)) {
-		g.touchedEdges.add(slot)
-		return false
-	}
-	return true
-}
-
-// endRound clears the round's sets. Every busy bit was set by an
-// endpoint of one of the round's calls, so a sparse round clears both
-// in-range endpoints of each call; a round with at least one call per
-// word of the set resets it whole instead, as csrState does.
-func (g *gossipCsrState) endRound() {
-	g.touchedEdges.clearSets(g.edgeUsed)
-	if denseRound(len(g.round), g.order) {
-		g.busyUsed.Reset()
-	} else {
-		for _, c := range g.round {
-			for _, v := range [2]uint64{c.From(), c.To()} {
-				if v < g.order {
-					g.busyUsed.Clear(int(v))
-				}
-			}
-		}
-	}
-	g.round = nil
 }

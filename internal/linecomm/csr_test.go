@@ -451,9 +451,12 @@ type fakeDim struct {
 	n     int
 }
 
-func (f fakeDim) Order() uint64          { return f.order }
-func (fakeDim) HasEdge(u, v uint64) bool { return false }
-func (f fakeDim) N() int                 { return f.n }
+func (f fakeDim) Order() uint64             { return f.order }
+func (fakeDim) HasEdge(u, v uint64) bool    { return false }
+func (f fakeDim) N() int                    { return f.n }
+func (fakeDim) HasEdgeDim(uint64, int) bool { return false }
+
+var _ DimensionedNetwork = fakeDim{}
 
 // mustRefuse requires every streaming entry point to refuse net before
 // consuming a round: one SimulationCapExceeded violation at round -1
@@ -655,7 +658,7 @@ const thresholdOrder = 1 << 10
 // thresholdSchedule is a broadcast on Q_10 from vertex 0 whose later
 // rounds have m calls: around the 16 words of the vertex sets, so a
 // round of 15 calls clears element by element and one of 16 or more
-// word-wide, in csrState and in gossipCsrState alike. After the five
+// word-wide, in broadcast and gossip states alike. After the five
 // binomial rounds that inform [0, 32) come round A (caller j to
 // j|32, j < m), round B (j|32 to j|96), a 3-call sparse round C (j|96
 // to j|224) and round D (j|32 to j|160 for j < m-1, then 0 to 32

@@ -9,12 +9,13 @@ import (
 )
 
 // TestDimSlotsNumbering checks the closed-form edge slots on the sparse
-// hypercubes of the gossip crosschecks (k = 1, 2, 3). For every vertex
-// pair: ok iff HasEdge, the slot lies in [0, NumEdgeSlots), both
-// argument orders agree, and distinct edges never share a slot. The
-// layout is dimension-major: an edge flipping bit d lies in
-// [d*order, (d+1)*order), one order-wide window per dimension.
+// hypercubes of the gossip crosschecks (k = 1, 2, 3) and on NewAuto
+// (2,8) and (3,10). For every vertex pair: ok iff HasEdge, and then the
+// slot is exactly d*order + min(u, v), d the bit u and v differ in —
+// dimension-major, one order-wide window per dimension — the same in
+// both argument orders, and distinct edges never share a slot.
 func TestDimSlotsNumbering(t *testing.T) {
+	var cubes []*core.SparseHypercube
 	for _, p := range []core.Params{
 		core.HypercubeParams(6),
 		core.BaseParams(8, 3),
@@ -24,6 +25,17 @@ func TestDimSlotsNumbering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cubes = append(cubes, s)
+	}
+	for _, kn := range [][2]int{{2, 8}, {3, 10}} {
+		s, err := core.NewAuto(kn[0], kn[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cubes = append(cubes, s)
+	}
+	for _, s := range cubes {
+		p := s.Params()
 		order := s.Order()
 		sn, ok := linecomm.SlottedFor(s, order, linecomm.DefaultOptions())
 		if !ok {
@@ -45,10 +57,8 @@ func TestDimSlotsNumbering(t *testing.T) {
 				if slot < 0 || slot >= sn.NumEdgeSlots() {
 					t.Fatalf("%v: EdgeSlot(%d,%d) = %d outside [0,%d)", p, u, v, slot, sn.NumEdgeSlots())
 				}
-				d := bits.TrailingZeros64(u ^ v)
-				if lo := d * int(order); slot < lo || slot >= lo+int(order) {
-					t.Fatalf("%v: EdgeSlot(%d,%d) = %d outside dimension %d's window [%d,%d)",
-						p, u, v, slot, d, lo, lo+int(order))
+				if want := bits.TrailingZeros64(u^v)*int(order) + int(min(u, v)); slot != want {
+					t.Fatalf("%v: EdgeSlot(%d,%d) = %d, want the closed form's %d", p, u, v, slot, want)
 				}
 				if back, ok := sn.EdgeSlot(v, u); !ok || back != slot {
 					t.Fatalf("%v: EdgeSlot(%d,%d) = %d but EdgeSlot(%d,%d) = %d,%v", p, u, v, slot, v, u, back, ok)
@@ -59,6 +69,11 @@ func TestDimSlotsNumbering(t *testing.T) {
 				}
 				owner[slot] = e
 			}
+		}
+		// One endpoint past the order differs in bit n: no slot, and no
+		// query of dimension n+1.
+		if _, ok := sn.EdgeSlot(1, order|1); ok {
+			t.Fatalf("%v: EdgeSlot(1, %d) accepted an out-of-range vertex", p, order|1)
 		}
 		if uint64(len(owner)) != s.NumEdges() {
 			t.Fatalf("%v: %d slotted edges, want %d", p, len(owner), s.NumEdges())

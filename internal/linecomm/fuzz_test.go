@@ -3,6 +3,7 @@ package linecomm
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,9 +15,10 @@ import (
 // whatever the input, it must classify without panicking, and a schedule
 // it calls minimum-time must really inform everyone. netRaw picks the
 // network (fuzzGraph: Q_4 or an irregular 16-vertex random family, a
-// 256-vertex one, whose four-word vertex sets put rounds of fewer calls
-// than words, ended call by call, under fuzz, or Q_10, whose rounds end
-// on both sides of the dense threshold), optRaw the generalised
+// 256-vertex one or the 255-vertex complete binary tree, whose
+// four-word vertex sets put rounds of fewer calls than words, ended
+// call by call, under fuzz, or Q_10, whose rounds end on both sides of
+// the dense threshold), optRaw the generalised
 // model (optionsFromByte) and splitMask the round cuts of a range-split
 // replay (boundsFromMask).
 func FuzzValidate(f *testing.F) {
@@ -58,6 +60,7 @@ func FuzzValidate(f *testing.F) {
 	}
 	f.Add(doublingSeed, uint8(0), uint8(0), uint16(0b110000), uint8(130))
 	f.Add(doublingSeed, uint8(1), uint8(0x15), uint16(0b100), uint8(130))
+	f.Add(treeWalkSeed(false), uint8(0), uint8(0), uint16(0b100), uint8(131))
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, optRaw uint8, splitMask uint16, netRaw uint8) {
 		g := fuzzGraph(netRaw)
 		net := GraphNetwork{G: g}
@@ -96,10 +99,11 @@ func FuzzValidate(f *testing.F) {
 // FuzzValidateGossip is FuzzValidate for the gossip validators: on the
 // network netRaw picks (fuzzGraph), the streamed ValidateGossipStream
 // must return exactly the serial ValidateGossip Result for any
-// byte-derived schedule (scheduleFromBytes), with the schedule's source
-// as the certificate's hub and with none (the token simulation
-// decides), on the graph's own slots and, on Q_4 and Q_8, on the closed
-// form.
+// byte-derived schedule (fuzzSchedule), with the schedule's source as
+// the certificate's hub and with none (the token simulation decides),
+// on the graph's own slots and, on Q_4, Q_8 and Q_10, on the closed
+// form. The seeds include the complete binary tree's tree-broadcast
+// gossip, whose rounds of one to three exchanges end call by call.
 func FuzzValidateGossip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, uint8(2), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 9}, uint8(1), uint8(0))
@@ -114,6 +118,7 @@ func FuzzValidateGossip(f *testing.F) {
 		f.Add(walkSeed, uint8(1), netRaw)
 	}
 	f.Add(doublingSeed, uint8(0), uint8(130))
+	f.Add(treeWalkSeed(true), uint8(0), uint8(131))
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, netRaw uint8) {
 		net := GraphNetwork{G: fuzzGraph(netRaw)}
 		k := int(kRaw)%4 + 1
@@ -139,10 +144,10 @@ func FuzzValidateGossip(f *testing.F) {
 // density. Only Q_4 is regular, so the other four put the degree rule
 // of graph.Graph's edge slots under fuzz, not just its id tie-break.
 // From 128 it is one of the larger graphs of bigFuzzGraphs, by
-// (b-128)%3.
+// (b-128)%4.
 func fuzzGraph(b uint8) *graph.Graph {
 	if b >= 128 {
-		return bigFuzzGraphs()[(b-128)%3]
+		return bigFuzzGraphs()[(b-128)%4]
 	}
 	seed := int64(b / 5)
 	switch b % 5 {
@@ -158,26 +163,27 @@ func fuzzGraph(b uint8) *graph.Graph {
 	return topo.Hypercube(4)
 }
 
-// bigFuzzGraphs are the larger networks, built once: Q_8 and a random
-// 4-regular graph on its own slots, of 256 vertices, whose vertex sets
-// span four words, so a fuzzed round of one to three calls ends call by
-// call and one of four word-wide; and Q_10, whose vertex sets span
-// sixteen words, two 8-word blocks, so its rounds of up to 32 calls end
-// on both sides of the dense threshold at 16.
-var bigFuzzGraphs = sync.OnceValue(func() [3]*graph.Graph {
-	return [3]*graph.Graph{topo.Hypercube(8), topo.RandomRegular(256, 4, 1), topo.Hypercube(10)}
+// bigFuzzGraphs are the larger networks, built once: Q_8, a random
+// 4-regular graph on its own slots, of 256 vertices, and the complete
+// binary tree of 255, whose vertex sets span four words, so a fuzzed
+// round of one to three calls ends call by call and one of four
+// word-wide; and Q_10, whose vertex sets span sixteen words, two 8-word
+// blocks, so its rounds of up to 32 calls end on both sides of the
+// dense threshold at 16.
+var bigFuzzGraphs = sync.OnceValue(func() [4]*graph.Graph {
+	return [4]*graph.Graph{topo.Hypercube(8), topo.RandomRegular(256, 4, 1), topo.Hypercube(10), topo.CompleteBinaryTree(7)}
 })
 
-// bigFuzzNets are the network bytes of the three larger graphs.
-var bigFuzzNets = []uint8{128, 129, 130}
+// bigFuzzNets are the network bytes of the four larger graphs.
+var bigFuzzNets = []uint8{128, 129, 130, 131}
 
 // fuzzCubeDim returns n when fuzzGraph(b) is Q_n, which the dimensioned
 // wrapper then also runs on closed-form slots, and 0 otherwise.
 func fuzzCubeDim(b uint8) int {
 	switch {
-	case b >= 128 && (b-128)%3 == 0:
+	case b >= 128 && (b-128)%4 == 0:
 		return 8
-	case b >= 128 && (b-128)%3 == 2:
+	case b >= 128 && (b-128)%4 == 2:
 		return 10
 	case b < 128 && b%5 == 0:
 		return 4
@@ -196,14 +202,16 @@ func fuzzSchedule(data []byte, b uint8) *Schedule {
 }
 
 // walkSchedule decodes bytes into a schedule of walks on g, so that on a
-// graph of 256 vertices most fuzzed calls run along edges and most
-// callers already hold the message: byte 0 = source, then per round a
-// call count (1-4; 1-32 on a graph of more than 256 vertices) and per
-// call a start selector — below 128 it picks a vertex the schedule has
-// reached so far (the source or an earlier receiver), otherwise the next
-// byte is the start (the next two, modulo the order, on a graph of more
+// graph of about 256 vertices most fuzzed calls run along edges and
+// most callers already hold the message: byte 0 = source, then per
+// round a call count (1-4; 1-32 on a graph of more than 256 vertices)
+// and per call a start selector — below 128 it picks a vertex the
+// schedule has reached so far (the source or an earlier receiver),
+// otherwise the next byte is the start (the next two on a graph of more
 // than 256 vertices) — a length (1-4 edges) and one neighbour index per
-// edge. Walks may revisit vertices.
+// edge. The source and start bytes are taken modulo the order, so walks
+// start in range on graphs of fewer than 256 vertices too. Walks may
+// revisit vertices.
 func walkSchedule(data []byte, g *graph.Graph) *Schedule {
 	if len(data) == 0 {
 		return &Schedule{}
@@ -212,7 +220,8 @@ func walkSchedule(data []byte, g *graph.Graph) *Schedule {
 	if wide {
 		maxCalls = 32
 	}
-	s := &Schedule{Source: uint64(data[0])}
+	order := uint64(g.NumVertices())
+	s := &Schedule{Source: uint64(data[0]) % order}
 	reached := []uint64{s.Source}
 	i := 1
 	next := func() byte { // 0 past the end
@@ -230,8 +239,9 @@ func walkSchedule(data []byte, g *graph.Graph) *Schedule {
 			if sel >= 128 {
 				v = uint64(next())
 				if wide {
-					v = (v<<8 | uint64(next())) % uint64(g.NumVertices())
+					v = v<<8 | uint64(next())
 				}
+				v %= order
 			}
 			path := []uint64{v}
 			for e := int(next() % 4); e >= 0 && i < len(data); e-- {
@@ -276,6 +286,34 @@ var doublingSeed = func() []byte {
 	}
 	return data
 }()
+
+// treeWalkSeed encodes, in walkSchedule's format, TreeRounds on the
+// complete binary tree from its root, up to the first round with more
+// calls than a fuzzed round carries (4): rounds of one to three calls,
+// which end through the sparse path. With gossip it encodes the
+// FromBroadcast gossip of those rounds instead.
+func treeWalkSeed(gossip bool) []byte {
+	g := bigFuzzGraphs()[3]
+	bc := &Schedule{}
+	for r := range TreeRounds(g, 0) {
+		if len(r) > 4 {
+			break
+		}
+		bc.Rounds = append(bc.Rounds, CloneRound(r))
+	}
+	if gossip {
+		bc = FromBroadcast(bc)
+	}
+	data := []byte{0}
+	for _, r := range bc.Rounds {
+		data = append(data, byte(len(r)-1))
+		for _, c := range r {
+			nb := slices.Index(g.Neighbors(int(c.From())), int32(c.To()))
+			data = append(data, 128, byte(c.From()), 0, byte(nb))
+		}
+	}
+	return data
+}
 
 // bothWaysSeed encodes nine rounds that each call one edge of g in both
 // directions: every engine must flag the shared edge, which the csr

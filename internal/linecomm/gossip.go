@@ -122,72 +122,6 @@ func FromBroadcast(bc *Schedule) *Schedule {
 	return out
 }
 
-// Per-call stages of the gossip structural checks, mirroring the
-// early-continue points both gossip validators share.
-const (
-	// gossipSkip: empty/short path or out-of-range vertex; checks aborted
-	// before the length bound was even evaluated.
-	gossipSkip uint8 = iota
-	// gossipBad: repeated vertex or missing edge; the length bound was
-	// checked, but the call takes no part in cross-call checks or token
-	// exchanges.
-	gossipBad
-	// gossipFull: structurally sound; all cross-call checks apply and the
-	// endpoints exchange tokens.
-	gossipFull
-)
-
-// checkGossipCall runs the per-call structural section shared by the
-// serial and streaming gossip validators: path shape, vertex range,
-// repeated vertices, edge existence and the length bound, in exactly that
-// order. Cross-call checks (busy endpoints, edge reuse) are the caller's
-// job and apply only to gossipFull calls. The streaming validator passes
-// its slot numbering as sn: EdgeSlot then decides each hop's existence
-// and its slot lands in hopSlots (at least len(call.Path)-1 long), valid
-// whenever the returned stage is gossipFull. Violations are the same
-// either way.
-func checkGossipCall(net Network, sn SlottedNetwork, k int, order uint64, ri, ci int, call Call, hopSlots []int32, out []Violation) (uint8, []Violation) {
-	if len(call.Path) < 2 {
-		return gossipSkip, append(out, Violation{ri, ci, PathInvalid,
-			fmt.Sprintf("path has %d vertices", len(call.Path))})
-	}
-	bad := false
-	for _, v := range call.Path {
-		if v >= order {
-			out = append(out, Violation{ri, ci, VertexOutOfRange,
-				fmt.Sprintf("vertex %d outside [0,%d)", v, order)})
-			bad = true
-		}
-	}
-	if bad {
-		return gossipSkip, out
-	}
-	out, bad = appendRepeatViolations(out, ri, ci, call.Path)
-	for i := 1; i < len(call.Path); i++ {
-		var ok bool
-		if sn != nil {
-			var s int
-			s, ok = sn.EdgeSlot(call.Path[i-1], call.Path[i])
-			hopSlots[i-1] = int32(s)
-		} else {
-			ok = net.HasEdge(call.Path[i-1], call.Path[i])
-		}
-		if !ok {
-			out = append(out, Violation{ri, ci, PathInvalid,
-				fmt.Sprintf("no edge {%d,%d}", call.Path[i-1], call.Path[i])})
-			bad = true
-		}
-	}
-	if call.Length() > k {
-		out = append(out, Violation{ri, ci, PathTooLong,
-			fmt.Sprintf("length %d > k = %d", call.Length(), k)})
-	}
-	if bad {
-		return gossipBad, out
-	}
-	return gossipFull, out
-}
-
 // ValidateGossip checks a schedule under the k-line gossip model on net
 // and simulates token propagation with a full per-vertex token-set
 // matrix. Schedule.Source is ignored (gossip has no distinguished
@@ -225,14 +159,14 @@ func ValidateGossip(net Network, k int, s *Schedule) *GossipResult {
 		merges = merges[:0]
 		for ci, call := range round {
 			var stage uint8
-			stage, res.Violations = checkGossipCall(net, nil, k, order, ri, ci, call, nil, res.Violations)
-			if stage == gossipSkip {
+			stage, res.Violations = checkCall(net, k, order, ri, ci, call, res.Violations)
+			if stage == stageSkip {
 				continue
 			}
 			if l := call.Length(); l > res.MaxCallLength {
 				res.MaxCallLength = l
 			}
-			if stage != gossipFull {
+			if stage != stageFull {
 				continue
 			}
 			from, to := call.From(), call.To()

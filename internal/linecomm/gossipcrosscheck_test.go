@@ -167,12 +167,39 @@ func TestGossipStreamMatchesSerialOnMutations(t *testing.T) {
 					t.Fatalf("k=%d: mutation %q went undetected", s.K(), m.name)
 				}
 				mustMatchSerialGossip(t, s, s.K(), sched)
+				// A mutation that plants a defect must reach the exact path,
+				// and only the calls the violations name may take it: the
+				// kernel accepts every clean call.
+				if got, want := exactCalls(s, sched), violatingCalls(res); got != want || want == 0 && !res.Valid() {
+					t.Fatalf("k=%d: mutation %q sent %d calls to the exact path, want the %d with violations",
+						s.K(), m.name, got, want)
+				}
 			}
 			if !applied {
 				t.Fatalf("mutation %q never applicable", m.name)
 			}
 		}
 	}
+}
+
+// exactCalls streams sched through the gossip validator once and
+// returns how many of its calls took the exact path.
+func exactCalls(s *core.SparseHypercube, sched *linecomm.Schedule) int {
+	_, exact0 := linecomm.CallPaths()
+	linecomm.ValidateGossipStream(s, s.K(), sched.Source, sched.Stream())
+	_, exact1 := linecomm.CallPaths()
+	return int(exact1 - exact0)
+}
+
+// violatingCalls returns how many distinct calls res's violations name.
+func violatingCalls(res *linecomm.GossipResult) int {
+	calls := map[[2]int]bool{}
+	for _, v := range res.Violations {
+		if v.Round >= 0 {
+			calls[[2]int{v.Round, v.Call}] = true
+		}
+	}
+	return len(calls)
 }
 
 // TestGossipStreamMatchesSerialRandomCorruption goes beyond the curated

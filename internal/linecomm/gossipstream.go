@@ -15,13 +15,17 @@ import (
 // This file is the streaming half of the gossip validator:
 // ValidateGossipStream consumes rounds as a producer
 // (core.ScheduleGossipRounds, a schedio decoder, a network feed) emits
-// them, so the doubled gather-scatter schedule is never materialised. Per
-// round it runs the structural checks of checkGossipCall plus the
-// cross-call disjointness checks on slot-indexed bit sets
-// (gossipCsrState, csr.go), retaining only the (from, to) exchange
-// pairs — two 32-bit ids per call instead of the full paths. A network
-// without an edge-slot numbering within the bit-set caps is refused
-// before a round is consumed, as in the broadcast validator.
+// them, so the doubled gather-scatter schedule is never materialised.
+// Its round state is broadcast's csrState (csr.go) without the
+// knowledge step: busy endpoints and edges only. Each exchange first
+// meets gossip's clean-call kernel (cleanExchange: both endpoints free,
+// then broadcast's hop half, claimHops); every exchange it
+// declines takes the exact path (validateExchange), the only source of
+// violations, in ValidateGossip's order. Only the (from, to) exchange
+// pairs are retained — two 32-bit ids per call instead of the full
+// paths. A network without an edge-slot numbering within the bit-set
+// caps is refused before a round is consumed, as in the broadcast
+// validator.
 //
 // Knowledge tracking is the part that does not fit in memory at n >= 20:
 // a full token matrix is order^2 bits (128 GiB at n = 20). The streamed
@@ -117,88 +121,24 @@ func ValidateMultiSourceStream(net Network, k int, hub uint64, sources []uint64,
 	// the only use of the log, which is then held to
 	// MaxGossipCertifyExchanges.
 	certify := srcOK && hub < order && order <= MaxGossipSimulateVertices
-	keepLog := simulate || certify
-
-	// The structural pass resolves each hop's edge slot once — EdgeSlot
-	// is the edge check — and the round state consumes the resolved
-	// slots.
-	st := newGossipCSRState(sn, k, order)
-	var hopSlots []int32
-
-	// Flat (from, to) exchange log for the knowledge half, and the log
-	// length at the end of each round. Kept orders are capped at
-	// MaxGossipSimulateVertices = 2^26, so ids fit 32 bits.
-	var (
-		pairs    []uint32
-		ends     []int
-		logLimit = math.MaxInt
-	)
+	g := &gossipValidator{net: net, k: k, order: order, res: res,
+		st: newCSRState(sn, order, DefaultOptions()), keepLog: simulate || certify, logLimit: math.MaxInt}
 	if !simulate {
-		logLimit = 2 * MaxGossipCertifyExchanges
+		g.logLimit = 2 * MaxGossipCertifyExchanges
 	}
-	nRounds := 0
 	for round := range rounds {
-		st.beginRound(round)
-		if keepLog {
-			pairs = growLog(pairs, 2*len(round), logLimit)
-		}
-		for ci, call := range round {
-			if len(call.Path) > len(hopSlots)+1 {
-				hopSlots = make([]int32, len(call.Path)-1)
-			}
-			var stage uint8
-			stage, res.Violations = checkGossipCall(net, sn, k, order, nRounds, ci, call, hopSlots, res.Violations)
-			if stage == gossipSkip {
-				continue
-			}
-			if l := call.Length(); l > res.MaxCallLength {
-				res.MaxCallLength = l
-			}
-			if stage != gossipFull {
-				continue
-			}
-			from, to := call.From(), call.To()
-			for _, endpoint := range [2]uint64{from, to} {
-				if prev, dup := st.busyClaim(endpoint, ci); dup {
-					res.Violations = append(res.Violations, Violation{nRounds, ci, CallerDuplicate,
-						fmt.Sprintf("vertex %d already in call %d this round", endpoint, prev)})
-				}
-			}
-			for i := 1; i < len(call.Path); i++ {
-				a, b := call.Path[i-1], call.Path[i]
-				if a > b {
-					a, b = b, a
-				}
-				if st.edgeUse(hopSlots[i-1]) {
-					res.Violations = append(res.Violations, Violation{nRounds, ci, EdgeConflict,
-						fmt.Sprintf("edge {%d,%d} reused", a, b)})
-				}
-			}
-			if keepLog {
-				if len(pairs) == logLimit {
-					// Too long to certify, and too large to simulate: the
-					// knowledge half stays undecided.
-					pairs, ends, keepLog = nil, nil, false
-				} else {
-					pairs = append(pairs, uint32(from), uint32(to))
-				}
-			}
-		}
-		st.endRound()
-		if keepLog {
-			ends = append(ends, len(pairs)/2)
-		}
-		nRounds++
+		g.validateRound(res.Rounds, round)
+		res.Rounds++
 	}
-	res.Rounds = nRounds
+	g.finish()
 
 	switch {
-	case keepLog && certify && certifyGossip(order, hub, sources, pairs, ends):
+	case g.keepLog && certify && certifyGossip(order, hub, sources, g.pairs, g.ends):
 		// Every vertex knows every token: exactly what the simulation
 		// would count.
 		res.Simulated, res.Complete, res.MinKnown = true, true, m
 	case simulate:
-		counts := simulateTokens(order, sources, pairs)
+		counts := simulateTokens(order, sources, g.pairs)
 		res.Simulated = true
 		res.MinKnown = m
 		res.Complete = true
@@ -217,8 +157,136 @@ func ValidateMultiSourceStream(net Network, k int, hub uint64, sources []uint64,
 				order, m, MaxGossipSimulateVertices, MaxGossipSimulateCells),
 		})
 	}
-	res.MinimumTime = res.Complete && nRounds == GossipMinimumRounds(order)
+	res.MinimumTime = res.Complete && res.Rounds == GossipMinimumRounds(order)
 	return res
+}
+
+// gossipValidator runs the gossip per-call pass on a csrState without
+// knowledge, and keeps the exchange log.
+type gossipValidator struct {
+	net   Network
+	k     int
+	order uint64
+	st    *csrState
+	res   *GossipResult
+	callCounter
+
+	// keepLog: the knowledge half needs the flat (from, to) exchange log
+	// pairs, ends[r] exchanges long after round r. Kept orders are capped
+	// at MaxGossipSimulateVertices = 2^26, so ids fit 32 bits.
+	keepLog  bool
+	pairs    []uint32
+	ends     []int
+	logLimit int
+}
+
+func (g *gossipValidator) validateRound(ri int, round Round) {
+	g.st.beginRound(round)
+	if g.keepLog {
+		g.pairs = growLog(g.pairs, 2*len(round), g.logLimit)
+	}
+	for ci, call := range round {
+		if g.cleanExchange(call) {
+			g.kernelCalls++
+			continue
+		}
+		g.exactCalls++
+		g.validateExchange(ri, ci, call)
+	}
+	g.st.endRound()
+	if g.keepLog {
+		g.ends = append(g.ends, len(g.pairs)/2)
+	}
+}
+
+// cleanExchange is gossip's clean-call kernel: both endpoints in range
+// and free, then the hop half (claimHops), which claims the hops when
+// they pass. Only then does it commit the rest of what validateExchange
+// commits on such a call — both endpoints busy, the log pair — and
+// report true; a declined call has changed nothing.
+func (g *gossipValidator) cleanExchange(call Call) bool {
+	c := g.st
+	p := call.Path
+	if len(p) < 2 {
+		return false
+	}
+	from, to := p[0], p[len(p)-1]
+	if from >= g.order || to >= g.order || c.callerUsed.Get(int(from)) || c.callerUsed.Get(int(to)) {
+		return false
+	}
+	if !c.claimHops(p, g.k) {
+		return false
+	}
+	if l := len(p) - 1; l > g.res.MaxCallLength {
+		g.res.MaxCallLength = l
+	}
+	c.callerUsed.Set(int(from))
+	c.callerUsed.Set(int(to))
+	g.logExchange(from, to)
+	return true
+}
+
+// validateExchange is the exact path, in ValidateGossip's violation
+// order: checkCall, the endpoint claims, then each hop's reuse.
+func (g *gossipValidator) validateExchange(ri, ci int, call Call) {
+	var stage uint8
+	stage, g.res.Violations = checkCall(g.net, g.k, g.order, ri, ci, call, g.res.Violations)
+	if stage == stageSkip {
+		return
+	}
+	if l := call.Length(); l > g.res.MaxCallLength {
+		g.res.MaxCallLength = l
+	}
+	if stage != stageFull {
+		return
+	}
+	from, to := call.From(), call.To()
+	for _, endpoint := range [2]uint64{from, to} {
+		if prev, dup := g.endpointClaim(endpoint, ci); dup {
+			g.res.Violations = append(g.res.Violations, Violation{ri, ci, CallerDuplicate,
+				fmt.Sprintf("vertex %d already in call %d this round", endpoint, prev)})
+		}
+	}
+	for i := 1; i < len(call.Path); i++ {
+		if g.st.edgeReuse(call.Path[i-1], call.Path[i]) {
+			e := mkEdge(call.Path[i-1], call.Path[i])
+			g.res.Violations = append(g.res.Violations, Violation{ri, ci, EdgeConflict,
+				fmt.Sprintf("edge {%d,%d} reused", e.u, e.v)})
+		}
+	}
+	g.logExchange(from, to)
+}
+
+// endpointClaim registers call ci as occupying endpoint v. When v is
+// already busy this round it reports the occupying call's index: only
+// stageFull calls claim endpoints, both of theirs, so the occupier is
+// the first earlier such call with v as an endpoint.
+func (g *gossipValidator) endpointClaim(v uint64, ci int) (int, bool) {
+	if !g.st.callerUsed.TestAndSet(int(v)) {
+		return 0, false
+	}
+	for idx, call := range g.st.round[:ci] {
+		if call.From() != v && call.To() != v {
+			continue
+		}
+		if stage, _ := checkCall(g.net, g.k, g.order, 0, idx, call, nil); stage == stageFull {
+			return idx, true
+		}
+	}
+	return 0, true // unreachable: a set busy bit implies an earlier claim
+}
+
+// logExchange appends the pair to the exchange log. A log that reaches
+// its limit is dropped: too long to certify, and too large to simulate,
+// so the knowledge half stays undecided.
+func (g *gossipValidator) logExchange(from, to uint64) {
+	switch {
+	case !g.keepLog:
+	case len(g.pairs) == g.logLimit:
+		g.pairs, g.ends, g.keepLog = nil, nil, false
+	default:
+		g.pairs = append(g.pairs, uint32(from), uint32(to))
+	}
 }
 
 // growLog makes room in the exchange log for more entries, doubling its

@@ -57,7 +57,9 @@ func TestGossipStreamAllocs(t *testing.T) {
 // ceiling has no per-worker term; it was set from measurement
 // (1,325,280 B at GOMAXPROCS 2, linux/amd64, Go 1.24; 1,336,144 B under
 // -race) with about 15% headroom. A run that falls back to the
-// simulation adds a 1 MiB matrix per worker and breaks it.
+// simulation adds a 1 MiB matrix per worker and breaks it. Every one of
+// the 2(2^14 - 1) exchanges must pass gossip's clean-call kernel: a
+// valid schedule sends none to the exact path.
 func TestGossipCertifiedAllocs(t *testing.T) {
 	cube, err := core.NewAuto(2, 14)
 	if err != nil {
@@ -70,8 +72,14 @@ func TestGossipCertifiedAllocs(t *testing.T) {
 	validate := func() *linecomm.GossipResult {
 		return linecomm.ValidateGossipStream(cube, cube.K(), root, cube.ScheduleGossipRounds(root))
 	}
+	kernel0, exact0 := linecomm.CallPaths()
 	if res := validate(); !res.Complete || !res.Simulated {
 		t.Fatalf("gossip from %d misjudged: %+v", root, res)
+	}
+	kernel1, exact1 := linecomm.CallPaths()
+	if kernel, exact := kernel1-kernel0, exact1-exact0; kernel != 2*(int64(cube.Order())-1) || exact != 0 {
+		t.Fatalf("%d exchanges took the kernel and %d the exact path, want %d and 0",
+			kernel, exact, 2*(cube.Order()-1))
 	}
 	if got := allocBytes(func() { validate() }); got > ceiling {
 		t.Fatalf("certified validation allocated %d B at GOMAXPROCS %d, want <= %d B",

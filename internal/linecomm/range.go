@@ -63,7 +63,8 @@ func validateRange(net Network, k int, source uint64, startRound int, rounds ite
 		})
 		return res, nil, nil
 	}
-	st := newCSRState(sn, order, source, opts)
+	st := newCSRState(sn, order, opts)
+	st.trackKnowledge(source)
 	v := &streamValidator{net: net, k: k, order: order, opts: opts, st: st, res: res}
 	if open {
 		v.assumed = bitvec.New(int(order))

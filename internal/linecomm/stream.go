@@ -20,17 +20,18 @@ import (
 //
 // Each call takes one pass, in call order. It first meets the
 // clean-call kernel (cleanCall): one straight-line function that runs
-// every check against the call and the round so far and, when none
-// fails, commits the call's state changes directly. Every call the
-// kernel declines (any that would report something) takes the exact
-// path (validateCall): first the structural checks that depend on the
-// call alone (path shape, vertex range, edge existence, length bound;
-// checkCall), then the checks against the state the round has built so
-// far (caller knowledge, duplicate callers, edge conflicts, receiver
-// conflicts), so the produced Result is byte-for-byte identical to the
-// sequential Validate. The exact path is the only source of
-// violations, and the kernel commits exactly what it would on a clean
-// call, so the split cannot change a Result.
+// every check against the call and the round so far — its hop half,
+// claimHops (csr.go), is gossip's too — and, when none fails, commits
+// the call's state changes directly. Every call the kernel declines
+// (any that would report something) takes the exact path
+// (validateCall): first the structural checks that depend on the call
+// alone (checkCall, which the gossip validators share), then the checks
+// against the state the round has built so far (caller knowledge,
+// duplicate callers, edge conflicts, receiver conflicts), so the
+// produced Result is byte-for-byte identical to the sequential
+// Validate. The exact path is the only source of violations, and the
+// kernel commits exactly what it would on a clean call, so the split
+// cannot change a Result.
 //
 // A network the engine cannot index (slottedFor) is refused before a
 // round is consumed: the Result holds one SimulationCapExceeded
@@ -52,6 +53,9 @@ type DimensionedNetwork interface {
 	Network
 	// N returns the address width in bits; Order() <= 1 << N().
 	N() int
+	// HasEdgeDim reports whether the edge along dimension d (1-based:
+	// it flips bit d-1) is present at vertex u < Order(), d <= N().
+	HasEdgeDim(u uint64, d int) bool
 }
 
 // maxStreamBits caps every bit-set universe of the CSR engines (order
@@ -59,12 +63,12 @@ type DimensionedNetwork interface {
 // one set takes at most 256 MiB; larger instances are refused.
 const maxStreamBits = 1 << 31
 
-// call stages decided by checkCall, mirroring the sequential
-// validator's early-continue points.
+// Call stages decided by checkCall, mirroring the serial validators'
+// early-continue points.
 const (
-	stageSkip   uint8 = iota // too short or out of range: no further checks
-	stageCaller              // structurally bad: caller checks only
-	stageFull                // all cross-call checks apply
+	stageSkip uint8 = iota // too short or out of range: no further checks
+	stageBad               // repeated vertex or missing edge: length counted; only broadcast caller checks follow
+	stageFull              // all cross-call checks apply
 )
 
 // ValidateStream checks a streamed schedule from source against the
@@ -109,10 +113,7 @@ type streamValidator struct {
 	opts  Options
 	st    *csrState
 	res   *Result
-
-	// kernelCalls and exactCalls count the calls the clean-call kernel
-	// (cleanCall) and the exact path (validateCall) took.
-	kernelCalls, exactCalls int
+	callCounter
 
 	// assumed is non-nil in open mode (ValidateStreamOpen): a caller the
 	// run has not itself informed is recorded here, assumed informed by
@@ -120,17 +121,27 @@ type streamValidator struct {
 	assumed *bitvec.Set
 }
 
-// callPaths accumulates kernelCalls and exactCalls over every finished
-// validation run in the process; see CallPaths.
+// callCounter counts the calls one validation run's clean-call kernel
+// accepted and the calls its exact path took.
+type callCounter struct{ kernelCalls, exactCalls int }
+
+// callPaths accumulates callCounter over every finished validation run
+// in the process; see CallPaths.
 var callPaths [2]atomic.Int64
 
-// CallPaths returns how many calls, over every broadcast validation run
-// the process has finished, the CSR engine's clean-call kernel accepted
-// and how many it declined to the exact path. The split never changes a Result; it is what the
-// kernel-coverage gates pin, since a kernel that declines everything
-// only runs slower.
+// CallPaths returns how many calls, over every broadcast and gossip
+// validation run the process has finished on the CSR engine, the
+// clean-call kernels accepted and how many they declined to the exact
+// path. The split never changes a Result; it is what the kernel-coverage
+// gates pin, since a kernel that declines everything only runs slower.
 func CallPaths() (kernel, exact int64) {
 	return callPaths[0].Load(), callPaths[1].Load()
+}
+
+// finish adds the run's call counts to CallPaths.
+func (n callCounter) finish() {
+	callPaths[0].Add(int64(n.kernelCalls))
+	callPaths[1].Add(int64(n.exactCalls))
 }
 
 func (v *streamValidator) validateRound(ri int, round Round) {
@@ -146,62 +157,23 @@ func (v *streamValidator) validateRound(ri int, round Round) {
 	v.res.InformedPerRound = append(v.res.InformedPerRound, v.st.endRound())
 }
 
-// finish adds the run's call counts to CallPaths.
-func (v *streamValidator) finish() {
-	callPaths[0].Add(int64(v.kernelCalls))
-	callPaths[1].Add(int64(v.exactCalls))
-}
-
-// maxKernelPath bounds the paths the kernel takes: its repeated-vertex
-// scan is quadratic, as appendRepeatViolations' is up to this length.
-const maxKernelPath = 32
-
-// cleanCall is the clean-call kernel: in one
-// straight-line pass, every read-only check of validateCall — path
-// shape and length, vertex range, distinct vertices, each hop's edge
-// slot (EdgeSlot is the edge check), a free slot under the edge
-// capacity, an unclaimed caller, a receiver under its capacity and, by
-// default, uninformed, and an informed caller (or, in open mode, one to
-// assume). Only when every check passes does it commit the mutations
-// validateCall makes on such a call, in the same order, and report
-// true. A declined call has changed nothing: validateCall, the only
-// source of violations, takes it.
+// cleanCall is broadcast's clean-call kernel: in one straight-line
+// pass, every check of validateCall — an unclaimed in-range caller, an
+// in-range receiver under its capacity and, by default, uninformed, an
+// informed caller (or, in open mode, one to assume), then the hop half
+// (claimHops: path length, vertex range, distinct vertices, each hop an
+// edge with a free slot). Only when every check passes does the hop half
+// claim the hops and cleanCall commit the rest of what validateCall
+// commits on such a call, and report true. A declined call has changed
+// nothing: validateCall, the only source of violations, takes it.
 func (v *streamValidator) cleanCall(call Call) bool {
 	c := v.st
 	p := call.Path
-	if len(p) < 2 || len(p)-1 > v.k || len(p) > maxKernelPath {
+	if len(p) < 2 {
 		return false
 	}
-	for i, u := range p {
-		if u >= v.order {
-			return false
-		}
-		for _, w := range p[:i] {
-			if w == u {
-				return false
-			}
-		}
-	}
-	if len(p) > len(c.hopSlots)+1 {
-		c.hopSlots = make([]int32, len(p)-1)
-	}
-	hops := c.hopSlots[:len(p)-1]
-	for i := range hops {
-		s, ok := c.edgeSlot(p[i], p[i+1])
-		if !ok {
-			return false
-		}
-		if c.edgeUsed != nil {
-			if c.edgeUsed.Get(s) {
-				return false
-			}
-		} else if int(c.edgeCnt[s]) >= v.opts.EdgeCapacity {
-			return false
-		}
-		hops[i] = int32(s)
-	}
 	from, to := p[0], p[len(p)-1]
-	if c.callerUsed.Get(int(from)) {
+	if from >= v.order || to >= v.order || c.callerUsed.Get(int(from)) {
 		return false
 	}
 	if c.recvCnt == nil {
@@ -218,6 +190,9 @@ func (v *streamValidator) cleanCall(call Call) bool {
 	if !callerKnown && v.assumed == nil {
 		return false
 	}
+	if !c.claimHops(p, v.k) {
+		return false
+	}
 
 	if l := len(p) - 1; l > v.res.MaxCallLength {
 		v.res.MaxCallLength = l
@@ -226,14 +201,6 @@ func (v *streamValidator) cleanCall(call Call) bool {
 		v.assumed.Set(int(from))
 	}
 	c.callerUsed.Set(int(from))
-	for _, s := range hops {
-		if c.edgeUsed != nil {
-			c.edgeUsed.Set(int(s))
-			c.touchedEdges.add(s)
-		} else if c.edgeCnt[s]++; c.edgeCnt[s] == 1 {
-			c.touchedEdges.add(s)
-		}
-	}
 	c.recvUsed.Set(int(to))
 	if c.recvCnt != nil {
 		c.recvCnt[to]++
@@ -246,7 +213,7 @@ func (v *streamValidator) cleanCall(call Call) bool {
 // Validate's violation order.
 func (v *streamValidator) validateCall(ri, ci int, call Call) {
 	var stage uint8
-	stage, v.res.Violations = v.checkCall(ri, ci, call, v.res.Violations)
+	stage, v.res.Violations = checkCall(v.net, v.k, v.order, ri, ci, call, v.res.Violations)
 	if stage == stageSkip {
 		return
 	}
@@ -289,19 +256,21 @@ func (v *streamValidator) validateCall(ri, ci int, call Call) {
 	}
 }
 
-// checkCall mirrors the sequential validator's per-call structural
-// section, including its violation order and early-exit points; it
-// depends on the call alone.
-func (v *streamValidator) checkCall(ri, ci int, call Call, out []Violation) (uint8, []Violation) {
+// checkCall is the per-call structural section of both streaming
+// validators and of the serial ValidateGossip: path shape, vertex range,
+// repeated vertices, edge existence (HasEdge) and the length bound, in
+// exactly that order, as Validate's own section. It depends on the call
+// alone.
+func checkCall(net Network, k int, order uint64, ri, ci int, call Call, out []Violation) (uint8, []Violation) {
 	if len(call.Path) < 2 {
 		return stageSkip, append(out, Violation{ri, ci, PathInvalid,
 			fmt.Sprintf("path has %d vertices", len(call.Path))})
 	}
 	bad := false
 	for _, u := range call.Path {
-		if u >= v.order {
+		if u >= order {
 			out = append(out, Violation{ri, ci, VertexOutOfRange,
-				fmt.Sprintf("vertex %d outside [0,%d)", u, v.order)})
+				fmt.Sprintf("vertex %d outside [0,%d)", u, order)})
 			bad = true
 		}
 	}
@@ -310,18 +279,18 @@ func (v *streamValidator) checkCall(ri, ci int, call Call, out []Violation) (uin
 	}
 	out, bad = appendRepeatViolations(out, ri, ci, call.Path)
 	for i := 1; i < len(call.Path); i++ {
-		if !v.net.HasEdge(call.Path[i-1], call.Path[i]) {
+		if !net.HasEdge(call.Path[i-1], call.Path[i]) {
 			out = append(out, Violation{ri, ci, PathInvalid,
 				fmt.Sprintf("no edge {%d,%d}", call.Path[i-1], call.Path[i])})
 			bad = true
 		}
 	}
-	if call.Length() > v.k {
+	if call.Length() > k {
 		out = append(out, Violation{ri, ci, PathTooLong,
-			fmt.Sprintf("length %d > k = %d", call.Length(), v.k)})
+			fmt.Sprintf("length %d > k = %d", call.Length(), k)})
 	}
 	if bad {
-		return stageCaller, out
+		return stageBad, out
 	}
 	return stageFull, out
 }

@@ -32,6 +32,10 @@ type dimNet struct {
 
 func (d dimNet) N() int { return d.n }
 
+func (d dimNet) HasEdgeDim(u uint64, dim int) bool { return d.HasEdge(u, u^1<<(dim-1)) }
+
+var _ DimensionedNetwork = dimNet{}
+
 // engines returns the same Q_n network twice: bare, so the CSR engine
 // runs on the graph's own slot numbering, and dimensioned, so it runs
 // on the closed form. The suites crosscheck both against the serial

@@ -325,7 +325,7 @@ func chooseGrouping(comps []component, ownerComp, cutWeight, half int) []bool {
 			continue
 		}
 		feasible := s <= half-1 && far <= half
-		score := -intmath.Max(s, far)
+		score := -max(s, far)
 		if feasible {
 			score += 1 << 20
 		}

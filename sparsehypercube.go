@@ -116,6 +116,14 @@ func (c *Cube) Degree(u uint64) int { return c.inner.DegreeOf(u) }
 // HasEdge reports whether {u, v} is an edge.
 func (c *Cube) HasEdge(u, v uint64) bool { return c.inner.HasEdge(u, v) }
 
+// HasEdgeDim reports whether the edge along dimension d (1-based: it
+// flips bit d-1) is present at vertex u. The streamed validators resolve
+// a hop's edge slot through it; the planserver and distverify hand them
+// a Cube.
+func (c *Cube) HasEdgeDim(u uint64, d int) bool { return c.inner.HasEdgeDim(u, d) }
+
+var _ linecomm.DimensionedNetwork = (*Cube)(nil)
+
 // Neighbors returns the sorted adjacency of u.
 func (c *Cube) Neighbors(u uint64) []uint64 { return c.inner.Neighbors(u) }
 
